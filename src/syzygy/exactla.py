@@ -1,9 +1,16 @@
 """Exact linear algebra over GF(p) and over the rationals.
 
 This is the rank/kernel engine used by every other module.  All
-computations are exact: elimination over GF(p) is done in machine
-integers (with a BLAS-backed blocked path for small primes), and
-characteristic-zero ranks use fraction-free Bareiss elimination over
+computations are exact.  Dense GF(p) ranks run in float64 for every
+prime that `_f64_admits` (up to ~2^23): blocked elimination with one
+BLAS matrix product per panel and delayed reduction.  Entries of the
+un-eliminated block are integers whose magnitude the engine bounds as
+it goes; they are reduced mod p only in the column searched for a
+pivot, in the pivot row, and in bulk when the next panel could push
+the bound to 2^51, which for small primes never happens.  Larger primes
+use stepwise int64 elimination, and large very sparse matrices a
+dict-of-rows path.  Characteristic-zero ranks certify full rank modulo
+a fixed prime and otherwise use fraction-free Bareiss elimination over
 arbitrary-precision integers.  Nothing here is floating point in the
 numerical-analysis sense; float64 is used only as an exact carrier of
 integers below 2^53.
@@ -27,10 +34,14 @@ _SPARSE_MIN_CELLS = 100_000
 _SPARSE_MAX_DENSITY = 0.05
 
 # float64 carries exact integers up to 2**53; the blocked GF(p) path
-# defers reduction, accumulating at most ~2*_GF_BLOCK products of two
-# reduced residues before taking a remainder.
-_GF_BLOCK = 128
-_F64_SAFE = 2**53
+# keeps every entry below _F64_SAFE = 2**51, which leaves room for the
+# rounding of the quotient in `_reduce_f64`.  _GF_BLOCK is its panel
+# width; each pivot pays a rank-1 update of (rows x panel width).  Among
+# 24..128, 32 was fastest, or within noise of it, on every delta2 weight
+# block of betti g = 12 over GF(3) and g = 13 over GF(113), and on the
+# 2100x2940 W_4 block of koszul-resonance n = 7 over GF(5).
+_GF_BLOCK = 32
+_F64_SAFE = 2**51
 
 
 def _is_prime(n: int) -> bool:
@@ -267,53 +278,102 @@ def _gf_array(m: ExactMatrix, p: int) -> np.ndarray:
     return a
 
 
+def _f64_fits(bound: int, width: int, p: int) -> bool:
+    """Do entries of magnitude <= bound stay below _F64_SAFE through
+    `width` more eliminations, each subtracting one product of two
+    reduced residues?  The single exactness inequality of the engine."""
+    return bound + width * (p - 1) * (p - 1) < _F64_SAFE
+
+
+def _f64_admits(p: int) -> bool:
+    """Dispatch predicate: one full panel fits right after a bulk reduction."""
+    return _f64_fits(p - 1, _GF_BLOCK, p)
+
+
+def _reduce_f64(x: np.ndarray, p: int) -> None:
+    """Reduce integer-valued x in place to a residue of magnitude <= (p+1)//2.
+
+    For |x| < 2^51 every step is exact except the quotient x*(1/p), which
+    is off x/p by at most (|x|/p) 2^-52 (1 + 2^-53), a hair over 1/(2p).
+    So x - p*rint(x*(1/p)) is an integer congruent to x within
+    p/2 + 1/2 + 2^-54 of zero, hence within (p+1)//2 (for p = 2 the
+    quotient is exact).  (p+1)//2 <= p-1 for every prime, so a product
+    of two such residues is at most (p-1)^2, and a residue is zero
+    exactly when x = 0 mod p.
+    """
+    t = x * (1.0 / p)
+    np.rint(t, out=t)
+    t *= p
+    x -= t
+
+
 def _rank_gf_f64(a: np.ndarray, p: int) -> int:
-    """Blocked elimination mod p in float64 (exact for p^2*block < 2^53).
+    """Blocked elimination mod p in float64, with delayed reduction.
 
     Right-looking panel LU: within a panel the update is rank-1; the
     trailing update is one matrix product per panel.  Pivot rows apply
     pending panel updates when discovered, so no triangular solve is
     needed.
+
+    Invariant: every entry of the un-eliminated block A[r:, c0:] is an
+    integer of magnitude <= `bound` < _F64_SAFE (tracked, not measured).
+    Multipliers and pivot rows are reduced residues of magnitude <= p-1,
+    so each pivot moves an entry by at most (p-1)^2 and a panel with k
+    pivots raises the bound by at most k (p-1)^2.  Reduction mod p
+    (`_reduce_f64`) happens only on the column about to be searched for
+    a pivot, on the pivot row, and on the whole trailing block when the
+    next panel could break `_f64_fits`.  That last case comes after
+    ~2^51 / (p-1)^2 pivots (2^27 at p = 2^12), so for small primes the
+    trailing block is never reduced in bulk.
     """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
     A = (a % p).astype(np.float64)
-    B = _GF_BLOCK
+    bound = p - 1
     r = 0
     c0 = 0
     while c0 < n and r < m:
-        c1 = min(c0 + B, n)
-        trail = np.empty((min(B, c1 - c0), n - c1), dtype=np.float64)
+        c1 = min(c0 + _GF_BLOCK, n)
+        if not _f64_fits(bound, c1 - c0, p):
+            _reduce_f64(A[r:, c0:], p)
+            bound = p - 1
+        trail = np.empty((c1 - c0, n - c1), dtype=np.float64)
         L = np.zeros((m, c1 - c0), dtype=np.float64)   # panel multipliers
         k = 0                    # pivots found in this panel
         for c in range(c0, c1):
-            A[r:, c] %= p
-            nz = np.flatnonzero(A[r:, c])
+            col = A[r:, c]
+            _reduce_f64(col, p)
+            nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
             j = r + int(nz[0])
             if j != r:
-                A[[r, j], c0:c1] = A[[j, r], c0:c1]
-                A[[r, j], c1:] = A[[j, r], c1:]
-                L[[r, j]] = L[[j, r]]
+                t = A[r, c0:].copy()
+                A[r, c0:] = A[j, c0:]
+                A[j, c0:] = t
+                t = L[r].copy()
+                L[r] = L[j]
+                L[j] = t
+            row = A[r, c:]
             if k and c1 < n:
                 # apply pending trailing updates to the new pivot row
-                A[r, c1:] -= L[r, :k] @ trail[:k]
-            A[r, c:] %= p
-            inv = float(pow(int(A[r, c]), p - 2, p))
-            A[r, c:] = (A[r, c:] * inv) % p
+                row[c1 - c:] -= L[r, :k] @ trail[:k]
+            _reduce_f64(row, p)
+            row *= pow(int(row[0]), p - 2, p)
+            _reduce_f64(row, p)
             if c1 < n:
-                trail[k] = A[r, c1:]
+                trail[k] = row[c1 - c:]
             if r + 1 < m:
-                f = A[r + 1:, c].copy()
+                f = A[r + 1:, c]
                 L[r + 1:, k] = f
-                # deferred reduction: panel entries stay below B*p^2 < 2^53
-                A[r + 1:, c:c1] -= np.outer(f, A[r, c:c1])
+                # column c is finished: update only the columns after it
+                A[r + 1:, c + 1:c1] -= f[:, None] * row[1:c1 - c]
             k += 1
             r += 1
         if k and c1 < n and r < m:
-            A[r:, c1:] = (A[r:, c1:] - L[r:, :k] @ trail[:k]) % p
+            A[r:, c1:] -= L[r:, :k] @ trail[:k]
+        bound += k * (p - 1) * (p - 1)
         c0 = c1
     return r
 
@@ -390,7 +450,7 @@ def _rank_gf(m: ExactMatrix, p: int) -> int:
     if cells and m.nnz >= _SPARSE_MIN_CELLS and m.nnz / cells < _SPARSE_MAX_DENSITY:
         return _rank_gf_sparse(m, p)
     a = _gf_array(m, p)
-    if (p - 1) * (p - 1) * (2 * _GF_BLOCK + 2) < _F64_SAFE:
+    if _f64_admits(p):
         return _rank_gf_f64(a, p)
     return _rank_gf_int64(a, p)
 

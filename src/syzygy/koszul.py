@@ -9,8 +9,9 @@ presentation
 
 one rank of a modest matrix per degree.  Resonance is decided either by
 enumerating rational points of P(K-perp) and testing decomposability
-(rank of the alternating coefficient matrix <= 2), or -- in
-characteristic 0 or >= n-2 -- from the vanishing of W_{n-3}.
+(the Pluecker criterion: every 4x4 Pfaffian of the 2-form vanishes,
+evaluated mod p on numpy batches of points), or -- in characteristic 0
+or >= n-2 -- from the vanishing of W_{n-3}.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank, subspace_intersection_dim
 from .reps import RepSpace, generic_koszul_delta
@@ -123,8 +126,6 @@ def _quotient_projection(k: KoszulInput):
     reading them off.  Returns (projection matrix, kept coordinate
     list).
     """
-    import numpy as np
-
     from .exactla import _rref_fraction, _rref_gf
 
     n2 = comb(k.n, 2)
@@ -156,9 +157,9 @@ def _quotient_projection(k: KoszulInput):
     return ExactMatrix(len(keep), n2, ent), keep
 
 
-def _w_matrix(k: KoszulInput, q: int) -> ExactMatrix:
-    """Presentation matrix of W_q: (Wedge^2/K) (x) Sym^q <- Wedge^3 (x) Sym^{q-1}."""
-    proj, _ = _quotient_projection(k)
+def _w_matrix(k: KoszulInput, q: int, proj: ExactMatrix) -> ExactMatrix:
+    """Presentation matrix of W_q: (Wedge^2/K) (x) Sym^q <- Wedge^3 (x) Sym^{q-1},
+    given the quotient projection of `_quotient_projection(k)`."""
     if q == 0:
         return ExactMatrix(proj.rows, 0)
     delta3 = generic_koszul_delta(k.n, 3, q - 1)
@@ -174,9 +175,10 @@ def w_dim(k: KoszulInput, q: int) -> int:
     target_rows = (comb(k.n, 2) - k.m) * RepSpace.sym_power(q, RepSpace.free(k.n)).dim
     if q == 0:
         return target_rows
-    mat = _w_matrix(k, q)
+    proj, keep = _quotient_projection(k)
+    mat = _w_matrix(k, q, proj)
     if k.weights is not None and _columns_homogeneous(k):
-        r = _graded_w_rank(k, q, mat)
+        r = _graded_w_rank(k, q, mat, keep)
     else:
         r = rank(mat, k.field)
     return target_rows - r
@@ -214,10 +216,11 @@ def _mono_weight(mu, degree, weights):
     return sum(weights[v] for v in mu) + (degree - len(mu)) * weights[0]
 
 
-def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix) -> int:
+def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
+    """Blockwise rank of `mat`; `keep` lists the quotient coordinates
+    returned by `_quotient_projection(k)`."""
     from .exactla import graded_rank
 
-    proj, keep = _quotient_projection(k)
     pairs = wedge2_pairs(k.n)
     V = RepSpace.free(k.n)
     sym = RepSpace.sym_power(q, V)
@@ -248,7 +251,8 @@ def is_decomposable(vec, n: int, f: FieldSpec) -> bool:
 
     Equivalent to the alternating coefficient matrix having rank <= 2;
     valid over every field, including characteristic 2 where the naive
-    wedge-square test degenerates.
+    wedge-square test degenerates.  `resonance_trivial` uses the batched
+    Pfaffian test `_decomposable_chunks`; this is its per-point oracle.
     """
     pairs = wedge2_pairs(n)
     ent = {}
@@ -295,7 +299,8 @@ def _sort_sign(seq):
 
 def _projective_points(basis, p: int, budget: int):
     """Normalized representatives of the projectivization of a span
-    over GF(p), at most budget of them."""
+    over GF(p), at most budget of them.  The per-point reference for
+    the enumeration order of `_decomposable_chunks`."""
     k = len(basis)
     amb = len(basis[0])
     count = 0
@@ -324,16 +329,68 @@ def _tuples(p, length):
             yield (head,) + rest
 
 
+_PFAFFIAN_CHUNK = 4096      # points per numpy batch of the Pfaffian test
+
+
+def _pfaffian_index(n: int):
+    """Six index arrays into wedge2_pairs(n), the pairs ab, cd, ac, bd,
+    ad, bc of every 4-subset a < b < c < d."""
+    pos = {pr: i for i, pr in enumerate(wedge2_pairs(n))}
+    quads = list(combinations(range(n), 4))
+    return [np.array([pos[(q[i], q[j])] for q in quads], dtype=np.intp)
+            for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))]
+
+
+def _decomposable_chunks(basis, n: int, p: int, budget: int):
+    """Batched decomposability test on the points of `_projective_points`.
+
+    Yields (points, mask) for consecutive chunks of at most
+    _PFAFFIAN_CHUNK points, in the order of
+    `_projective_points(basis, p, budget)`.  `points` holds the Wedge^2
+    coordinates mod p as int64 rows; mask[i] is True iff points[i] is
+    zero or decomposable, i.e. every 4x4 Pfaffian
+    w_ab w_cd - w_ac w_bd + w_ad w_bc vanishes mod p.  These Pluecker
+    quadrics cut out the Grassmannian of lines over every field,
+    characteristic 2 included.  Each product is reduced before summing,
+    so nothing exceeds 2^63 for any p < 2^31.  A consumer that stops
+    early evaluates no further chunk.
+    """
+    k = len(basis)
+    B = np.array(basis, dtype=np.int64) % p
+    ab, cd, ac, bd, ad, bc = _pfaffian_index(n)
+    left = budget
+    for lead in range(k):
+        tail = k - lead - 1
+        count = min(p ** tail, left)
+        left -= count
+        for start in range(0, count, _PFAFFIAN_CHUNK):
+            idx = np.arange(start, min(start + _PFAFFIAN_CHUNK, count), dtype=np.int64)
+            # idx spelled in base p, most significant digit first, is the
+            # tail of the coefficient vector (0, .., 0, 1, tail)
+            pts = np.repeat(B[lead][None, :], idx.size, axis=0)
+            for j in range(tail):
+                w = p ** (tail - 1 - j)
+                if w < count:           # else the digit is 0 for every idx
+                    digit = idx // w % p
+                    pts = (pts + digit[:, None] * B[lead + 1 + j] % p) % p
+            pf = (pts[:, ab] * pts[:, cd] % p - pts[:, ac] * pts[:, bd] % p
+                  + pts[:, ad] * pts[:, bc] % p) % p
+            yield pts, ~pf.any(axis=1)
+        if not left:
+            return
+
+
 def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str:
     """Is the resonance of (V, K) trivial?  Returns "trivial",
     "nontrivial" or "unknown".
 
     Method A (finite fields): enumerate rational points of P(K-perp)
-    and test decomposability.  A hit is conclusive; exhaustion is
-    conclusive only when P(K-perp) is a single point (then every
-    geometric point is rational).  Method B (char 0 or char >= n-2):
-    trivial iff W_{n-3} = 0.  When both are conclusive they are
-    cross-checked.
+    and test decomposability by the 4x4 Pfaffians, in numpy batches
+    that stop at the first batch holding a decomposable point.  A hit
+    is conclusive; exhaustion is conclusive only when P(K-perp) is a
+    single point (then every geometric point is rational).  Method B
+    (char 0 or char >= n-2): trivial iff W_{n-3} = 0.  When both are
+    conclusive they are cross-checked.
     """
     n, m, f = k.n, k.m, k.field
     p = f.characteristic
@@ -353,8 +410,9 @@ def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str
         kdim = len(basis)
         npoints = (p**kdim - 1) // (p - 1) if kdim else 0
         if kdim and npoints <= budget:
-            found = any(not all(v == 0 for v in pt) and is_decomposable(pt, n, f)
-                        for pt in _projective_points(basis, p, budget))
+            # the basis is independent, so no enumerated point is zero
+            found = any(mask.any()
+                        for _, mask in _decomposable_chunks(basis, n, p, budget))
             if found:
                 verdicts.append(NONTRIVIAL)
             elif kdim == 1:

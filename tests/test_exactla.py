@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
                             kernel_basis, rank, rank_multiprime_probe,
                             subspace_intersection_dim)
-from syzygy.exactla import _rank_gf_f64, _rank_gf_int64, _rank_gf_sparse, _gf_array
+from syzygy import exactla
+from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
+                            _is_prime, _rank_gf_f64, _rank_gf_int64, _rank_gf_sparse,
+                            _reduce_f64)
 
 from _oracles import nonzero_minor_exists, rank_by_minors
 
@@ -112,7 +119,7 @@ def test_gf_engines_agree():
             r64 = _rank_gf_int64(a.copy(), p)
             rsp = _rank_gf_sparse(m, p)
             assert r64 == rsp == rank(m, GF(p))
-            if (p - 1) ** 2 * 128 < 2**53:
+            if _f64_admits(p):
                 assert _rank_gf_f64(a.copy(), p) == r64
 
 
@@ -136,6 +143,109 @@ def test_gf_blocked_path_on_wide_matrices():
     a = _gf_array(m, p)
     r = _rank_gf_f64(a.copy(), p)
     assert r == _rank_gf_int64(a.copy(), p) <= 7
+
+
+def _largest_f64_prime() -> int:
+    p = isqrt(_F64_SAFE // _GF_BLOCK) + 1
+    while not (_f64_admits(p) and _is_prime(p)):
+        p -= 1
+    return p
+
+
+_P_MAX_F64 = _largest_f64_prime()
+
+
+def _planted(rng, m, n, r, p):
+    """Random m x n matrix mod p of rank <= r (sum of r outer products)."""
+    u = rng.integers(0, p, (m, r))
+    v = rng.integers(0, p, (r, n))
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(r):                      # reduce each product: no overflow
+        a = (a + np.outer(u[:, i], v[i]) % p) % p
+    return a
+
+
+def test_f64_predicate_edge():
+    assert _f64_admits(_P_MAX_F64) and _f64_admits(2) and _f64_admits(197)
+    assert not _f64_admits(2**31 - 1)
+    # at the edge one pivot already forces a bulk reduction before the
+    # next panel
+    assert not _f64_fits(_P_MAX_F64 - 1 + (_P_MAX_F64 - 1) ** 2, _GF_BLOCK, _P_MAX_F64)
+    # primes below 200 need none within 10^9 pivots
+    assert _f64_fits(196 + 10**9 * 196 ** 2, _GF_BLOCK, 197)
+
+
+def test_reduce_f64_balanced_and_exact():
+    rng = random.Random(47)
+    lim = _F64_SAFE - 1
+    for p in (2, 3, 5, 197, 65521, _P_MAX_F64):
+        xs = [rng.randrange(-lim, lim + 1) for _ in range(2000)]
+        q = lim // p
+        xs += [lim, -lim, 0, 1, -1, q * p, -q * p, q * p + p // 2, q * p - p // 2,
+               -(q * p + p // 2), (q - 1) * p + (p + 1) // 2]
+        x = np.array(xs, dtype=np.float64)
+        _reduce_f64(x, p)
+        for before, after in zip(xs, x.tolist()):
+            assert after == int(after) and abs(after) <= (p + 1) // 2
+            assert (before - int(after)) % p == 0
+
+
+@st.composite
+def _gf_matrices(draw):
+    """A matrix mod p of planted rank <= r, optionally with a band of zero
+    columns wider than a panel, spanning up to three panels."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 197, 65521, _P_MAX_F64)))
+    m = draw(st.integers(1, 3 * _GF_BLOCK))
+    n = draw(st.integers(1, 3 * _GF_BLOCK))
+    r = draw(st.integers(0, min(m, n)))
+    a = _planted(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n, r, p)
+    z0 = draw(st.integers(0, n))
+    a[:, z0:z0 + draw(st.integers(0, 2 * _GF_BLOCK))] = 0
+    return a, p, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gf_matrices())
+def test_gf_f64_matches_int64_differential(case):
+    a, p, r = case
+    got = _rank_gf_f64(a.copy(), p)
+    assert got == _rank_gf_int64(a.copy(), p)
+    assert got <= r
+
+
+def test_gf_f64_zero_and_pivotless_panels():
+    rng = np.random.default_rng(41)
+    p, B = 5, _GF_BLOCK
+    for m, n in ((5 * B, 4 * B), (B + 5, 4 * B), (2 * B, 4 * B)):
+        a = rng.integers(0, p, (m, n))
+        a[:, :B] = 0                        # first panel all zero
+        a[:, 2 * B:3 * B] = 0               # an all-zero panel mid-matrix
+        # copies of earlier columns: the last panel finds no pivot
+        a[:, 3 * B:] = a[:, B:2 * B]
+        for b in (a, a[:4], a[:, :B + 3]):
+            assert _rank_gf_f64(b.copy(), p) == _rank_gf_int64(b.copy(), p)
+    assert _rank_gf_f64(np.zeros((B + 1, 3 * B), dtype=np.int64), p) == 0
+
+
+def test_gf_f64_bulk_reduction_at_largest_prime(monkeypatch):
+    p = _P_MAX_F64
+    bulk = []
+
+    def spy(x, q):
+        bulk.append(x.ndim == 2)
+        _reduce_f64(x, q)
+
+    monkeypatch.setattr(exactla, "_reduce_f64", spy)
+    rng = np.random.default_rng(43)
+    B = _GF_BLOCK
+    # planted rank over many panels: without the bulk reductions typical
+    # entries pass 2^53 after ~500 pivots, and a rounded entry raises the rank
+    for m, n, r in ((18 * B, 17 * B, 16 * B + 8), (5 * B + 3, 9 * B, 4 * B)):
+        a = _planted(rng, m, n, r, p)
+        a[:, 1] = p - 1                     # entries of the largest magnitude
+        bulk.clear()
+        assert _rank_gf_f64(a.copy(), p) == _rank_gf_int64(a.copy(), p)
+        assert sum(bulk) >= r // B - 1
 
 
 def test_sparse_dense_paths_identical():

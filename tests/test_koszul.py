@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
+from syzygy import koszul
 from syzygy.exactla import GF, QQ, ExactMatrix, kernel_basis, rank
 from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
+                           _decomposable_chunks, _projective_points,
                            catalan_degree, chow_member, hilbert_bound,
                            is_decomposable, k_perp_basis, random_koszul_input,
                            resonance_trivial, w_dim, w_dims,
@@ -207,3 +209,89 @@ def test_point_search_sound_against_w_dim_n5():
             assert w_dim(k, 2) != 0, s
         assert resonance_trivial(k) in (TRIVIAL, NONTRIVIAL)
     assert found_some
+
+
+def _scan(basis, n, p, budget=10**6):
+    """Points and verdicts of the batched Pfaffian test, flattened."""
+    pts, mask = [], []
+    for chunk, m in _decomposable_chunks(basis, n, p, budget):
+        pts += [[int(v) for v in row] for row in chunk]
+        mask += [bool(v) for v in m]
+    return pts, mask
+
+
+def _gaussian_binomial_2(n, q):
+    """Number of GF(q)-points of the Grassmannian of lines in P^{n-1}."""
+    return (q**n - 1) * (q**(n - 1) - 1) // ((q**2 - 1) * (q - 1))
+
+
+def test_pfaffian_scan_exhaustive_small_n():
+    # every point of P(Wedge^2 V) for n = 4, 5 over GF(2) and GF(3)
+    for n in (4, 5):
+        n2 = comb(n, 2)
+        basis = [[int(i == j) for j in range(n2)] for i in range(n2)]
+        for p in (2, 3):
+            f = GF(p)
+            pts, mask = _scan(basis, n, p)
+            assert pts == list(_projective_points(basis, p, 10**6))
+            assert len(pts) == (p**n2 - 1) // (p - 1)
+            assert mask == [is_decomposable(v, n, f) for v in pts]
+            assert sum(mask) == _gaussian_binomial_2(n, p)
+
+
+def test_pfaffian_scan_n3_has_no_quadrics():
+    # dim V = 3: every 2-form is decomposable
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for p in (2, 5):
+        pts, mask = _scan(basis, 3, p)
+        assert pts == list(_projective_points(basis, p, 10**6))
+        assert all(mask) and len(mask) == p * p + p + 1
+        assert all(is_decomposable(v, 3, GF(p)) for v in pts)
+
+
+def test_pfaffian_scan_order_across_chunks_and_budget(monkeypatch):
+    monkeypatch.setattr(koszul, "_PFAFFIAN_CHUNK", 7)
+    for (n, m, p) in ((5, 7, 3), (6, 10, 2), (5, 4, 2)):
+        k = random_koszul_input(n, m, GF(p), seed=n + m + p)
+        basis = k_perp_basis(k)
+        for budget in (1, 8, 50, 10**6):
+            pts, mask = _scan(basis, n, p, budget)
+            assert pts == list(_projective_points(basis, p, budget))
+            assert mask == [is_decomposable(v, n, GF(p)) for v in pts]
+
+
+def test_pfaffian_scan_no_overflow_mersenne_31():
+    p = 2**31 - 1
+    f = GF(p)
+    rng = random.Random(19)
+    for n in (4, 5, 6):
+        pairs = koszul.wedge2_pairs(n)
+        for trial in range(12):
+            if trial % 2:
+                u = [rng.randrange(p) for _ in range(n)]
+                v = [rng.randrange(p) for _ in range(n)]
+                vec = [(u[a] * v[b] - u[b] * v[a]) % p for a, b in pairs]
+            else:
+                vec = [rng.randrange(p - 100, p) for _ in pairs]
+            if not any(vec):
+                continue
+            pts, mask = _scan([vec], n, p)
+            assert pts == [vec]
+            assert mask == [is_decomposable(vec, n, f)] == [bool(trial % 2)]
+
+
+def test_w_dim_projects_once(monkeypatch):
+    from syzygy.tangent import weyman_input
+
+    calls = []
+    real = koszul._quotient_projection
+
+    def counting(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(koszul, "_quotient_projection", counting)
+    k = weyman_input(5, GF(3))
+    assert k.weights is not None
+    w_dim(k, 2)
+    assert len(calls) == 1
