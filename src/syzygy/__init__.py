@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis, rank, \
     subspace_intersection_dim
-from .hermite import HermiteIso, psi, psi_compat_check
+from .hermite import psi_compat_check, psi_map
 from .koszul import KoszulInput, catalan_degree, chow_member, hilbert_bound, \
     random_koszul_input, resonance_trivial, w_dim, w_dims
 from .oracle import oracle_kij, ring_dim
@@ -14,7 +14,7 @@ from .tangent import BettiTable, betti_table, delta2, k_i1, k_i2, weyman_dim
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec", "kernel_basis", "rank",
-    "subspace_intersection_dim", "HermiteIso", "psi", "psi_compat_check",
+    "subspace_intersection_dim", "psi_compat_check", "psi_map",
     "KoszulInput", "catalan_degree", "chow_member", "hilbert_bound",
     "random_koszul_input", "resonance_trivial", "w_dim", "w_dims",
     "oracle_kij", "ring_dim",

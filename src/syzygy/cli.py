@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 
@@ -50,13 +49,6 @@ def _parse_range(spec: str):
     return range(v, v + 1)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SYZYGY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(payload: dict, fmt: str, table_lines, csv_rows):
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
@@ -76,8 +68,7 @@ def cmd_betti(args) -> int:
     f = _field(args.char)
     if args.g < 3:
         raise CliError("need --g >= 3")
-    bt = betti_table(args.g, f, override_guard=args.override_guard,
-                     parallel=_threads())
+    bt = betti_table(args.g, f, override_guard=args.override_guard)
     payload = {
         "g": bt.g,
         "char": bt.characteristic,
@@ -417,7 +408,7 @@ def main(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code
-    except (GuardExceeded, oracle.GuardExceeded) as e:
+    except GuardExceeded as e:
         sys.stderr.write(f"resource guard: {e}\n")
         return EXIT_GUARD
     except ValueError as e:

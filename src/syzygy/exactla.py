@@ -1,15 +1,18 @@
 """Exact linear algebra over GF(p) and over the rationals.
 
 This is the rank/kernel engine used by every other module.  All
-computations are exact.  Dense GF(p) ranks run in float64 for every
-prime that `_f64_admits` (up to ~2^23): blocked elimination with one
-BLAS matrix product per panel and delayed reduction.  Entries of the
-un-eliminated block are integers whose magnitude the engine bounds as
-it goes; they are reduced mod p only in the column searched for a
-pivot, in the pivot row, and in bulk when the next panel could push
-the bound to 2^51, which for small primes never happens.  Larger primes
-use stepwise int64 elimination, and large very sparse matrices a
-dict-of-rows path.  Characteristic-zero ranks certify full rank modulo
+computations are exact.  GF(p) ranks have one dense engine per prime
+range.  Every prime that `_f64_admits` (up to ~2^23) runs in float64:
+blocked elimination with one BLAS matrix product per panel and delayed
+reduction.  Entries of the un-eliminated block are integers whose
+magnitude the engine bounds as it goes; they are reduced mod p only in
+the column searched for a pivot, in the pivot row, and in bulk when the
+next panel could push the bound to 2^51, which for small primes never
+happens.  Larger primes use stepwise int64 elimination.  The float64
+engine ranks an m x n matrix in one m x n float64 array, filled directly
+from the sparse entries, plus temporaries of at most `_SLAB_CELLS` cells
+and O((m + n) x panel width) for the panels, so its peak memory is
+about 8 m n bytes.  Characteristic-zero ranks certify full rank modulo
 a fixed prime and otherwise use fraction-free Bareiss elimination over
 arbitrary-precision integers.  Nothing here is floating point in the
 numerical-analysis sense; float64 is used only as an exact carrier of
@@ -22,16 +25,10 @@ bit for bit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-# Internal thresholds for the sparse elimination path.  The choice is
-# invisible to callers: both paths return identical results.
-_SPARSE_MIN_CELLS = 100_000
-_SPARSE_MAX_DENSITY = 0.05
 
 # float64 carries exact integers up to 2**53; the blocked GF(p) path
 # keeps every entry below _F64_SAFE = 2**51, which leaves room for the
@@ -42,6 +39,11 @@ _SPARSE_MAX_DENSITY = 0.05
 # 2100x2940 W_4 block of koszul-resonance n = 7 over GF(5).
 _GF_BLOCK = 32
 _F64_SAFE = 2**51
+# Row slabs of the float64 engine's trailing update and bulk reduction
+# hold at most this many cells (64 MB), so that their temporaries stay
+# small beside the matrix itself.  Every benched weight block and the
+# W_4 blocks up to n = 7 fit in one slab.
+_SLAB_CELLS = 2**23
 
 
 def _is_prime(n: int) -> bool:
@@ -269,8 +271,11 @@ class ExactMatrix:
 # GF(p) engines
 # ---------------------------------------------------------------------------
 
-def _gf_array(m: ExactMatrix, p: int) -> np.ndarray:
-    a = np.zeros((m.rows, m.cols), dtype=np.int64)
+def _gf_array(m: ExactMatrix, p: int, dtype=np.int64) -> np.ndarray:
+    """Dense residues of m mod p in [0, p).  The float64 engine takes
+    float64 directly, so its matrix is never held twice; int64 serves
+    the int64 engine and the RREF."""
+    a = np.zeros((m.rows, m.cols), dtype=dtype)
     for (r, c), v in m.items():
         if not isinstance(v, int):
             raise TypeError("fractional entry in positive characteristic")
@@ -307,8 +312,20 @@ def _reduce_f64(x: np.ndarray, p: int) -> None:
     x -= t
 
 
+def _row_slabs(r0: int, m: int, width: int):
+    """Row ranges [i, j) covering rows r0..m-1, each of at most
+    `_SLAB_CELLS` cells of `width` columns (and at least one row)."""
+    step = max(1, _SLAB_CELLS // max(width, 1))
+    for i in range(r0, m, step):
+        yield i, min(i + step, m)
+
+
 def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     """Blocked elimination mod p in float64, with delayed reduction.
+
+    `a` holds reduced residues mod p (magnitude <= p-1).  A float64 `a`
+    is eliminated in place, without a copy; any other dtype is converted
+    once.
 
     Right-looking panel LU: within a panel the update is rank-1; the
     trailing update is one matrix product per panel.  Pivot rows apply
@@ -324,19 +341,22 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     a pivot, on the pivot row, and on the whole trailing block when the
     next panel could break `_f64_fits`.  That last case comes after
     ~2^51 / (p-1)^2 pivots (2^27 at p = 2^12), so for small primes the
-    trailing block is never reduced in bulk.
+    trailing block is never reduced in bulk.  The trailing update and
+    the bulk reduction run in row slabs (`_row_slabs`), so their
+    temporaries stay below `_SLAB_CELLS` cells.
     """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    A = (a % p).astype(np.float64)
+    A = np.asarray(a, dtype=np.float64)
     bound = p - 1
     r = 0
     c0 = 0
     while c0 < n and r < m:
         c1 = min(c0 + _GF_BLOCK, n)
         if not _f64_fits(bound, c1 - c0, p):
-            _reduce_f64(A[r:, c0:], p)
+            for i, j in _row_slabs(r, m, n - c0):
+                _reduce_f64(A[i:j, c0:], p)
             bound = p - 1
         trail = np.empty((c1 - c0, n - c1), dtype=np.float64)
         L = np.zeros((m, c1 - c0), dtype=np.float64)   # panel multipliers
@@ -372,7 +392,8 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
             k += 1
             r += 1
         if k and c1 < n and r < m:
-            A[r:, c1:] -= L[r:, :k] @ trail[:k]
+            for i, j in _row_slabs(r, m, n - c1):
+                A[i:j, c1:] -= L[i:j, :k] @ trail[:k]
         bound += k * (p - 1) * (p - 1)
         c0 = c1
     return r
@@ -403,56 +424,10 @@ def _rank_gf_int64(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_gf_sparse(m: ExactMatrix, p: int) -> int:
-    """Dict-of-rows elimination mod p; same pivot rule as the dense path."""
-    rows = {}
-    cols_of = {}
-    for (r, c), v in m.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols_of.setdefault(c, set()).add(r)
-    used = set()
-    rank = 0
-    for c in range(m.cols):
-        cand = sorted(cols_of.get(c, set()) - used)
-        if not cand:
-            continue
-        pr = cand[0]
-        used.add(pr)
-        rank += 1
-        prow = rows[pr]
-        inv = pow(prow[c], p - 2, p)
-        prow = {cc: (vv * inv) % p for cc, vv in prow.items()}
-        rows[pr] = prow
-        for cc in prow:
-            cols_of.setdefault(cc, set()).add(pr)
-        for r in cand[1:]:
-            row = rows[r]
-            f = row.get(c, 0) % p
-            if not f:
-                continue
-            for cc, vv in prow.items():
-                nv = (row.get(cc, 0) - f * vv) % p
-                if nv:
-                    row[cc] = nv
-                    cols_of.setdefault(cc, set()).add(r)
-                else:
-                    row.pop(cc, None)
-                    s = cols_of.get(cc)
-                    if s:
-                        s.discard(r)
-    return rank
-
-
 def _rank_gf(m: ExactMatrix, p: int) -> int:
-    cells = m.rows * m.cols
-    if cells and m.nnz >= _SPARSE_MIN_CELLS and m.nnz / cells < _SPARSE_MAX_DENSITY:
-        return _rank_gf_sparse(m, p)
-    a = _gf_array(m, p)
     if _f64_admits(p):
-        return _rank_gf_f64(a, p)
-    return _rank_gf_int64(a, p)
+        return _rank_gf_f64(_gf_array(m, p, np.float64), p)
+    return _rank_gf_int64(_gf_array(m, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +675,8 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights) -> int:
 
     Entries must connect each column-weight class to a single
     row-weight class (and conversely); this holds for every equivariant
-    map in this package and is verified, not assumed.
+    map in this package and is verified, not assumed: an ungraded
+    matrix or a weight vector of the wrong length raises ValueError.
     """
     if len(row_weights) != m.rows or len(col_weights) != m.cols:
         raise ValueError("weight vector length mismatch")
@@ -734,25 +710,3 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights) -> int:
         total += rank(sub, f)
     return total
 
-
-def rank_multiprime_probe(m: ExactMatrix, seed: int = 0) -> int:
-    """Heuristic characteristic-zero rank: max rank over 3 random 30-bit primes.
-
-    Fast and almost always exact, but only a lower bound in principle;
-    never used by the acceptance suite.
-    """
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(3):
-        while True:
-            p = rng.randrange(2**29, 2**30)
-            if _is_prime(p):
-                break
-        rows = _integer_rows(m)
-        ent = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v % p:
-                    ent[(r, c)] = v % p
-        best = max(best, _rank_gf(ExactMatrix(m.rows, m.cols, ent), p))
-    return best

@@ -13,29 +13,10 @@ which is the whole point.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactla import ExactMatrix, FieldSpec
 from .partitions import e_to_schur
 from .reps import RepMap, RepSpace, compose, nu, sympow_mul, tensor_map
-
-
-@dataclass(frozen=True)
-class HermiteIso:
-    """The reciprocity isomorphism for one (d, i, field) triple."""
-
-    d: int
-    i: int
-    field: FieldSpec
-    matrix: ExactMatrix
-
-    @property
-    def source(self) -> RepSpace:
-        return RepSpace.sym_power(self.d, RepSpace.div(self.i))
-
-    @property
-    def target(self) -> RepSpace:
-        return RepSpace.wedge(self.i, RepSpace.sym(self.d + self.i - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,6 +24,8 @@ def psi_map(d: int, i: int) -> RepMap:
     """The integer matrix of the reciprocity map, one column per source
     monomial, built from iterated Pieri expansion (never by solving
     equations)."""
+    if d < 0 or i < 0:
+        raise ValueError(f"psi needs d, i >= 0, got d={d}, i={i}")
     src = RepSpace.sym_power(d, RepSpace.div(i))
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
     if src.dim != tgt.dim:
@@ -53,12 +36,6 @@ def psi_map(d: int, i: int) -> RepMap:
             exps = RepSpace._lam_to_exps(lam, i)
             ent[(tgt.index(exps), c)] = coeff
     return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"psi({d},{i})")
-
-
-def psi(d: int, i: int, f: FieldSpec) -> HermiteIso:
-    if d < 0 or i < 0:
-        raise ValueError("psi needs d, i >= 0")
-    return HermiteIso(d, i, f, psi_map(d, i).matrix)
 
 
 def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:

@@ -23,7 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank, subspace_intersection_dim
+from .exactla import (ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank,
+                      subspace_intersection_dim)
 from .reps import RepSpace, generic_koszul_delta
 
 TRIVIAL = "trivial"
@@ -219,8 +220,6 @@ def _mono_weight(mu, degree, weights):
 def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
     """Blockwise rank of `mat`; `keep` lists the quotient coordinates
     returned by `_quotient_projection(k)`."""
-    from .exactla import graded_rank
-
     pairs = wedge2_pairs(k.n)
     V = RepSpace.free(k.n)
     sym = RepSpace.sym_power(q, V)
@@ -231,10 +230,7 @@ def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
     w3 = RepSpace.tensor([RepSpace.wedge(3, V), RepSpace.sym_power(q - 1, V)])
     col_w = [sum(k.weights[v] for v in lab[0])
              + _mono_weight(lab[1], q - 1, k.weights) for lab in w3.basis]
-    try:
-        return graded_rank(mat, k.field, row_w, col_w)
-    except ValueError:
-        return rank(mat, k.field)
+    return graded_rank(mat, k.field, row_w, col_w)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +259,6 @@ def is_decomposable(vec, n: int, f: FieldSpec) -> bool:
             ent[(b, a)] = -v
     m = ExactMatrix(n, n, ent)
     return rank(m, f) <= 2
-
-
-def wedge_square_is_zero(vec, n: int, f: FieldSpec) -> bool:
-    """The classical omega ^ omega = 0 test in Wedge^4 V.  Identically
-    true in characteristic 2, so only a valid decomposability criterion
-    away from 2; kept as a cross-check."""
-    pairs = wedge2_pairs(n)
-    p = f.characteristic
-    quad = {}
-    for (i1, (a, b)) in enumerate(pairs):
-        for (i2, (c, d)) in enumerate(pairs):
-            if len({a, b, c, d}) != 4:
-                continue
-            perm = (a, b, c, d)
-            sign = _sort_sign(perm)
-            key = tuple(sorted(perm))
-            quad[key] = quad.get(key, 0) + sign * vec[i1] * vec[i2]
-    for v in quad.values():
-        if (v % p if p else v) != 0:
-            return False
-    return True
-
-
-def _sort_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return sign
 
 
 def _projective_points(basis, p: int, budget: int):

@@ -34,13 +34,9 @@ from itertools import combinations
 from math import comb
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
+from .tangent import GuardExceeded
 
 ORACLE_G_MAX = 7
-
-
-class GuardExceeded(Exception):
-    pass
-
 
 def _check_guard(g: int, override: bool):
     if g > ORACLE_G_MAX and not override:
@@ -178,7 +174,6 @@ class ParamRing:
                 blk = blocks[w] = _Block(self._coords(n, w))
             poly = _eval_mono(mono, self._polys)
             vec = [0] * len(blk.coords)
-            ok = True
             for key, v in poly.items():
                 vv = v % p if p else v
                 if vv:
@@ -285,14 +280,6 @@ def _wedge_weights(ring: ParamRing, i: int, n: int):
     return [sum(A) + w for A in wlabels for (w, _) in blabels]
 
 
-def _rank_graded(ring: ParamRing, m: ExactMatrix, rw, cw) -> int:
-    from .exactla import rank as _rank
-    try:
-        return graded_rank(m, ring.field, rw, cw)
-    except ValueError:
-        return _rank(m, ring.field)
-
-
 def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet",
                override_guard: bool = False) -> int:
     """dim K_{i,j} of the tangent developable, as the middle homology of
@@ -309,8 +296,9 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet",
     out = _wedge_mult_matrix(ring, i, j)
     into = _wedge_mult_matrix(ring, i + 1, j - 1) if j >= 1 else \
         ExactMatrix(out.cols, 0)
-    rank_out = _rank_graded(ring, out, _wedge_weights(ring, i - 1, j + 1),
-                            _wedge_weights(ring, i, j))
-    rank_in = _rank_graded(ring, into, _wedge_weights(ring, i, j),
-                           _wedge_weights(ring, i + 1, j - 1)) if into.cols else 0
+    # z_c shifts weight by c, so both maps are weight-graded
+    rank_out = graded_rank(out, ring.field, _wedge_weights(ring, i - 1, j + 1),
+                           _wedge_weights(ring, i, j))
+    rank_in = graded_rank(into, ring.field, _wedge_weights(ring, i, j),
+                          _wedge_weights(ring, i + 1, j - 1)) if into.cols else 0
     return (out.cols - rank_out) - rank_in

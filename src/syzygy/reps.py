@@ -31,7 +31,7 @@ import functools
 from itertools import combinations, product
 from math import comb
 
-from .exactla import ExactMatrix, FieldSpec, graded_rank, rank
+from .exactla import ExactMatrix, FieldSpec, graded_rank
 from .partitions import KIND_P, enumerate_family, normalize
 
 
@@ -178,11 +178,8 @@ class RepMap:
         self.name = name
 
     def rank(self, f: FieldSpec) -> int:
-        try:
-            return graded_rank(self.matrix, f, self.target.weights,
-                               self.source.weights)
-        except ValueError:
-            return rank(self.matrix, f)
+        return graded_rank(self.matrix, f, self.target.weights,
+                           self.source.weights)
 
     def kernel_dim(self, f: FieldSpec) -> int:
         return self.source.dim - self.rank(f)

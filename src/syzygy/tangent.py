@@ -117,7 +117,7 @@ def delta2_map(g: int, i: int) -> RepMap:
     return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"delta2({g},{i})")
 
 
-def delta2(g: int, i: int, f: FieldSpec) -> ExactMatrix:
+def delta2(g: int, i: int) -> ExactMatrix:
     """Matrix of delta2 in canonical bases (integer entries; reduce mod
     the characteristic when computing ranks)."""
     return delta2_map(g, i).matrix
@@ -163,8 +163,7 @@ class BettiTable:
         return range(self.g - 1)
 
 
-def betti_table(g: int, f: FieldSpec, override_guard: bool = False,
-                parallel: int = 1) -> BettiTable:
+def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTable:
     """The full graded Betti table of the degree-g tangent developable.
 
     For characteristic != 2 row 1 comes from delta2 kernels and row 2
@@ -189,28 +188,11 @@ def betti_table(g: int, f: FieldSpec, override_guard: bool = False,
         return BettiTable(g, p, entries, methods, None)
     entries[g - 2][3] = 1
     methods[g - 2][3] = "corner"
-
-    def row1(i):
-        return k_i1(g, i, f, override_guard)
-
-    def row2(i):
-        return k_i2(g, i, f, override_guard)
-
-    tasks1 = list(range(1, g - 1))
-    tasks2 = list(range(1, g - 2))
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=parallel) as ex:
-            r1 = list(ex.map(row1, tasks1))
-            r2 = list(ex.map(row2, tasks2))
-    else:
-        r1 = [row1(i) for i in tasks1]
-        r2 = [row2(i) for i in tasks2]
-    for i, v in zip(tasks1, r1):
-        entries[i][1] = v
+    for i in range(1, g - 1):
+        entries[i][1] = k_i1(g, i, f, override_guard)
         methods[i][1] = "delta2"
-    for i, v in zip(tasks2, r2):
-        entries[i][2] = v
+    for i in range(1, g - 2):
+        entries[i][2] = k_i2(g, i, f, override_guard)
         methods[i][2] = "weyman"
     duality = all(entries[i][1] == entries[g - 2 - i][2] for i in range(1, g - 2))
     # the shape forces b_{g-2,1} = 0 away from characteristic 2
@@ -297,7 +279,7 @@ def _with_w(space: RepSpace, g: int) -> RepSpace:
 
 
 @functools.lru_cache(maxsize=None)
-def complex_F(g: int, f: FieldSpec = None) -> GradedComplex:
+def complex_F(g: int) -> GradedComplex:
     """The resolution of the parametrizing ring: F_0 = S + Sym^{g-2}U(-1),
     F_i = D^{2i}U (x) Wedge^{i+1} Sym^{g-2}U (-i-1).  Only the linear
     part of the first differential is represented; the quadratic part
@@ -343,7 +325,7 @@ def complex_F(g: int, f: FieldSpec = None) -> GradedComplex:
 
 
 @functools.lru_cache(maxsize=None)
-def complex_J(g: int, f: FieldSpec = None) -> GradedComplex:
+def complex_J(g: int) -> GradedComplex:
     """The linear complex with terms D^i U (x) Wedge^i Sym^{g-1} U (-i),
     i = 0..g; its homology is the residue field in degree zero and the
     canonical module of the cone over the rational normal curve.
@@ -435,10 +417,6 @@ def map_p_map(g: int, i: int) -> RepMap:
     return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"p({g},{i})")
 
 
-def map_p(g: int, i: int, f: FieldSpec) -> ExactMatrix:
-    return map_p_map(g, i).matrix
-
-
 @functools.lru_cache(maxsize=None)
 def map_q_map(g: int, i: int) -> RepMap:
     """q_i : D^{2i} U (x) Wedge^{i+1} Sym^{g-2} U ->
@@ -472,10 +450,6 @@ def map_q_map(g: int, i: int) -> RepMap:
                     ent[key] = ent.get(key, 0) + (tp - ts)
     ent = {k: v for k, v in ent.items() if v}
     return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"q({g},{i})")
-
-
-def map_q(g: int, i: int, f: FieldSpec) -> ExactMatrix:
-    return map_q_map(g, i).matrix
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
-                            kernel_basis, rank, rank_multiprime_probe,
-                            subspace_intersection_dim)
+                            kernel_basis, rank, subspace_intersection_dim)
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
-                            _is_prime, _rank_gf_f64, _rank_gf_int64, _rank_gf_sparse,
-                            _reduce_f64)
+                            _is_prime, _rank_gf_f64, _rank_gf_int64, _reduce_f64)
 
 from _oracles import nonzero_minor_exists, rank_by_minors
 
@@ -117,8 +115,7 @@ def test_gf_engines_agree():
                                        for _ in range(rows)])
             a = _gf_array(m, p)
             r64 = _rank_gf_int64(a.copy(), p)
-            rsp = _rank_gf_sparse(m, p)
-            assert r64 == rsp == rank(m, GF(p))
+            assert r64 == rank(m, GF(p))
             if _f64_admits(p):
                 assert _rank_gf_f64(a.copy(), p) == r64
 
@@ -248,17 +245,62 @@ def test_gf_f64_bulk_reduction_at_largest_prime(monkeypatch):
         assert sum(bulk) >= r // B - 1
 
 
-def test_sparse_dense_paths_identical():
-    rng = random.Random(29)
-    p = 7
-    for _ in range(5):
-        rows, cols = 60, 80
-        ent = {}
-        for _ in range(200):
-            ent[(rng.randrange(rows), rng.randrange(cols))] = rng.randrange(1, p)
-        m = ExactMatrix(rows, cols, ent)
-        a = _gf_array(m, p)
-        assert _rank_gf_sparse(m, p) == _rank_gf_int64(a, p)
+def test_gf_f64_row_slabs_match_one_slab(monkeypatch):
+    # slabs of a few rows: the trailing updates and, at the largest
+    # prime, the bulk reductions run slab by slab, and together the
+    # slabs reduce exactly the cells that one slab does
+    rng = np.random.default_rng(59)
+    B = _GF_BLOCK
+    cases = [(5, _planted(rng, 3 * B + 5, 5 * B, 2 * B + 3, 5)),
+             (_P_MAX_F64, _planted(rng, 18 * B, 17 * B, 16 * B + 8, _P_MAX_F64))]
+    bulk = []
+
+    def spy(x, q):
+        if x.ndim == 2:
+            bulk.append(x.size)
+        _reduce_f64(x, q)
+
+    def run():
+        bulk.clear()
+        return [_rank_gf_f64(a.copy(), p) for p, a in cases], sum(bulk)
+
+    monkeypatch.setattr(exactla, "_reduce_f64", spy)
+    want, cells = run()                     # every block fits one slab
+    assert want == [_rank_gf_int64(a.copy(), p) for p, a in cases] and cells
+    monkeypatch.setattr(exactla, "_SLAB_CELLS", 7 * B)
+    assert [j - i for i, j in exactla._row_slabs(2, 12, B)] == [7, 3]
+    assert [j - i for i, j in exactla._row_slabs(0, 3, 9 * B)] == [1, 1, 1]
+    for slab in (7 * B, 64 * B):
+        monkeypatch.setattr(exactla, "_SLAB_CELLS", slab)
+        assert run() == (want, cells)
+
+
+def test_large_sparse_matrix_takes_the_dense_engine(monkeypatch):
+    # 100,000 nonzeros at density 4.8%.  A dict-of-rows elimination is
+    # 30-65x slower than the dense engine on such shapes, so one dense
+    # float64 rank must serve it.  The last 10 rows are multiples of the
+    # first 10, so the rank is 190.
+    rng = random.Random(53)
+    p, rows, cols = 7, 200, 10500
+    ent = {}
+    for r in range(rows - 10):
+        for c in rng.sample(range(cols), 500):
+            ent[(r, c)] = rng.randrange(1, p)
+    for (r, c), v in list(ent.items()):
+        if r < 10:
+            ent[(rows - 10 + r, c)] = 3 * v % p
+    m = ExactMatrix(rows, cols, ent)
+    assert m.nnz == 100_000 and m.nnz / (rows * cols) < 0.05
+    calls = []
+
+    def spy(a, q):
+        calls.append(a.shape)
+        return _rank_gf_f64(a, q)
+
+    monkeypatch.setattr(exactla, "_rank_gf_f64", spy)
+    got = rank(m, GF(p))
+    assert calls == [(rows, cols)]
+    assert got == _rank_gf_int64(_gf_array(m, p), p) == rows - 10
 
 
 def test_graded_rank_matches_plain_rank():
@@ -280,14 +322,6 @@ def test_graded_rank_rejects_ungraded():
     m = ExactMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         graded_rank(m, QQ, [0, 1], [0, 1])
-
-
-def test_multiprime_probe():
-    rng = random.Random(37)
-    for _ in range(10):
-        data = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-        m = ExactMatrix.from_rows(data)
-        assert rank_multiprime_probe(m, seed=1) == rank(m, QQ)
 
 
 def test_matrix_algebra():

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from syzygy.exactla import GF, QQ, ExactMatrix
-from syzygy.hermite import psi, psi_compat_check, psi_inverse, psi_map
+from syzygy.hermite import psi_compat_check, psi_inverse, psi_map
 from syzygy.reps import lowering, raising
 
 FIELDS = (QQ, GF(2), GF(3), GF(5), GF(101))
@@ -67,7 +67,7 @@ def test_compat_square():
 
 
 def test_psi_wrapper_and_inverse():
-    h = psi(3, 2, GF(3))
+    h = psi_map(3, 2)
     assert h.matrix.shape == (10, 10)
     inv = psi_inverse(3, 2, GF(3))
     prod = h.matrix @ inv
@@ -75,4 +75,4 @@ def test_psi_wrapper_and_inverse():
     invq = psi_inverse(2, 2, QQ)
     assert (psi_map(2, 2).matrix @ invq).equals_mod(ExactMatrix.identity(6), QQ)
     with pytest.raises(ValueError):
-        psi(-1, 2, QQ)
+        psi_map(-1, 2)

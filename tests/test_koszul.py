@@ -10,8 +10,7 @@ from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
                            _decomposable_chunks, _projective_points,
                            catalan_degree, chow_member, hilbert_bound,
                            is_decomposable, k_perp_basis, random_koszul_input,
-                           resonance_trivial, w_dim, w_dims,
-                           wedge_square_is_zero)
+                           resonance_trivial, w_dim, w_dims)
 
 
 def _unit(i, n=6):
@@ -91,20 +90,8 @@ def test_resonance_nondegenerate_point():
     # over GF(2) the Pfaffian is still 1, so the resonance stays trivial;
     # the naive wedge-square test degenerates (omega ^ omega = 2(...) = 0)
     k2 = _perp_of_omega([v % 2 for v in omega], GF(2))
-    assert wedge_square_is_zero([1, 0, 0, 0, 0, 1], 4, GF(2))
     assert not is_decomposable([1, 0, 0, 0, 0, 1], 4, GF(2))
     assert resonance_trivial(k2) == TRIVIAL
-
-
-def test_wedge_square_matches_rank_test_away_from_two():
-    rng = random.Random(4)
-    for p in (0, 3, 5):
-        f = GF(p) if p else QQ
-        for _ in range(50):
-            vec = [rng.randint(-3, 3) for _ in range(6)]
-            if all(v == 0 for v in vec):
-                continue
-            assert wedge_square_is_zero(vec, 4, f) == is_decomposable(vec, 4, f)
 
 
 def test_resonance_small_m_always_nontrivial():

@@ -131,12 +131,6 @@ def test_betti_duality_more_characteristics():
         assert betti_table(g, GF(p)).duality_ok, (g, p)
 
 
-def test_betti_parallel_matches_serial():
-    a = betti_table(6, GF(5), parallel=1)
-    b = betti_table(6, GF(5), parallel=4)
-    assert a.entries == b.entries
-
-
 def test_betti_duality_small_char():
     for g, p in ((7, 3), (6, 3), (8, 5)):
         bt = betti_table(g, GF(p))
