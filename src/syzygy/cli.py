@@ -43,8 +43,10 @@ def _field(char: int) -> FieldSpec:
 def _parse_range(spec: str):
     """'A..B' or a single integer."""
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(x) for x in spec.split("..", 1))
+        if hi < lo:
+            raise CliError(f"empty range {spec}: need A <= B")
+        return range(lo, hi + 1)
     v = int(spec)
     return range(v, v + 1)
 
@@ -154,6 +156,8 @@ def cmd_koszul_resonance(args) -> int:
     f = _field(args.char)
     if args.n < 3:
         raise CliError("need --n >= 3")
+    if args.samples < 1:
+        raise CliError("need --samples >= 1")
     m = args.m if args.m is not None else 2 * args.n - 3
     if m > comb(args.n, 2):
         raise CliError(f"m={m} exceeds dim Wedge^2 V = {comb(args.n, 2)}")
@@ -182,6 +186,8 @@ def cmd_chow(args) -> int:
     f = _field(args.char)
     if args.n < 3:
         raise CliError("need --n >= 3")
+    if args.samples < 1:
+        raise CliError("need --samples >= 1")
     if f.characteristic == 0:
         raise CliError("sampling requires a finite field")
     m = 2 * args.n - 3
@@ -313,6 +319,8 @@ def _selfcheck_suites(g_max: int):
 
 
 def cmd_selfcheck(args) -> int:
+    if args.g_max < 3:
+        raise CliError("need --g-max >= 3")
     suites = _selfcheck_suites(args.g_max)
     failures = []
     lines = []

@@ -12,9 +12,11 @@ happens.  Larger primes use stepwise int64 elimination.  The float64
 engine ranks an m x n matrix in one m x n float64 array, filled directly
 from the sparse entries, plus temporaries of at most `_SLAB_CELLS` cells
 and O((m + n) x panel width) for the panels, so its peak memory is
-about 8 m n bytes.  Characteristic-zero ranks certify full rank modulo
-a fixed prime and otherwise use fraction-free Bareiss elimination over
-arbitrary-precision integers.  Nothing here is floating point in the
+about 8 m n bytes.  Characteristic-zero ranks run on the same float64
+engine: the matrix, with denominators cleared, is ranked modulo a fixed
+descending sequence of primes until the rank is full or the product of
+the primes exceeds the Hadamard bound, which certifies the largest rank
+seen (see `rank`).  Nothing here is floating point in the
 numerical-analysis sense; float64 is used only as an exact carrier of
 integers below 2^53.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -400,8 +403,12 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
 
 
 def _rank_gf_int64(a: np.ndarray, p: int) -> int:
-    """Stepwise elimination mod p in int64; valid for any p < 2^31."""
-    A = a % p
+    """Stepwise elimination mod p in int64; valid for any p < 2^31.
+
+    Serves the primes above the float64 engine's range.  The int64
+    input is reduced and eliminated in place, so it is consumed.
+    """
+    A = np.remainder(a, p, out=a)
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -431,109 +438,8 @@ def _rank_gf(m: ExactMatrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic-zero engines
+# Row echelon forms (kernel bases)
 # ---------------------------------------------------------------------------
-
-def _integer_rows(m: ExactMatrix):
-    """Dense integer rows, clearing denominators row by row."""
-    dense = m.to_dense()
-    out = []
-    for row in dense:
-        lcm = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-        if lcm == 1:
-            out.append([int(v) for v in row])
-        else:
-            out.append([int(v * lcm) for v in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rank_bareiss_py(rows) -> int:
-    """Fraction-free Bareiss on Python integers (the fallback engine)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = None
-        for i in range(r, m):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, m):
-            ai = a[i]
-            f = ai[c]
-            arow = a[r]
-            if f:
-                for j in range(c, n):
-                    ai[j] = (ai[j] * piv - f * arow[j]) // prev
-            else:
-                for j in range(c, n):
-                    ai[j] = (ai[j] * piv) // prev
-        prev = piv
-        r += 1
-        rank += 1
-    return rank
-
-
-def _rank_bareiss(rows) -> int:
-    """Bareiss elimination, vectorized in int64 while magnitudes permit.
-
-    Falls back to Python big integers as soon as the next update could
-    exceed int64 range; the recurrence and pivot order are identical, so
-    the result does not depend on where the switch happens.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
-    mx = max((abs(v) for row in rows for v in row), default=0)
-    if mx >= 2**31:
-        return _rank_bareiss_py(rows)
-    A = np.array(rows, dtype=np.int64)
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        j = r + int(nz[0])
-        if j != r:
-            A[[r, j], :] = A[[j, r], :]
-        piv = int(A[r, c])
-        mx = int(np.abs(A[r:, c:]).max())
-        if 2 * mx * mx >= 2**62:
-            return rank + _rank_bareiss_py(A[r:, c:].tolist())
-        if r + 1 < m:
-            block = A[r + 1:, c:]
-            A[r + 1:, c:] = (block * piv - np.outer(A[r + 1:, c], A[r, c:])) // prev
-        prev = piv
-        r += 1
-        rank += 1
-    return rank
-
 
 def _rref_fraction(rows):
     """Reduced row echelon form over Q.  Returns (rref rows, pivot cols)."""
@@ -565,7 +471,9 @@ def _rref_fraction(rows):
 
 
 def _rref_gf(a: np.ndarray, p: int):
-    A = a % p
+    """Reduced row echelon form mod p.  Returns (rref, pivot cols); the
+    int64 input is reduced in place and returned as the rref."""
+    A = np.remainder(a, p, out=a)
     m, n = A.shape
     pivots = []
     r = 0
@@ -592,33 +500,58 @@ def _rref_gf(a: np.ndarray, p: int):
 # Public operations
 # ---------------------------------------------------------------------------
 
-# fixed prime for the full-rank certificate below; any nonzero minor
-# mod a prime is a nonzero integer minor
-_CERT_PRIME = 1_073_741_789
+def _char0_primes():
+    """The fixed prime sequence of the char-0 rank: every prime that
+    `_f64_admits`, in descending order from the largest (8,388,593)."""
+    q = isqrt(_F64_SAFE // _GF_BLOCK) + 1
+    while q > 2:
+        q -= 1
+        if _f64_admits(q) and _is_prime(q):
+            yield q
 
 
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
     """Exact rank of m over f.  Empty matrices have rank 0.
 
-    Characteristic zero first certifies full rank modulo a fixed prime
-    (sufficient: a surviving maximal minor is nonzero over Z); only
-    rank-deficient matrices pay for fraction-free Bareiss elimination.
+    Over Q each row is scaled by the lcm of its denominators, which keeps
+    the rank, and the integer matrix is ranked mod the primes of
+    `_char0_primes` in turn, keeping the largest rank seen.  That stops
+    at full rank min(m, n), or once (prod p)^2 exceeds H^2, the product
+    of the min(m, n) largest squared norms of the nonzero rows (or the
+    same over columns, whichever is smaller).  Certificate: suppose the rank over
+    Q is r.  Then some r x r minor D is nonzero, and |D| <= H by
+    Hadamard's inequality.  The rank mod p is at most r, and it drops
+    below r only if p divides every r x r minor, D among them.  So if
+    the largest rank seen were below r, D would be a nonzero multiple of
+    the product of the primes used, which is larger than H: impossible.
     """
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return 0
     p = f.characteristic
     if p:
         return _rank_gf(m, p)
-    rows = _integer_rows(m)
-    full = min(m.rows, m.cols)
+    scale = {}
+    for (r, _), v in m.items():
+        if isinstance(v, Fraction):
+            scale[r] = lcm(scale.get(r, 1), v.denominator)
     ent = {}
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v % _CERT_PRIME:
-                ent[(r, c)] = v % _CERT_PRIME
-    if _rank_gf(ExactMatrix(m.rows, m.cols, ent), _CERT_PRIME) == full:
-        return full
-    return _rank_bareiss(rows)
+    row_sq, col_sq = {}, {}
+    for (r, c), v in m.items():
+        v = int(v * scale.get(r, 1))
+        ent[(r, c)] = v
+        row_sq[r] = row_sq.get(r, 0) + v * v
+        col_sq[c] = col_sq.get(c, 0) + v * v
+    full = min(m.rows, m.cols)
+    h2 = min(prod(sorted(row_sq.values(), reverse=True)[:full]),
+             prod(sorted(col_sq.values(), reverse=True)[:full]))
+    scaled = ExactMatrix(m.rows, m.cols, ent)
+    best, modulus = 0, 1
+    for q in _char0_primes():
+        best = max(best, _rank_gf(scaled, q))
+        modulus *= q
+        if best == full or modulus * modulus > h2:
+            return best
+    raise ArithmeticError("Hadamard bound exceeds the product of all primes below 2^23")
 
 
 def kernel_basis(m: ExactMatrix, f: FieldSpec):

@@ -80,6 +80,24 @@ def test_weyman_a2_all_zero(capsys):
     assert all(row["dim"] == 0 for row in payload["dims"])
 
 
+def test_weyman_reversed_range_rejected(capsys):
+    code, out, err = run(capsys, "weyman", "--a", "5", "--char", "3",
+                         "--q", "3..1", "--format", "json")
+    assert code == 2
+    assert out == "" and "3..1" in err
+
+
+def test_vacuous_sample_and_suite_counts_rejected(capsys):
+    for argv in (("koszul-resonance", "--n", "4", "--char", "5", "--samples", "-1"),
+                 ("koszul-resonance", "--n", "4", "--char", "5", "--samples", "0"),
+                 ("chow", "--n", "4", "--char", "3", "--samples", "-1"),
+                 ("selfcheck", "--g-max", "2"),
+                 ("selfcheck", "--g-max", "-5")):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: need --"), argv
+
+
 def test_koszul_resonance_n3(capsys):
     code, out, _ = run(capsys, "koszul-resonance", "--n", "3", "--m", "3",
                        "--char", "5", "--samples", "10", "--format", "json")

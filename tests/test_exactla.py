@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -104,6 +104,93 @@ def test_fraction_entries_over_q():
     m2 = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 4)],
                                 [Fraction(2, 3), Fraction(1, 3)]])
     assert rank(m2, QQ) == 1
+
+
+def _primes_descending_from(p, count):
+    """The first `count` primes <= p, in descending order, by trial division."""
+    out = []
+    while len(out) < count:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            out.append(p)
+        p -= 1
+    return out
+
+
+def _rank_gf_spy(monkeypatch):
+    """Record the prime of every `_rank_gf` call."""
+    primes = []
+    real = exactla._rank_gf
+
+    def spy(m, p):
+        primes.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(exactla, "_rank_gf", spy)
+    return primes
+
+
+def test_char0_rank_survives_three_bad_primes(monkeypatch):
+    # det = p1 p2 p3: full rank over Q, but rank 2 modulo each of the
+    # first three primes of the sequence, so a fourth prime must settle it
+    p1, p2, p3, p4 = _primes_descending_from(_P_MAX_F64, 4)
+    data = [[p1 * p2, 0, 1], [0, p3, 1], [0, 0, 1]]
+    assert rank_by_minors(data) == 3
+    assert [rank(ExactMatrix.from_rows(data), GF(p)) for p in (p1, p2, p3, p4)] \
+        == [2, 2, 2, 3]
+    primes = _rank_gf_spy(monkeypatch)
+    assert rank(ExactMatrix.from_rows(data), QQ) == 3
+    assert primes == [p1, p2, p3, p4]
+
+
+def test_char0_rank_deficient_stops_at_hadamard_bound(monkeypatch):
+    # rank 2 with entries above 2^62.  Rows 0 and 1 are proportional mod
+    # the first prime and mod the 11th, which is the last one the
+    # Hadamard bound of this matrix asks for: both primes see rank 1
+    seq = _primes_descending_from(_P_MAX_F64, 40)
+    x = [2**63 + 1, 2**62 + 7, 5, 2**63 + 11]
+    y = [3 * a + seq[0] * seq[10] * z for a, z in zip(x, (1, -2, 3, 0))]
+    data = [x, y, [a + b for a, b in zip(x, y)], [2 * a - b for a, b in zip(x, y)]]
+    assert rank_by_minors(data) == 2
+    m = ExactMatrix.from_rows(data)
+    assert rank(m, GF(seq[0])) == rank(m, GF(seq[10])) == 1
+    # H^2: the product of the four squared row (column) norms
+    h2 = min(prod(sum(v * v for v in vec) for vec in vecs)
+             for vecs in (data, list(zip(*data))))
+    assert prod(seq[:10]) ** 2 <= h2 < prod(seq[:11]) ** 2
+    primes = _rank_gf_spy(monkeypatch)
+    assert rank(m, QQ) == 2
+    assert primes == seq[:11]
+
+
+@st.composite
+def _q_matrices(draw):
+    """Matrices over Q of planted rank <= k: rows are Fraction combinations
+    of k base rows whose entries mix small Fractions and large integers."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(m, n)))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.integers(-2**70, 2**70),
+        st.sampled_from((2**62 + 1, -(2**63) - 3, _P_MAX_F64)))
+    base = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    coef = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    rows = []
+    for _ in range(m):
+        cs = [draw(coef) for _ in range(k)]
+        rows.append([sum((c * b[j] for c, b in zip(cs, base)), Fraction(0))
+                     for j in range(n)])
+    return rows, k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_q_matrices())
+def test_char0_rank_matches_minor_oracle_differential(case):
+    rows, k = case
+    got = rank(ExactMatrix.from_rows(rows), QQ)
+    assert got == rank_by_minors(rows) <= k
 
 
 def test_gf_engines_agree():
