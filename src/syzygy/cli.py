@@ -158,6 +158,8 @@ def cmd_koszul_resonance(args) -> int:
         raise CliError("need --n >= 3")
     if args.samples < 1:
         raise CliError("need --samples >= 1")
+    if args.budget < 0:
+        raise CliError("need --budget >= 0")
     m = args.m if args.m is not None else 2 * args.n - 3
     if m > comb(args.n, 2):
         raise CliError(f"m={m} exceeds dim Wedge^2 V = {comb(args.n, 2)}")

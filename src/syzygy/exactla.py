@@ -8,17 +8,21 @@ reduction.  Entries of the un-eliminated block are integers whose
 magnitude the engine bounds as it goes; they are reduced mod p only in
 the column searched for a pivot, in the pivot row, and in bulk when the
 next panel could push the bound to 2^51, which for small primes never
-happens.  Larger primes use stepwise int64 elimination.  The float64
-engine ranks an m x n matrix in one m x n float64 array, filled directly
-from the sparse entries, plus temporaries of at most `_SLAB_CELLS` cells
-and O((m + n) x panel width) for the panels, so its peak memory is
-about 8 m n bytes.  Characteristic-zero ranks run on the same float64
-engine: the matrix, with denominators cleared, is ranked modulo a fixed
-descending sequence of primes until the rank is full or the product of
-the primes exceeds the Hadamard bound, which certifies the largest rank
-seen (see `rank`).  Nothing here is floating point in the
-numerical-analysis sense; float64 is used only as an exact carrier of
-integers below 2^53.
+happens.  Larger primes take the pivot count of `_rref_gf`, the int64
+reduced row echelon form that also yields every kernel basis over GF(p);
+kernel bases over Q come from the Fraction echelon form
+`_rref_fraction`.  Apart from the oracle's independent echelon, these
+three are the package's only eliminators: every other module reads
+echelon data off `rank` and `kernel_basis`.  The float64 engine ranks an
+m x n matrix in one m x n float64 array, filled directly from the sparse
+entries, plus temporaries of at most `_SLAB_CELLS` cells and O((m + n) x
+panel width) for the panels, so its peak memory is about 8 m n bytes.
+Characteristic-zero ranks run on the same float64 engine: the matrix,
+with denominators cleared, is ranked modulo a fixed descending sequence
+of primes until the rank is full or the product of the primes exceeds
+the Hadamard bound, which certifies the largest rank seen (see `rank`).
+Nothing here is floating point in the numerical-analysis sense; float64
+is used only as an exact carrier of integers below 2^53.
 
 Matrices are immutable sparse coordinate maps.  Pivoting is always
 "first nonzero entry in column order" so kernel bases are reproducible
@@ -277,7 +281,7 @@ class ExactMatrix:
 def _gf_array(m: ExactMatrix, p: int, dtype=np.int64) -> np.ndarray:
     """Dense residues of m mod p in [0, p).  The float64 engine takes
     float64 directly, so its matrix is never held twice; int64 serves
-    the int64 engine and the RREF."""
+    the RREF."""
     a = np.zeros((m.rows, m.cols), dtype=dtype)
     for (r, c), v in m.items():
         if not isinstance(v, int):
@@ -402,39 +406,10 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_gf_int64(a: np.ndarray, p: int) -> int:
-    """Stepwise elimination mod p in int64; valid for any p < 2^31.
-
-    Serves the primes above the float64 engine's range.  The int64
-    input is reduced and eliminated in place, so it is consumed.
-    """
-    A = np.remainder(a, p, out=a)
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        j = r + int(nz[0])
-        if j != r:
-            A[[r, j], :] = A[[j, r], :]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        col = A[r + 1:, c]
-        mask = col != 0
-        if mask.any():
-            A[r + 1:, c:][mask] = (A[r + 1:, c:][mask]
-                                   - col[mask, None] * A[r, c:][None, :]) % p
-        r += 1
-    return r
-
-
 def _rank_gf(m: ExactMatrix, p: int) -> int:
     if _f64_admits(p):
         return _rank_gf_f64(_gf_array(m, p, np.float64), p)
-    return _rank_gf_int64(_gf_array(m, p), p)
+    return len(_rref_gf(_gf_array(m, p), p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +446,17 @@ def _rref_fraction(rows):
 
 
 def _rref_gf(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Returns (rref, pivot cols); the
-    int64 input is reduced in place and returned as the rref."""
+    """Reduced row echelon form mod p in int64; valid for any p < 2^31.
+    Returns (rref, pivot cols).  The int64 input is reduced and
+    eliminated in place and returned as the rref, so it is consumed.
+
+    It yields the kernel bases over GF(p), and the ranks modulo primes
+    above the float64 engine's range.  Each pivot is the first nonzero
+    entry of its column at or below the current row; one masked update
+    clears its column from every other row.  The pivot row is zero left
+    of the pivot column, so only the columns from it on change.
+    Residues are below 2^31, so each product stays below 2^62.
+    """
     A = np.remainder(a, p, out=a)
     m, n = A.shape
     pivots = []
@@ -485,12 +469,14 @@ def _rref_gf(a: np.ndarray, p: int):
             continue
         j = r + int(nz[0])
         if j != r:
-            A[[r, j], :] = A[[j, r], :]
+            A[[r, j], c:] = A[[j, r], c:]
         inv = pow(int(A[r, c]), p - 2, p)
-        A[r, :] = (A[r, :] * inv) % p
-        for i in range(m):
-            if i != r and A[i, c]:
-                A[i, :] = (A[i, :] - A[i, c] * A[r, :]) % p
+        A[r, c:] = (A[r, c:] * inv) % p
+        col = A[:, c]
+        mask = col != 0
+        mask[r] = False
+        if mask.any():
+            A[mask, c:] = (A[mask, c:] - col[mask, None] * A[r, c:]) % p
         pivots.append(c)
         r += 1
     return A, pivots

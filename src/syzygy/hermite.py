@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .exactla import ExactMatrix, FieldSpec
+from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from .partitions import e_to_schur
 from .reps import RepMap, RepSpace, compose, nu, sympow_mul, tensor_map
 
@@ -41,29 +41,15 @@ def psi_map(d: int, i: int) -> RepMap:
 def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:
     """Inverse of psi over f, by exact elimination.  Only cross-checks
     use this; the forward map is always built combinatorially."""
-    from .exactla import kernel_basis
-
     m = psi_map(d, i).matrix
     n = m.rows
-    # solve m X = I column by column via the kernel of [m | -e_k]
-    cols = []
-    for k in range(n):
-        ext = ExactMatrix.hstack([m, ExactMatrix(n, 1, {(k, 0): -1})])
-        null = kernel_basis(ext, f)
-        vec = None
-        for v in null:
-            if v[n] != 0:
-                p = f.characteristic
-                if p:
-                    inv = pow(int(v[n]), p - 2, p)
-                    vec = [(int(x) * inv) % p for x in v[:n]]
-                else:
-                    vec = [x / v[n] for x in v[:n]]
-                break
-        if vec is None:
-            raise ValueError(f"psi({d},{i}) not invertible over {f}")
-        cols.append(vec)
-    return ExactMatrix.from_columns(cols, n)
+    if rank(m, f) < n:
+        raise ValueError(f"psi({d},{i}) not invertible over {f}")
+    # the kernel of [m | -I] is {(x, m x)}; its vector of free column n + k
+    # is (m^-1 e_k, e_k)
+    minus_id = ExactMatrix.identity(n).scaled(-1)
+    null = kernel_basis(ExactMatrix.hstack([m, minus_id]), f)
+    return ExactMatrix.from_columns([v[:n] for v in null], n)
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -122,40 +122,23 @@ def random_koszul_input(n: int, m: int, f: FieldSpec, seed: int) -> KoszulInput:
 def _quotient_projection(k: KoszulInput):
     """Projection Wedge^2 V -> Wedge^2 V / K in coordinates.
 
-    Row-reduces the generators; the quotient keeps the non-pivot
-    coordinates, and each vector is reduced by the echelon rows before
-    reading them off.  Returns (projection matrix, kept coordinate
-    list).
+    Its rows are the vectors of `k_perp_basis(k)`, each scaled by the
+    lcm of its denominators, which keeps every rank built from it.  The
+    vector of free column c is e_c minus the entries in column c of the
+    echelon rows of K, so its last nonzero entry sits in column c, and
+    the quotient keeps the free columns.  Returns (projection matrix with
+    int entries, kept coordinate list).
     """
-    from .exactla import _rref_fraction, _rref_gf
-
-    n2 = comb(k.n, 2)
-    p = k.field.characteristic
-    gens = k.kgens.transpose().to_dense()      # rows = generators
-    if p:
-        arr = np.array([[int(v) % p for v in row] for row in gens],
-                       dtype=np.int64) if gens else np.zeros((0, n2), dtype=np.int64)
-        arr, pivots = _rref_gf(arr, p)
-        rrows = [[int(v) for v in row] for row in arr[:len(pivots)]]
-    else:
-        rref, pivots = _rref_fraction(gens) if gens else ([], [])
-        rrows = rref[:len(pivots)]
-    keep = [c for c in range(n2) if c not in set(pivots)]
-    keep_pos = {c: i for i, c in enumerate(keep)}
     ent = {}
-    for c in range(n2):
-        # reduce e_c by the echelon rows, read off kept coordinates
-        if c in keep_pos:
-            ent[(keep_pos[c], c)] = 1
-        else:
-            r = pivots.index(c)
-            for cc in keep:
-                v = -rrows[r][cc]
-                if p:
-                    v %= p
-                if v:
-                    ent[(keep_pos[cc], c)] = v
-    return ExactMatrix(len(keep), n2, ent), keep
+    keep = []
+    for i, v in enumerate(k_perp_basis(k)):
+        scale = lcm(*(x.denominator for x in v))
+        for c, x in enumerate(v):
+            if x:
+                ent[(i, c)] = int(x * scale)
+                last = c
+        keep.append(last)
+    return ExactMatrix(len(keep), comb(k.n, 2), ent), keep
 
 
 def _w_matrix(k: KoszulInput, q: int, proj: ExactMatrix) -> ExactMatrix:

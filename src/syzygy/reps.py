@@ -118,11 +118,6 @@ class RepSpace:
         padded = lam + (0,) * (i - len(lam))
         return tuple(padded[k] + i - 1 - k for k in range(i))
 
-    @staticmethod
-    def exps_to_lam(exps):
-        i = len(exps)
-        return normalize(tuple(exps[k] - (i - 1 - k) for k in range(i)))
-
     @property
     def basis(self):
         return self._basis

@@ -126,3 +126,31 @@ def nonzero_minor_exists(rows, r, modulus):
             if d.numerator % modulus:
                 return True
     return False
+
+
+# -- reduced row echelon form mod p on plain lists ---------------------------
+
+def rref_mod_p(rows, p):
+    """Reduced row echelon form of integer rows mod a prime p, with the
+    pivot of each column the first nonzero entry at or below the current
+    row.  Returns (rref rows with residues in [0, p), pivot columns).
+    Plain Python integers, so no product can overflow."""
+    a = [[v % p for v in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(u - f * v) % p for u, v in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots

@@ -98,6 +98,17 @@ def test_vacuous_sample_and_suite_counts_rejected(capsys):
         assert out == "" and err.startswith("error: need --"), argv
 
 
+def test_negative_budget_rejected(capsys):
+    argv = ("koszul-resonance", "--n", "7", "--char", "2", "--samples", "2")
+    code, out, err = run(capsys, *argv, "--budget", "-1", "--format", "json")
+    assert code == 2
+    assert out == "" and err.startswith("error: need --budget")
+    # budget 0 skips the point search and stays valid
+    code, out, _ = run(capsys, "koszul-resonance", "--n", "4", "--char", "5",
+                       "--samples", "3", "--budget", "0", "--format", "json")
+    assert code == 0 and sum(json.loads(out)["counts"].values()) == 3
+
+
 def test_koszul_resonance_n3(capsys):
     code, out, _ = run(capsys, "koszul-resonance", "--n", "3", "--m", "3",
                        "--char", "5", "--samples", "10", "--format", "json")

@@ -11,9 +11,9 @@ from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
                             kernel_basis, rank, subspace_intersection_dim)
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
-                            _is_prime, _rank_gf_f64, _rank_gf_int64, _reduce_f64)
+                            _is_prime, _rank_gf_f64, _reduce_f64, _rref_gf)
 
-from _oracles import nonzero_minor_exists, rank_by_minors
+from _oracles import nonzero_minor_exists, rank_by_minors, rref_mod_p
 
 
 def test_fieldspec_validation():
@@ -201,7 +201,7 @@ def test_gf_engines_agree():
             m = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(cols)]
                                        for _ in range(rows)])
             a = _gf_array(m, p)
-            r64 = _rank_gf_int64(a.copy(), p)
+            r64 = len(_rref_gf(a.copy(), p)[1])
             assert r64 == rank(m, GF(p))
             if _f64_admits(p):
                 assert _rank_gf_f64(a.copy(), p) == r64
@@ -215,7 +215,7 @@ def test_gf_blocked_path_on_wide_matrices():
     data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
     m = ExactMatrix.from_rows(data)
     a = _gf_array(m, p)
-    assert _rank_gf_f64(a.copy(), p) == _rank_gf_int64(a.copy(), p)
+    assert _rank_gf_f64(a.copy(), p) == len(_rref_gf(a.copy(), p)[1])
     # and with planted low rank
     basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(7)]
     data = []
@@ -226,7 +226,7 @@ def test_gf_blocked_path_on_wide_matrices():
     m = ExactMatrix.from_rows(data)
     a = _gf_array(m, p)
     r = _rank_gf_f64(a.copy(), p)
-    assert r == _rank_gf_int64(a.copy(), p) <= 7
+    assert r == len(_rref_gf(a.copy(), p)[1]) <= 7
 
 
 def _largest_f64_prime() -> int:
@@ -293,8 +293,58 @@ def _gf_matrices(draw):
 def test_gf_f64_matches_int64_differential(case):
     a, p, r = case
     got = _rank_gf_f64(a.copy(), p)
-    assert got == _rank_gf_int64(a.copy(), p)
+    assert got == len(_rref_gf(a.copy(), p)[1])
     assert got <= r
+
+
+@st.composite
+def _rref_cases(draw):
+    """Integer rows for the int64 RREF: 0 rows or 0 columns, tall and wide
+    shapes, duplicated and scaled rows, and entries of either sign up to
+    p in magnitude, p - 1 among them, so that at p = 2^31 - 1 the
+    products reach (p - 1)^2 ~ 2^62."""
+    p = draw(st.sampled_from((2, 3, 5, 101, _P_MAX_F64, 2**31 - 1)))
+    m = draw(st.integers(0, 10))
+    n = draw(st.integers(0, 10))
+    entry = st.one_of(st.just(0), st.integers(-p, p), st.integers(p - 3, p - 1))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        f = draw(st.integers(1, p - 1))
+        rows.insert(draw(st.integers(0, len(rows))), [f * v for v in src])
+    return rows, n, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rref_cases())
+def test_rref_gf_matches_list_oracle(case):
+    rows, n, p = case
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    got, pivots = _rref_gf(a, p)
+    want, want_pivots = rref_mod_p(rows, p)
+    assert pivots == want_pivots
+    assert got.shape == (len(rows), n) and got.tolist() == want
+
+
+def test_rank_above_the_f64_range_takes_the_rref(monkeypatch):
+    p = 2**31 - 1
+    calls = []
+    real = exactla._rref_gf
+
+    def spy(a, q):
+        calls.append((a.shape, q))
+        return real(a, q)
+
+    def f64(a, q):
+        raise AssertionError("float64 engine called above its prime range")
+
+    monkeypatch.setattr(exactla, "_rref_gf", spy)
+    monkeypatch.setattr(exactla, "_rank_gf_f64", f64)
+    rng = random.Random(67)
+    rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+    rows.insert(2, [(2 * a + (p - 3) * b) % p for a, b in zip(rows[0], rows[3])])
+    assert rank(ExactMatrix.from_rows(rows), GF(p)) == rank_by_minors(rows, p) == 4
+    assert calls == [((5, 6), p)]
 
 
 def test_gf_f64_zero_and_pivotless_panels():
@@ -307,7 +357,7 @@ def test_gf_f64_zero_and_pivotless_panels():
         # copies of earlier columns: the last panel finds no pivot
         a[:, 3 * B:] = a[:, B:2 * B]
         for b in (a, a[:4], a[:, :B + 3]):
-            assert _rank_gf_f64(b.copy(), p) == _rank_gf_int64(b.copy(), p)
+            assert _rank_gf_f64(b.copy(), p) == len(_rref_gf(b.copy(), p)[1])
     assert _rank_gf_f64(np.zeros((B + 1, 3 * B), dtype=np.int64), p) == 0
 
 
@@ -328,7 +378,7 @@ def test_gf_f64_bulk_reduction_at_largest_prime(monkeypatch):
         a = _planted(rng, m, n, r, p)
         a[:, 1] = p - 1                     # entries of the largest magnitude
         bulk.clear()
-        assert _rank_gf_f64(a.copy(), p) == _rank_gf_int64(a.copy(), p)
+        assert _rank_gf_f64(a.copy(), p) == len(_rref_gf(a.copy(), p)[1])
         assert sum(bulk) >= r // B - 1
 
 
@@ -353,7 +403,7 @@ def test_gf_f64_row_slabs_match_one_slab(monkeypatch):
 
     monkeypatch.setattr(exactla, "_reduce_f64", spy)
     want, cells = run()                     # every block fits one slab
-    assert want == [_rank_gf_int64(a.copy(), p) for p, a in cases] and cells
+    assert want == [len(_rref_gf(a.copy(), p)[1]) for p, a in cases] and cells
     monkeypatch.setattr(exactla, "_SLAB_CELLS", 7 * B)
     assert [j - i for i, j in exactla._row_slabs(2, 12, B)] == [7, 3]
     assert [j - i for i, j in exactla._row_slabs(0, 3, 9 * B)] == [1, 1, 1]
@@ -387,7 +437,7 @@ def test_large_sparse_matrix_takes_the_dense_engine(monkeypatch):
     monkeypatch.setattr(exactla, "_rank_gf_f64", spy)
     got = rank(m, GF(p))
     assert calls == [(rows, cols)]
-    assert got == _rank_gf_int64(_gf_array(m, p), p) == rows - 10
+    assert got == len(_rref_gf(_gf_array(m, p), p)[1]) == rows - 10
 
 
 def test_graded_rank_matches_plain_rank():

@@ -1,7 +1,9 @@
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+from syzygy import hermite
 from syzygy.exactla import GF, QQ, ExactMatrix
 from syzygy.hermite import psi_compat_check, psi_inverse, psi_map
 from syzygy.reps import lowering, raising
@@ -66,6 +68,15 @@ def test_compat_square():
                 assert psi_compat_check(d, i, f), (d, i, f)
 
 
+def test_psi_inverse_rejects_a_singular_matrix(monkeypatch):
+    # invertible over Q, singular over GF(2)
+    m = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    monkeypatch.setattr(hermite, "psi_map", lambda d, i: SimpleNamespace(matrix=m))
+    assert (m @ psi_inverse(1, 1, QQ)).equals_mod(ExactMatrix.identity(2), QQ)
+    with pytest.raises(ValueError):
+        psi_inverse(1, 1, GF(2))
+
+
 def test_psi_wrapper_and_inverse():
     h = psi_map(3, 2)
     assert h.matrix.shape == (10, 10)
@@ -74,5 +85,11 @@ def test_psi_wrapper_and_inverse():
     assert prod.equals_mod(ExactMatrix.identity(10), GF(3))
     invq = psi_inverse(2, 2, QQ)
     assert (psi_map(2, 2).matrix @ invq).equals_mod(ExactMatrix.identity(6), QQ)
+    m = psi_map(4, 3).matrix
+    for f in (QQ, GF(2)):
+        inv = psi_inverse(4, 3, f)
+        assert inv.shape == m.shape == (35, 35)
+        assert (m @ inv).equals_mod(ExactMatrix.identity(35), f)
+        assert (inv @ m).equals_mod(ExactMatrix.identity(35), f)
     with pytest.raises(ValueError):
         psi_map(-1, 2)

@@ -282,3 +282,29 @@ def test_w_dim_projects_once(monkeypatch):
     assert k.weights is not None
     w_dim(k, 2)
     assert len(calls) == 1
+
+
+def _projection_inputs():
+    from syzygy.tangent import weyman_input
+
+    for a in range(3, 7):
+        yield weyman_input(a, QQ)
+    for f in (GF(3), GF(101)):
+        for n, m in ((4, 0), (4, 3), (5, 7), (6, 9), (7, 20)):
+            yield random_koszul_input(n, m, f, seed=10 * n + m)
+
+
+def test_quotient_projection_is_a_quotient_map():
+    for k in _projection_inputs():
+        p = k.field.characteristic
+        proj, keep = koszul._quotient_projection(k)
+        n2 = comb(k.n, 2)
+        assert proj.shape == (n2 - k.m, n2) and len(keep) == proj.rows
+        assert all(type(v) is int for _, v in proj.items())
+        assert (proj @ k.kgens).equals_mod(ExactMatrix.zeros(proj.rows, k.m), k.field)
+        assert rank(proj, k.field) == proj.rows
+        # on the kept columns: diagonal, with a nonzero diagonal
+        for i in range(proj.rows):
+            for j, c in enumerate(keep):
+                v = proj.entry(i, c)
+                assert bool(v % p if p else v) == (i == j), (k.n, k.field, i, c)
