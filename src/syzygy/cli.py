@@ -161,8 +161,9 @@ def cmd_koszul_resonance(args) -> int:
     if args.budget < 0:
         raise CliError("need --budget >= 0")
     m = args.m if args.m is not None else 2 * args.n - 3
-    if m > comb(args.n, 2):
-        raise CliError(f"m={m} exceeds dim Wedge^2 V = {comb(args.n, 2)}")
+    if not 0 <= m <= comb(args.n, 2):
+        raise CliError(f"need 0 <= --m <= dim Wedge^2 V = {comb(args.n, 2)}, "
+                       f"got {m}")
     if f.characteristic == 0:
         raise CliError("sampling requires a finite field (char 0 has no "
                        "uniform measure); use a prime characteristic")

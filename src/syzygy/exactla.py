@@ -90,10 +90,6 @@ class FieldSpec:
         if not (2 <= p < 2**31) or not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {p}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 

@@ -16,7 +16,7 @@ import functools
 
 from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from .partitions import e_to_schur
-from .reps import RepMap, RepSpace, compose, nu, sympow_mul, tensor_map
+from .reps import RepMap, RepSpace, _build, compose, nu, sympow_mul, tensor_map
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,12 +30,9 @@ def psi_map(d: int, i: int) -> RepMap:
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
     if src.dim != tgt.dim:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
-    ent = {}
-    for c, mu in enumerate(src.basis):
-        for lam, coeff in e_to_schur(mu, i).items():
-            exps = RepSpace._lam_to_exps(lam, i)
-            ent[(tgt.index(exps), c)] = coeff
-    return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"psi({d},{i})")
+    return _build(src, tgt, lambda mu: ((RepSpace._lam_to_exps(lam, i), coeff)
+                                        for lam, coeff in e_to_schur(mu, i).items()),
+                  f"psi({d},{i})")
 
 
 def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:

@@ -16,6 +16,7 @@ or >= n-2 -- from the vanishing of W_{n-3}.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -66,16 +67,15 @@ class KoszulInput:
     """A pair (V, K): n = dim V and a matrix of independent columns
     spanning K inside Wedge^2 V (coordinates indexed by wedge2_pairs).
 
-    ``weights`` optionally assigns an integer weight to each basis
-    vector of V; when every column of kgens is weight-homogeneous the
-    graded pieces split into weight blocks and ranks are computed
-    blockwise.
+    The basis vector v_j of V has weight j, the weight of its label in
+    RepSpace.free(n).  When every column of kgens is weight-homogeneous
+    (a Weyman input is; a random K almost never is), `w_dim` detects it
+    and ranks the graded pieces one weight block at a time.
     """
 
     n: int
     kgens: ExactMatrix
     field: FieldSpec
-    weights: tuple = None
 
     def __post_init__(self):
         if self.n < 3:
@@ -87,8 +87,6 @@ class KoszulInput:
             raise ValueError("more generators than dim Wedge^2 V")
         if self.kgens.cols and rank(self.kgens, self.field) != self.kgens.cols:
             raise ValueError("kgens columns must be linearly independent")
-        if self.weights is not None and len(self.weights) != self.n:
-            raise ValueError("weights must have one entry per basis vector of V")
 
     @property
     def m(self) -> int:
@@ -161,7 +159,7 @@ def w_dim(k: KoszulInput, q: int) -> int:
         return target_rows
     proj, keep = _quotient_projection(k)
     mat = _w_matrix(k, q, proj)
-    if k.weights is not None and _columns_homogeneous(k):
+    if _columns_homogeneous(k):
         r = _graded_w_rank(k, q, mat, keep)
     else:
         r = rank(mat, k.field)
@@ -184,36 +182,25 @@ def w_dims(k: KoszulInput, q_max: int):
 
 
 def _columns_homogeneous(k: KoszulInput) -> bool:
-    pairs = wedge2_pairs(k.n)
-    for c in range(k.m):
-        ws = {k.weights[p1] + k.weights[p2]
-              for (r, (p1, p2)) in ((r, pairs[r]) for r in range(len(pairs)))
-              if k.kgens.entry(r, c)}
-        if len(ws) > 1:
+    """Is every column of kgens weight-homogeneous in RepSpace.free(k.n)?"""
+    pair_w = RepSpace.wedge(2, RepSpace.free(k.n)).weights
+    col_w = {}
+    for (r, c), _ in k.kgens.items():
+        if col_w.setdefault(c, pair_w[r]) != pair_w[r]:
             return False
     return True
 
 
-def _mono_weight(mu, degree, weights):
-    """Weight of a symmetric-power monomial label; stripped parts are
-    implicit factors of the index-0 variable."""
-    return sum(weights[v] for v in mu) + (degree - len(mu)) * weights[0]
-
-
 def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
     """Blockwise rank of `mat`; `keep` lists the quotient coordinates
-    returned by `_quotient_projection(k)`."""
-    pairs = wedge2_pairs(k.n)
+    returned by `_quotient_projection(k)`, each of which inherits the
+    weight of its wedge pair."""
     V = RepSpace.free(k.n)
-    sym = RepSpace.sym_power(q, V)
-    symw = [_mono_weight(mu, q, k.weights) for mu in sym.basis]
-    # kept quotient coordinates inherit the weight of their wedge pair
-    quow = [k.weights[pairs[c][0]] + k.weights[pairs[c][1]] for c in keep]
-    row_w = [qw + sw for qw in quow for sw in symw]
+    pair_w = RepSpace.wedge(2, V).weights
+    sym_w = RepSpace.sym_power(q, V).weights
+    row_w = [pair_w[c] + sw for c in keep for sw in sym_w]
     w3 = RepSpace.tensor([RepSpace.wedge(3, V), RepSpace.sym_power(q - 1, V)])
-    col_w = [sum(k.weights[v] for v in lab[0])
-             + _mono_weight(lab[1], q - 1, k.weights) for lab in w3.basis]
-    return graded_rank(mat, k.field, row_w, col_w)
+    return graded_rank(mat, k.field, row_w, w3.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +359,21 @@ def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str
     return verdicts[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _chow_kernel(n: int, f: FieldSpec):
+    """Kernel basis of delta_{2,n-3} over f, shared by every K of one
+    (n, f)."""
+    ker = kernel_basis(generic_koszul_delta(n, 2, n - 3).matrix, f)
+    return tuple(tuple(v) for v in ker)
+
+
 def chow_member(k: KoszulInput) -> bool:
     """Cayley-Chow membership for dim K = 2n-3: does K (x) Sym^{n-3} V
     meet the kernel of the Koszul differential delta_{2,n-3}?"""
     n, f = k.n, k.field
     if k.m != 2 * n - 3:
         raise ValueError(f"chow_member needs dim K = 2n-3 = {2*n-3}, got {k.m}")
-    delta = generic_koszul_delta(n, 2, n - 3)
-    ker = kernel_basis(delta.matrix, f)
+    ker = _chow_kernel(n, f)
     if not ker:
         return False
     sym_dim = RepSpace.sym_power(n - 3, RepSpace.free(n)).dim

@@ -23,6 +23,16 @@ Basis conventions, fixed so matrices are reproducible bit for bit:
 Every label has an integer weight (total exponent); all maps built
 here shift weight by a constant, which is what makes the graded rank
 splitting in exactla.graded_rank valid.
+
+Every map factory, here and in `hermite` and `tangent`, is one call of
+`_build(source, target, image, name)`: `image(label)` yields the
+(target label, coeff) pairs of one source basis label, repeated target
+labels add up, and zero sums are dropped by ExactMatrix.  Only
+`tangent.realize_block` and `tangent.compose_symmetrized`, which
+re-index an existing matrix, bypass it.  Only this module knows the
+SymPower label format; other modules insert a part with `insert_part`,
+shift wedge columns with `column_shift` and contract wedge labels with
+`contract`.
 """
 
 from __future__ import annotations
@@ -32,13 +42,14 @@ from itertools import combinations, product
 from math import comb
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
-from .partitions import KIND_P, enumerate_family, normalize
+from .partitions import KIND_P, enumerate_family
 
 
 class RepSpace:
     """An sl2 representation with an ordered, labelled basis."""
 
-    __slots__ = ("kind", "d", "inner", "factors", "n", "_basis", "_index")
+    __slots__ = ("kind", "d", "inner", "factors", "n", "_basis", "_index",
+                 "_weights")
 
     def __init__(self, kind, d=None, inner=None, factors=None, n=None):
         self.kind = kind
@@ -48,6 +59,7 @@ class RepSpace:
         self.n = n
         self._basis = self._make_basis()
         self._index = {lab: k for k, lab in enumerate(self._basis)}
+        self._weights = None
 
     # -- constructors
 
@@ -129,21 +141,19 @@ class RepSpace:
     def index(self, label) -> int:
         return self._index[label]
 
-    def weight(self, label) -> int:
-        """Total exponent of the label (the integer sl2 weight, shifted)."""
-        if self.kind in ("sym", "div", "free"):
-            return label
-        if self.kind == "wedge":
-            return sum(label)
-        if self.kind == "tensor":
-            return sum(sp.weight(lab) for sp, lab in zip(self.factors, label))
-        if self.kind == "sympow":
-            return sum(label)
-        raise ValueError(self.kind)
-
     @property
     def weights(self):
-        return tuple(self.weight(lab) for lab in self._basis)
+        """Total exponent of every basis label (the integer sl2 weight,
+        shifted), computed once per space."""
+        if self._weights is None:
+            if self.kind in ("sym", "div", "free"):
+                self._weights = self._basis
+            elif self.kind == "tensor":
+                self._weights = tuple(map(sum, product(
+                    *[sp.weights for sp in self.factors])))
+            else:                                   # wedge, sympow
+                self._weights = tuple(map(sum, self._basis))
+        return self._weights
 
     def __repr__(self):
         if self.kind in ("sym", "div"):
@@ -183,23 +193,52 @@ class RepMap:
         return f"RepMap({self.name}: {self.source!r} -> {self.target!r})"
 
 
-def _build(source, target, columns, name) -> RepMap:
-    """Assemble a RepMap from {source_label: {target_label: coeff}}."""
+def _build(source, target, image, name) -> RepMap:
+    """Assemble a RepMap column by column: `image(label)` yields the
+    (target label, coeff) pairs of one source basis label; repeated
+    target labels add up, and ExactMatrix drops the zero sums."""
+    index = target._index
     ent = {}
-    for slab, image in columns.items():
-        c = source.index(slab)
-        for tlab, v in image.items():
-            if v:
-                ent[(target.index(tlab), c)] = ent.get((target.index(tlab), c), 0) + v
-    ent = {k: v for k, v in ent.items() if v}
+    for c, slab in enumerate(source.basis):
+        for tlab, v in image(slab):
+            key = (index[tlab], c)
+            ent[key] = ent.get(key, 0) + v
     return RepMap(source, target, ExactMatrix(target.dim, source.dim, ent), name)
 
 
-def _accum(image, label, coeff):
-    if coeff:
-        image[label] = image.get(label, 0) + coeff
-        if not image[label]:
-            del image[label]
+# ---------------------------------------------------------------------------
+# Label helpers
+# ---------------------------------------------------------------------------
+
+def insert_part(mu, v):
+    """Insert the part v into the stripped SymPower label mu (weakly
+    decreasing, no zeros): the label of the monomial mu * x_v."""
+    if not v:
+        return mu
+    k = len(mu)
+    while k and mu[k - 1] < v:
+        k -= 1
+    return mu[:k] + (v,) + mu[k:]
+
+
+def column_shift(exps, j):
+    """The wedge labels exps + 1_I over the j-subsets I of the slots,
+    in subset order; the shifts whose exponents collide vanish and are
+    skipped."""
+    i = len(exps)
+    for I in combinations(range(i), j):
+        new = list(exps)
+        for k in I:
+            new[k] += 1
+        if all(new[k] > new[k + 1] for k in range(i - 1)):
+            yield tuple(new)
+
+
+def contract(exps):
+    """The signed Koszul contraction of a wedge label: (rest, part, sign)
+    for each slot k, dropping part = exps[k] with sign (-1)^k."""
+    for k in range(len(exps)):
+        yield exps[:k] + exps[k + 1:], exps[k], -1 if k % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +285,21 @@ def _op_terms(space: RepSpace, label, lower: bool):
                 continue
             seen.add(e)
             mult = padded.count(e)
+            rest = label[:pos] + label[pos + 1:]   # drop one x_e; zeros are implicit
             for nl, c in _op_terms(inner, e, lower):
-                new = list(padded)
-                new[pos] = nl
-                out.append((normalize(sorted(new, reverse=True)), mult * c))
+                out.append((insert_part(rest, nl), mult * c))
         return out
     raise ValueError(f"no sl2 action on {space!r}")
 
 
 @functools.lru_cache(maxsize=None)
 def lowering(space: RepSpace) -> RepMap:
-    cols = {}
-    for lab in space.basis:
-        image = {}
-        for nl, c in _op_terms(space, lab, lower=True):
-            _accum(image, nl, c)
-        cols[lab] = image
-    return _build(space, space, cols, "L")
+    return _build(space, space, lambda lab: _op_terms(space, lab, True), "L")
 
 
 @functools.lru_cache(maxsize=None)
 def raising(space: RepSpace) -> RepMap:
-    cols = {}
-    for lab in space.basis:
-        image = {}
-        for nl, c in _op_terms(space, lab, lower=False):
-            _accum(image, nl, c)
-        cols[lab] = image
-    return _build(space, space, cols, "R")
+    return _build(space, space, lambda lab: _op_terms(space, lab, False), "R")
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +310,26 @@ def raising(space: RepSpace) -> RepMap:
 def d_to_sym(d: int) -> RepMap:
     """D^d U -> Sym^d U, x^(e) -> C(d, e) x^e.  Isomorphism iff no
     binomial C(d, e) vanishes in the field."""
-    src, tgt = RepSpace.div(d), RepSpace.sym(d)
-    cols = {e: {e: comb(d, e)} for e in range(d + 1)}
-    return _build(src, tgt, cols, f"d_to_sym({d})")
+    return _build(RepSpace.div(d), RepSpace.sym(d),
+                  lambda e: ((e, comb(d, e)),), f"d_to_sym({d})")
 
 
 @functools.lru_cache(maxsize=None)
 def mul(a: int, b: int) -> RepMap:
     """Multiplication Sym^a U (x) Sym^b U -> Sym^{a+b} U."""
     src = RepSpace.tensor([RepSpace.sym(a), RepSpace.sym(b)])
-    tgt = RepSpace.sym(a + b)
-    cols = {(i, j): {i + j: 1} for i in range(a + 1) for j in range(b + 1)}
-    return _build(src, tgt, cols, f"mul({a},{b})")
+    return _build(src, RepSpace.sym(a + b), lambda ij: ((ij[0] + ij[1], 1),),
+                  f"mul({a},{b})")
 
 
 @functools.lru_cache(maxsize=None)
 def comul(a: int, b: int) -> RepMap:
     """Co-multiplication D^{a+b} U -> D^a U (x) D^b U."""
-    src = RepSpace.div(a + b)
     tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.div(b)])
-    cols = {}
-    for t in range(a + b + 1):
-        cols[t] = {(i, t - i): 1
-                   for i in range(max(0, t - b), min(a, t) + 1)}
-    return _build(src, tgt, cols, f"comul({a},{b})")
+    return _build(RepSpace.div(a + b), tgt,
+                  lambda t: (((i, t - i), 1)
+                             for i in range(max(0, t - b), min(a, t) + 1)),
+                  f"comul({a},{b})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,12 +340,10 @@ def wahl_mu1(a: int) -> RepMap:
     """
     if a < 1:
         raise ValueError("wahl_mu1 needs a >= 1")
-    src = RepSpace.wedge(2, RepSpace.sym(a))
-    tgt = RepSpace.sym(2 * a - 2)
-    cols = {}
-    for (i, j) in src.basis:           # i > j
-        cols[(i, j)] = {i + j - 1: i - j}
-    return _build(src, tgt, cols, f"wahl_mu1({a})")
+    src = RepSpace.wedge(2, RepSpace.sym(a))      # labels (i, j), i > j
+    return _build(src, RepSpace.sym(2 * a - 2),
+                  lambda ij: ((ij[0] + ij[1] - 1, ij[0] - ij[1]),),
+                  f"wahl_mu1({a})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,17 +356,15 @@ def delta1(a: int) -> RepMap:
     """
     if a < 1:
         raise ValueError("delta1 needs a >= 1")
-    src = RepSpace.div(2 * a - 2)
-    tgt = RepSpace.wedge(2, RepSpace.div(a))
-    cols = {}
-    for t in range(2 * a - 1):
-        image = {}
-        for i in range(0, a + 1):
+
+    def image(t):
+        for i in range(a + 1):
             j = t + 1 - i
             if 0 <= j < i:
-                image[(i, j)] = i - j
-        cols[t] = image
-    return _build(src, tgt, cols, f"delta1({a})")
+                yield (i, j), i - j
+
+    return _build(RepSpace.div(2 * a - 2), RepSpace.wedge(2, RepSpace.div(a)),
+                  image, f"delta1({a})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,17 +372,11 @@ def comul2(a: int) -> RepMap:
     """D^{a+2} U -> D^a U (x) Sym^2 U: co-multiplication followed by
     the divided-to-symmetric square; the middle coefficient C(2,1)=2
     dies in characteristic 2."""
-    src = RepSpace.div(a + 2)
     tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.sym(2)])
-    cols = {}
-    for t in range(a + 3):
-        image = {}
-        for u in range(3):
-            s = t - u
-            if 0 <= s <= a:
-                image[(s, u)] = comb(2, u)
-        cols[t] = image
-    return _build(src, tgt, cols, f"comul2({a})")
+    return _build(RepSpace.div(a + 2), tgt,
+                  lambda t: (((t - u, u), comb(2, u))
+                             for u in range(3) if 0 <= t - u <= a),
+                  f"comul2({a})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,14 +391,9 @@ def koszul_k(i: int, d: int) -> RepMap:
         raise ValueError(f"koszul_k needs 1 <= i <= d+1, got i={i}, d={d}")
     src = RepSpace.wedge(i, RepSpace.sym(d))
     tgt = RepSpace.tensor([RepSpace.wedge(i - 1, RepSpace.sym(d)), RepSpace.sym(d)])
-    cols = {}
-    for exps in src.basis:
-        image = {}
-        for j in range(i):
-            rest = exps[:j] + exps[j + 1:]
-            _accum(image, (rest, exps[j]), (-1) ** j)
-        cols[exps] = image
-    return _build(src, tgt, cols, f"koszul_k({i},{d})")
+    return _build(src, tgt, lambda exps: (((rest, e), sign)
+                                          for rest, e, sign in contract(exps)),
+                  f"koszul_k({i},{d})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,17 +407,8 @@ def nu(d: int, i: int) -> RepMap:
     src = RepSpace.tensor([RepSpace.wedge(i, RepSpace.sym(d + i - 1)),
                            RepSpace.div(i)])
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i))
-    cols = {}
-    for (exps, j) in src.basis:
-        image = {}
-        for I in combinations(range(i), j):
-            new = list(exps)
-            for k in I:
-                new[k] += 1
-            if all(new[k] > new[k + 1] for k in range(i - 1)):
-                _accum(image, tuple(new), 1)
-        cols[(exps, j)] = image
-    return _build(src, tgt, cols, f"nu({d},{i})")
+    return _build(src, tgt, lambda lab: ((new, 1) for new in column_shift(*lab)),
+                  f"nu({d},{i})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,20 +419,13 @@ def generic_koszul_delta(n: int, i: int, q: int) -> RepMap:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     V = RepSpace.free(n)
     src = RepSpace.tensor([RepSpace.wedge(i, V), RepSpace.sym_power(q, V)])
-    if i == 0:
-        tgt = RepSpace.free(0)
-        return RepMap(src, tgt, ExactMatrix(0, src.dim),
-                      f"koszul_delta({n},0,{q})")
-    tgt = RepSpace.tensor([RepSpace.wedge(i - 1, V), RepSpace.sym_power(q + 1, V)])
-    cols = {}
-    for (A, mono) in src.basis:
-        image = {}
-        for k in range(i):
-            rest = A[:k] + A[k + 1:]
-            newmono = normalize(sorted(mono + (A[k],), reverse=True))
-            _accum(image, (rest, newmono), (-1) ** k)
-        cols[(A, mono)] = image
-    return _build(src, tgt, cols, f"koszul_delta({n},{i},{q})")
+    # at i = 0 the zero map: Wedge^0 labels contract to nothing
+    tgt = RepSpace.free(0) if i == 0 else RepSpace.tensor(
+        [RepSpace.wedge(i - 1, V), RepSpace.sym_power(q + 1, V)])
+    return _build(src, tgt,
+                  lambda lab: (((rest, insert_part(lab[1], v)), sign)
+                               for rest, v, sign in contract(lab[0])),
+                  f"koszul_delta({n},{i},{q})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,11 +433,8 @@ def sympow_mul(d: int, inner: RepSpace) -> RepMap:
     """Multiplication Sym^d(inner) (x) inner -> Sym^{d+1}(inner), the
     monomial insertion map."""
     src = RepSpace.tensor([RepSpace.sym_power(d, inner), inner])
-    tgt = RepSpace.sym_power(d + 1, inner)
-    cols = {}
-    for (mu, v) in src.basis:
-        cols[(mu, v)] = {normalize(sorted(mu + (v,), reverse=True)): 1}
-    return _build(src, tgt, cols, f"sympow_mul({d})")
+    return _build(src, RepSpace.sym_power(d + 1, inner),
+                  lambda lab: ((insert_part(*lab), 1),), f"sympow_mul({d})")
 
 
 def tensor_map(maps_and_spaces, name: str) -> RepMap:

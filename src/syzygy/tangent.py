@@ -28,9 +28,9 @@ from math import comb
 
 from .exactla import ExactMatrix, FieldSpec
 from .hermite import psi_map
-from .koszul import KoszulInput, w_dim
-from .partitions import normalize
-from .reps import RepMap, RepSpace, delta1, koszul_k
+from .koszul import KoszulInput, w_dim, wedge2_pairs
+from .reps import (RepMap, RepSpace, _build, column_shift, contract, delta1,
+                   insert_part, koszul_k)
 
 DELTA2_G_MAX = 12
 
@@ -61,18 +61,16 @@ def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
         raise ValueError("Weyman modules are undefined in characteristic 2 "
                          "(the dual Gaussian-Wahl map is not injective)")
     d1 = delta1(a)
-    pairs = list(RepSpace.wedge(2, RepSpace.div(a)).basis)   # (i, j), i > j
+    pairs = d1.target.basis                                  # (i, j), i > j
     n = a + 1
-    from itertools import combinations
-    std = list(combinations(range(n), 2))                    # (p, q), p < q
-    pos = {pq: r for r, pq in enumerate(std)}
+    pos = {pq: r for r, pq in enumerate(wedge2_pairs(n))}    # (p, q), p < q
     ent = {}
     for (row, col), v in d1.matrix.items():
         i, j = pairs[row]
         # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
         ent[(pos[(j, i)], col)] = -v
     kgens = ExactMatrix(comb(n, 2), d1.source.dim, ent)
-    return KoszulInput(n, kgens, f, weights=tuple(range(n)))
+    return KoszulInput(n, kgens, f)
 
 
 def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
@@ -83,10 +81,6 @@ def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 # delta2 and the Betti rows
 # ---------------------------------------------------------------------------
-
-def _insert(mu, v):
-    return normalize(sorted(mu + (v,), reverse=True))
-
 
 @functools.lru_cache(maxsize=None)
 def delta2_map(g: int, i: int) -> RepMap:
@@ -104,17 +98,18 @@ def delta2_map(g: int, i: int) -> RepMap:
     src = RepSpace.tensor([RepSpace.div(2 * i),
                            RepSpace.sym_power(g - 2 - i, inner)])
     tgt = RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)])
-    ent = {}
-    for c, (t, mu) in enumerate(src.basis):
-        for tp in range(0, i + 2):
-            ts = t + 1 - tp
-            if not (0 <= ts <= i + 1) or tp == ts:
-                continue
-            lab = (tp, _insert(mu, ts))
-            key = (tgt.index(lab), c)
-            ent[key] = ent.get(key, 0) + (tp - ts)
-    ent = {k: v for k, v in ent.items() if v}
-    return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"delta2({g},{i})")
+    return _build(src, tgt, lambda lab: (((tp, insert_part(lab[1], ts)), tp - ts)
+                                         for tp, ts in _wahl_splits(lab[0], i)),
+                  f"delta2({g},{i})")
+
+
+def _wahl_splits(t: int, i: int):
+    """The pairs (t', t'') with t' + t'' = t + 1, 0 <= t', t'' <= i + 1
+    and t' != t'': the terms of the dual Gaussian-Wahl coproduct of
+    x^(t), each with coefficient t' - t''."""
+    for tp in range(max(0, t - i), min(i + 1, t + 1) + 1):
+        if 2 * tp != t + 1:
+            yield tp, t + 1 - tp
 
 
 def delta2(g: int, i: int) -> ExactMatrix:
@@ -246,7 +241,7 @@ def realize_block(block: ExactMatrix, src_gens: RepSpace, tgt_gens: RepSpace,
     for (rr, c), v in block.items():
         tg, z = divmod(rr, g + 1)
         for mi, mu in enumerate(sk.basis):
-            key = (tg * sk1.dim + sk1.index(_insert(mu, z)), c * sk.dim + mi)
+            key = (tg * sk1.dim + sk1.index(insert_part(mu, z)), c * sk.dim + mi)
             ent[key] = ent.get(key, 0) + v
     ent = {kk: v for kk, v in ent.items() if v}
     return ExactMatrix(tgt_gens.dim * sk1.dim, src_gens.dim * sk.dim, ent)
@@ -267,15 +262,11 @@ def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
     for (rr, c), v in inner.items():
         mid, z2 = divmod(rr, g + 1)
         for to, z1, w in by_mid.get(mid, ()):
-            mono = s2.index(normalize(sorted((z1, z2), reverse=True)))
+            mono = s2.index(insert_part(insert_part((), z1), z2))
             key = (to * s2.dim + mono, c)
             out[key] = out.get(key, 0) + v * w
     out = {k: v for k, v in out.items() if v}
     return ExactMatrix(gens_out.dim * s2.dim, inner.cols, out)
-
-
-def _with_w(space: RepSpace, g: int) -> RepSpace:
-    return RepSpace.tensor([space, RepSpace.sym(g)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,31 +286,19 @@ def complex_F(g: int) -> GradedComplex:
             i + 1)])
     diffs = [None]
     for i in range(1, g - 1):
-        src = terms[i][0].space
-        if i == 1:
-            tgt = terms[0][1].space           # the Sym^{g-2}U (-1) summand
-        else:
-            tgt = terms[i - 1][0].space
-        ent = {}
-        for c, (t, exps) in enumerate(src.basis):
-            for u in range(3):
-                s = t - u
-                if not (0 <= s <= 2 * i - 2):
-                    continue
-                cu = comb(2, u)
-                if cu == 0:
-                    continue
-                for j in range(i + 1):
-                    rest = exps[:j] + exps[j + 1:]
-                    z = exps[j] + u
-                    if i == 1:
-                        tlab = rest[0]
-                    else:
-                        tlab = (s, rest)
-                    key = (tgt.index(tlab) * (g + 1) + z, c)
-                    ent[key] = ent.get(key, 0) + ((-1) ** j) * cu
-        ent = {k: v for k, v in ent.items() if v}
-        block = ExactMatrix(tgt.dim * (g + 1), src.dim, ent)
+        # comul2 on the divided-power leg, the Koszul contraction on the
+        # wedge leg; for i = 1 the target is the Sym^{g-2}U (-1) summand
+        tgt = terms[0][1].space if i == 1 else terms[i - 1][0].space
+
+        def image(lab):
+            t, exps = lab
+            for u in range(max(0, t - 2 * i + 2), min(2, t) + 1):
+                for rest, e, sign in contract(exps):
+                    tlab = rest[0] if i == 1 else (t - u, rest)
+                    yield (tlab, e + u), sign * comb(2, u)
+
+        block = _build(terms[i][0].space, RepSpace.tensor([tgt, RepSpace.sym(g)]),
+                       image, f"F({g},{i})").matrix
         diffs.append({(1 if i == 1 else 0, 0): block})
     return GradedComplex(g, terms, diffs)
 
@@ -352,23 +331,16 @@ def _j_gens(g: int, i: int) -> RepSpace:
 
 
 def _j_diff(g: int, i: int) -> ExactMatrix:
-    src = _j_gens(g, i)
-    tgt = _j_gens(g, i - 1)
-    ent = {}
-    for c, lab in enumerate(src.basis):
+    """Comultiplication D^i U -> D^{i-1} U (x) U on the divided-power leg
+    and the Koszul contraction on the wedge leg, into gens (x) Sym^g U."""
+    def image(lab):
         t, exps = lab
-        for u in (0, 1):
-            s = t - u
-            if not (0 <= s <= i - 1):
-                continue
-            for j in range(i):
-                rest = exps[:j] + exps[j + 1:]
-                z = exps[j] + u
-                tlab = () if i == 1 else (s, rest)
-                key = (tgt.index(tlab) * (g + 1) + z, c)
-                ent[key] = ent.get(key, 0) + (-1) ** j
-    ent = {k: v for k, v in ent.items() if v}
-    return ExactMatrix(tgt.dim * (g + 1), src.dim, ent)
+        for u in range(max(0, t - i + 1), min(1, t) + 1):
+            for rest, e, sign in contract(exps):
+                yield (() if i == 1 else (t - u, rest), e + u), sign
+
+    tgt = RepSpace.tensor([_j_gens(g, i - 1), RepSpace.sym(g)])
+    return _build(_j_gens(g, i), tgt, image, f"J({g},{i})").matrix
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,26 +367,16 @@ def complex_K(g: int) -> GradedComplex:
 @functools.lru_cache(maxsize=None)
 def map_p_map(g: int, i: int) -> RepMap:
     """p_i : D^i U (x) Wedge^i Sym^{g-1} U -> Wedge^i Sym^g U, the
-    column-shift map: (x^(t), s_l) -> sum over t-subsets I of s_{l+1_I}."""
+    column-shift map: (x^(t), s_l) -> sum over t-subsets I of s_{l+1_I}.
+    For i >= 1 it is reps.nu(g - i, i) with its tensor factors swapped."""
     if not (0 <= i <= g + 1):
         raise ValueError(f"need 0 <= i <= g+1, got i={i}")
-    from itertools import combinations as _comb
-    src = _j_gens(g, i)
-    tgt = _k_gens(g, i)
-    ent = {}
-    if i == 0:
-        ent[(0, 0)] = 1
-        return RepMap(src, tgt, ExactMatrix(1, 1, ent), f"p({g},0)")
-    for c, (t, exps) in enumerate(src.basis):
-        for I in _comb(range(i), t):
-            new = list(exps)
-            for k in I:
-                new[k] += 1
-            if all(new[k] > new[k + 1] for k in range(i - 1)):
-                key = (tgt.index(tuple(new)), c)
-                ent[key] = ent.get(key, 0) + 1
-    ent = {k: v for k, v in ent.items() if v}
-    return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"p({g},{i})")
+
+    def image(lab):
+        t, exps = lab if i else (0, ())     # S_0 -> Wedge^0, both 1-dimensional
+        return ((new, 1) for new in column_shift(exps, t))
+
+    return _build(_j_gens(g, i), _k_gens(g, i), image, f"p({g},{i})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,32 +386,19 @@ def map_q_map(g: int, i: int) -> RepMap:
     coproduct followed by the column-shift map on the second leg."""
     if not (0 <= i <= g - 2):
         raise ValueError(f"need 0 <= i <= g-2, got i={i}, g={g}")
-    from itertools import combinations as _comb
     if i == 0:
         src = RepSpace.sym(g - 2)      # the shifted summand of F_0
     else:
         src = RepSpace.tensor([RepSpace.div(2 * i),
                                RepSpace.wedge(i + 1, RepSpace.sym(g - 2))])
-    tgt = _j_gens(g, i + 1)
-    ent = {}
-    for c, lab in enumerate(src.basis):
-        if i == 0:
-            t, exps = 0, (lab,)
-        else:
-            t, exps = lab
-        for tp in range(i + 2):
-            ts = t + 1 - tp
-            if not (0 <= ts <= i + 1) or tp == ts:
-                continue
-            for I in _comb(range(i + 1), ts):
-                new = list(exps)
-                for k in I:
-                    new[k] += 1
-                if all(new[k] > new[k + 1] for k in range(i)):
-                    key = (tgt.index((tp, tuple(new))), c)
-                    ent[key] = ent.get(key, 0) + (tp - ts)
-    ent = {k: v for k, v in ent.items() if v}
-    return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent), f"q({g},{i})")
+
+    def image(lab):
+        t, exps = (0, (lab,)) if i == 0 else lab
+        for tp, ts in _wahl_splits(t, i):
+            for new in column_shift(exps, ts):
+                yield (tp, new), tp - ts
+
+    return _build(src, _j_gens(g, i + 1), image, f"q({g},{i})")
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +407,12 @@ def map_q_map(g: int, i: int) -> RepMap:
 
 def _delta1_tangent(g: int, i: int) -> RepMap:
     """The multiplication map D^{i+1}U (x) Sym^{g-1-i}(D^{i+1}U) ->
-    Sym^{g-i}(D^{i+1}U), the last leg of the Weyman 3-term complex."""
+    Sym^{g-i}(D^{i+1}U), the last leg of the Weyman 3-term complex:
+    reps.sympow_mul(g - 1 - i, D^{i+1}U) with its tensor factors swapped."""
     inner = RepSpace.div(i + 1)
     src = RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)])
-    tgt = RepSpace.sym_power(g - i, inner)
-    ent = {}
-    for c, (t, mu) in enumerate(src.basis):
-        ent[(tgt.index(_insert(mu, t)), c)] = 1
-    return RepMap(src, tgt, ExactMatrix(tgt.dim, src.dim, ent),
+    return _build(src, RepSpace.sym_power(g - i, inner),
+                  lambda lab: ((insert_part(lab[1], lab[0]), 1),),
                   f"delta1_tangent({g},{i})")
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from syzygy.cli import main
 
@@ -173,3 +174,22 @@ def test_betti_oracle_report(capsys):
     assert payload["kij"]["1,1"] == 1
     assert payload["kij"]["1,2"] == 1
     assert payload["ring_dims"]["2"] == 14
+
+
+def test_golden_outputs(capsys):
+    # every printed number of a few fast jobs, recorded with `version`
+    # removed; a refactor that changes any of them fails here
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    for job in golden:
+        code, out, _ = run(capsys, *job["argv"], "--format", "json")
+        payload = json.loads(out)
+        payload.pop("version")
+        assert (code, payload) == (job["exit"], job["payload"]), job["argv"]
+
+
+def test_negative_m_rejected(capsys):
+    for m in ("-1", "11"):
+        code, out, err = run(capsys, "koszul-resonance", "--n", "5", "--m", m,
+                             "--char", "3", "--format", "json")
+        assert code == 2
+        assert out == "" and err.startswith("error: need 0 <= --m <= "), err

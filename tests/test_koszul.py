@@ -279,9 +279,34 @@ def test_w_dim_projects_once(monkeypatch):
 
     monkeypatch.setattr(koszul, "_quotient_projection", counting)
     k = weyman_input(5, GF(3))
-    assert k.weights is not None
+    k_random = random_koszul_input(6, 9, GF(3), seed=69)
+    routes = _spy_rank_routes(monkeypatch)
     w_dim(k, 2)
     assert len(calls) == 1
+    # the Weyl grading is detected: one graded rank over several blocks
+    assert len(routes) == 1 and routes[0][0] == "graded" and routes[0][1] > 1
+    routes.clear()
+    w_dim(k_random, 2)
+    assert routes == [("flat", None)]
+
+
+def _spy_rank_routes(monkeypatch):
+    """Record every rank `koszul` requests: ("graded", number of column
+    weight blocks) or ("flat", None)."""
+    routes = []
+    graded, flat = koszul.graded_rank, koszul.rank
+
+    def graded_spy(m, f, row_w, col_w):
+        routes.append(("graded", len(set(col_w))))
+        return graded(m, f, row_w, col_w)
+
+    def flat_spy(m, f):
+        routes.append(("flat", None))
+        return flat(m, f)
+
+    monkeypatch.setattr(koszul, "graded_rank", graded_spy)
+    monkeypatch.setattr(koszul, "rank", flat_spy)
+    return routes
 
 
 def _projection_inputs():

@@ -1,11 +1,16 @@
+import hashlib
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syzygy import hermite, tangent
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
+from syzygy.partitions import normalize
 from syzygy.reps import (RepSpace, comul, comul2, compose, d_to_sym, delta1,
-                         generic_koszul_delta, koszul_k, lowering, mul, nu,
-                         raising, sympow_mul, tensor_map, wahl_mu1)
+                         generic_koszul_delta, insert_part, koszul_k, lowering,
+                         mul, nu, raising, sympow_mul, tensor_map, wahl_mu1)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5), GF(101))
 
@@ -229,3 +234,87 @@ def test_sympow_mul():
 def test_free_space_has_no_sl2_action():
     with pytest.raises(ValueError):
         lowering(RepSpace.free(3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 9), max_size=8), st.integers(0, 9))
+def test_insert_part_is_sorted_insertion(parts, v):
+    mu = tuple(sorted(parts, reverse=True))
+    assert insert_part(mu, v) == normalize(sorted(mu + (v,), reverse=True))
+
+
+# sha256 of (shape, sorted (row, col, value) triples) of every matrix of
+# each factory over the ranges below, recorded from the per-factory
+# matrix assembly that the image-based `_build` replaced
+_SPACES = (RepSpace.sym(3), RepSpace.div(4), RepSpace.wedge(2, RepSpace.sym(4)),
+           RepSpace.wedge(3, RepSpace.div(5)),
+           RepSpace.tensor([RepSpace.div(2), RepSpace.sym(3)]),
+           RepSpace.sym_power(3, RepSpace.div(2)),
+           RepSpace.sym_power(2, RepSpace.sym(3)))
+_G = range(3, 8)
+_FACTORIES = {
+    "lowering": lambda: [lowering(s).matrix for s in _SPACES],
+    "raising": lambda: [raising(s).matrix for s in _SPACES],
+    "d_to_sym": lambda: [d_to_sym(d).matrix for d in range(6)],
+    "mul": lambda: [mul(a, b).matrix for a in range(4) for b in range(4)],
+    "comul": lambda: [comul(a, b).matrix for a in range(4) for b in range(4)],
+    "wahl_mu1": lambda: [wahl_mu1(a).matrix for a in range(1, 6)],
+    "delta1": lambda: [delta1(a).matrix for a in range(1, 7)],
+    "comul2": lambda: [comul2(a).matrix for a in range(5)],
+    "koszul_k": lambda: [koszul_k(i, d).matrix
+                         for d in range(6) for i in range(1, d + 2)],
+    "nu": lambda: [nu(d, i).matrix for d in range(5) for i in range(5)],
+    "generic_koszul_delta": lambda: [generic_koszul_delta(n, i, q).matrix
+                                     for n in range(3, 6) for i in range(n + 1)
+                                     for q in range(4)],
+    "sympow_mul": lambda: [sympow_mul(d, s).matrix for d in range(4)
+                           for s in (RepSpace.div(1), RepSpace.div(3),
+                                     RepSpace.sym(2), RepSpace.free(3))],
+    "psi_map": lambda: [hermite.psi_map(d, i).matrix
+                        for d in range(5) for i in range(5)],
+    "delta2_map": lambda: [tangent.delta2_map(g, i).matrix
+                           for g in _G for i in range(g - 1)],
+    "map_p_map": lambda: [tangent.map_p_map(g, i).matrix
+                          for g in _G for i in range(g + 2)],
+    "map_q_map": lambda: [tangent.map_q_map(g, i).matrix
+                          for g in _G for i in range(g - 1)],
+    "delta1_tangent": lambda: [tangent._delta1_tangent(g, i).matrix
+                               for g in _G for i in range(g - 1)],
+    "complex_F": lambda: [m for g in _G
+                          for d in tangent.complex_F(g).differentials[1:]
+                          for m in d.values()],
+    "complex_J": lambda: [m for g in _G
+                          for d in tangent.complex_J(g).differentials[1:]
+                          for m in d.values()],
+    "weyman_kgens": lambda: [tangent.weyman_input(a, QQ).kgens for a in range(2, 7)],
+}
+_DIGESTS = {
+    "lowering": "f8f9367c13067e1ebe8708723ea122cdd230d8236fb4f90e67b3473a22ba338f",
+    "raising": "c3764a9f35f9809ce6dc170bfced94206f94fef2f277df2aca7854dda5c22ce3",
+    "d_to_sym": "499bbabd301afff1a014206896f04929e04cdbe4f5b8cb2b2c81a9eb5166a3ef",
+    "mul": "2f187b61563f353392e9ea3c44f17df91c49524e189ea888a1d8835852c10e30",
+    "comul": "5d4e5c1aa093df473bd3ccbc2f306665d62d72415fbe664f365a2f2e431b154b",
+    "wahl_mu1": "98d41ff155276e4d76d2fbcdb4bad682bedcd2f852acb4735aa208a8bfee1c84",
+    "delta1": "54d167d9c78b7d2955d00f70d159ac2db289d41634503a4a702bef577337d9db",
+    "comul2": "29d441277ea587db051be76d10258a1c6269480b5aef6ba276469a34a83fd0bc",
+    "koszul_k": "6883b6c586a4e9453ad3daa64fc3c5e54a5a02d24d25eb6df69d3f5c88730fdd",
+    "nu": "e15358c8353bdd3bbb22fb553c5a91ed774a2f26a0c90e1e6cc768c7bbb6abe0",
+    "generic_koszul_delta": "18552b67f47c42d9180b43b39fcc2e56e3f3c98dfba552434472a6da7d5f07f9",
+    "sympow_mul": "efd50f1e69b7fd8d822b43fd0d1d29fd7e1faf992554a947611db547f6eb88af",
+    "psi_map": "6c26433ccaaac18e5e03dc2e765b3ff8d1ce022ba45377702d8541828e467c53",
+    "delta2_map": "f51accc6a81bd2c888fb4c8ebce675ce9afec347a77920ec21578eaf46f00171",
+    "map_p_map": "32a2dd9ee33c8b335190d853bd3aa1442399f0bee3f9d965a9b351ea80b57439",
+    "map_q_map": "eff8a7e6e7baefc35bce47554b86c64b21b5c4537c069310a6ee2005aa8ca5e4",
+    "delta1_tangent": "7e9ff1c359fb0056ef1450c6e45c153177147e09bdd5428913d621cce5b6c456",
+    "complex_F": "9108f76e53c3d95e26d418181a5ca5b5a6e5d1d4a29521881153b84766785795",
+    "complex_J": "26c8fca67a6476724a6f3925215f6c97fc35ae2ff8592a70e468ee0c8af7eb3c",
+    "weyman_kgens": "c63344165d463ccbf4e803f6b048db46432229991209b8139c608119b02b7001",
+}
+
+
+def test_builders_match_recorded_matrices():
+    for name, build in _FACTORIES.items():
+        h = hashlib.sha256()
+        for m in build():
+            h.update(repr((m.shape, sorted(m.items()))).encode())
+        assert h.hexdigest() == _DIGESTS[name], name

@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
+from syzygy import koszul
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
-from syzygy.reps import koszul_k
-from syzygy.tangent import (GuardExceeded, _j_gens, _smono, betti_table,
-                            complex_F, complex_J, complex_K,
+from syzygy.koszul import w_dim
+from syzygy.reps import RepSpace, koszul_k, nu, sympow_mul
+from syzygy.tangent import (GuardExceeded, _delta1_tangent, _j_gens, _smono,
+                            betti_table, complex_F, complex_J, complex_K,
                             compose_symmetrized, delta2_map, hermite_square_check,
                             k_i1, k_i2, map_p_map, map_q_map, realize_block,
                             weyman_dim, weyman_input)
@@ -44,11 +46,25 @@ def test_weyman_char2_rejected():
         weyman_input(3, GF(2))
 
 
-def test_weyman_input_shape():
+def test_weyman_input_shape(monkeypatch):
     k = weyman_input(4, QQ)
     assert k.n == 5
     assert k.m == 2 * 4 - 1
-    assert k.weights == (0, 1, 2, 3, 4)
+    # K is weight-homogeneous, so W_1 is ranked blockwise, never flat
+    blocks = []
+    graded = koszul.graded_rank
+
+    def graded_spy(m, f, row_w, col_w):
+        blocks.append(len(set(col_w)))
+        return graded(m, f, row_w, col_w)
+
+    def flat_spy(m, f):
+        raise AssertionError("a Weyman input took the flat rank")
+
+    monkeypatch.setattr(koszul, "graded_rank", graded_spy)
+    monkeypatch.setattr(koszul, "rank", flat_spy)
+    assert w_dim(k, 1) == 5                     # = hilbert_bound(5, 1)
+    assert len(blocks) == 1 and blocks[0] > 1
 
 
 # -- delta2 and the Betti rows ------------------------------------------------
@@ -295,3 +311,28 @@ def test_complex_K_is_exact_in_positive_degrees():
                                 K.differentials[i][(0, 0)],
                                 K.terms[i - 2][0].space, g)
         assert z.is_zero()
+
+
+def _swapped_entries(m):
+    """Entries of a map on a two-factor tensor source, keyed by target
+    label and the source label with its factors swapped."""
+    return {(m.target.basis[r], m.source.basis[c][::-1]): v
+            for (r, c), v in m.matrix.items()}
+
+
+def _entries(m):
+    return {(m.target.basis[r], m.source.basis[c]): v
+            for (r, c), v in m.matrix.items()}
+
+
+@pytest.mark.parametrize("g", range(3, 10))
+def test_p_and_delta1_are_nu_and_sympow_mul_swapped(g):
+    for i in range(1, g + 2):
+        p = map_p_map(g, i)
+        assert p.target is nu(g - i, i).target
+        assert _swapped_entries(p) == _entries(nu(g - i, i)), (g, i)
+    for i in range(g - 1):
+        d1 = _delta1_tangent(g, i)
+        mul = sympow_mul(g - 1 - i, RepSpace.div(i + 1))
+        assert d1.target is mul.target
+        assert _swapped_entries(d1) == _entries(mul), (g, i)
