@@ -242,21 +242,17 @@ class ExactMatrix:
         return not self._entries
 
     def equals_mod(self, other: "ExactMatrix", f: FieldSpec) -> bool:
-        """Entrywise equality over the given field."""
+        """Entrywise equality over the given field: the difference
+        vanishes.  In characteristic p every entry of both operands must
+        be an integer."""
         if self.shape != other.shape:
             return False
         p = f.characteristic
-        keys = set(self._entries) | set(other._entries)
-        for k in keys:
-            d = self.entry(*k) - other.entry(*k)
-            if p:
-                if not isinstance(d, int):
-                    raise TypeError("fractional entry in positive characteristic")
-                if d % p:
-                    return False
-            elif d:
-                return False
-        return True
+        if p and not all(isinstance(v, int) for m in (self, other)
+                         for v in m._entries.values()):
+            raise TypeError("fractional entry in positive characteristic")
+        diff = (self - other)._entries.values()
+        return not any(v % p for v in diff) if p else not diff
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

@@ -8,6 +8,11 @@ x^{l_1+i-1} ^ ... ^ x^{l_i} the role of s_l, and the matrix is the
 (integer, determinant +-1) transition matrix between the two bases.
 Being an integer change of basis it is invertible over every field,
 which is the whole point.
+
+The matrix is built by iterated Pieri: e_mu = e_{mu_1} ... e_{mu_d},
+largest part first, starting from s_() = x^{i-1} ^ ... ^ 1, and each
+factor e_j acts on a wedge label by `reps.column_shift`.  Labels are
+only ever produced by `reps`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,24 @@ from __future__ import annotations
 import functools
 
 from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
-from .partitions import e_to_schur
-from .reps import RepMap, RepSpace, _build, compose, nu, sympow_mul, tensor_map
+from .reps import (RepMap, RepSpace, _build, column_shift, compose, nu,
+                   sympow_mul, tensor_map)
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_column(mu, i: int):
+    """The column of the source monomial mu, the Schur expansion of e_mu
+    as {wedge label: coeff}: the column of mu[:-1] with its last part
+    applied by the Pieri rule `column_shift`.  Every prefix of a label
+    is a label, so each column costs one Pieri step past its cached
+    prefix."""
+    if not mu:
+        return {RepSpace.wedge(i, RepSpace.sym(i - 1)).basis[0]: 1}
+    out = {}
+    for exps, c in _psi_column(mu[:-1], i).items():
+        for new in column_shift(exps, mu[-1]):
+            out[new] = out.get(new, 0) + c
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,9 +51,7 @@ def psi_map(d: int, i: int) -> RepMap:
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
     if src.dim != tgt.dim:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
-    return _build(src, tgt, lambda mu: ((RepSpace._lam_to_exps(lam, i), coeff)
-                                        for lam, coeff in e_to_schur(mu, i).items()),
-                  f"psi({d},{i})")
+    return _build(src, tgt, lambda mu: _psi_column(mu, i).items(), f"psi({d},{i})")
 
 
 def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:

@@ -24,8 +24,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exactla import (ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank,
-                      subspace_intersection_dim)
+from .exactla import ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank
 from .reps import RepSpace, generic_koszul_delta
 
 TRIVIAL = "trivial"
@@ -360,32 +359,26 @@ def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str
 
 
 @functools.lru_cache(maxsize=None)
-def _chow_kernel(n: int, f: FieldSpec):
-    """Kernel basis of delta_{2,n-3} over f, shared by every K of one
-    (n, f)."""
-    ker = kernel_basis(generic_koszul_delta(n, 2, n - 3).matrix, f)
-    return tuple(tuple(v) for v in ker)
+def _chow_kernel(n: int, f: FieldSpec) -> ExactMatrix:
+    """Kernel basis of delta_{2,n-3} over f as matrix columns, shared by
+    every K of one (n, f)."""
+    delta = generic_koszul_delta(n, 2, n - 3).matrix
+    return ExactMatrix.from_columns(kernel_basis(delta, f), delta.cols)
 
 
 def chow_member(k: KoszulInput) -> bool:
     """Cayley-Chow membership for dim K = 2n-3: does K (x) Sym^{n-3} V
-    meet the kernel of the Koszul differential delta_{2,n-3}?"""
+    meet the kernel of the Koszul differential delta_{2,n-3}?
+
+    Both blocks have independent columns (KoszulInput checks those of
+    K), so they meet iff the rank of the two side by side falls short of
+    their column count."""
     n, f = k.n, k.field
     if k.m != 2 * n - 3:
         raise ValueError(f"chow_member needs dim K = 2n-3 = {2*n-3}, got {k.m}")
     ker = _chow_kernel(n, f)
-    if not ker:
+    if not ker.cols:
         return False
     sym_dim = RepSpace.sym_power(n - 3, RepSpace.free(n)).dim
-    n2 = comb(n, 2)
-    amb = n2 * sym_dim
-    kt = [[k.kgens.entry(r, c) for r in range(n2)] for c in range(k.m)]
-    kvecs = []
-    for col in kt:
-        for s in range(sym_dim):
-            vec = [0] * amb
-            for r, v in enumerate(col):
-                if v:
-                    vec[r * sym_dim + s] = v
-            kvecs.append(vec)
-    return subspace_intersection_dim(kvecs, ker, f) > 0
+    k_sym = k.kgens.kron(ExactMatrix.identity(sym_dim))
+    return rank(ExactMatrix.hstack([k_sym, ker]), f) < k_sym.cols + ker.cols

@@ -31,7 +31,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
 from .tangent import GuardExceeded

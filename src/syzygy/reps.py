@@ -9,14 +9,17 @@ ExactMatrix (field reduction happens at rank time) and cached.
 Basis conventions, fixed so matrices are reproducible bit for bit:
 
 * Sym(d), Div(d): ascending exponent 0..d.
-* Wedge(i, Sym(d)) and Wedge(i, Div(d)): strictly decreasing exponent
-  tuples, ordered by the lexicographic enumeration of the associated
-  partitions; the tuple (l_1+i-1, ..., l_i) realizes the Schur label
-  s_l.
+* Wedge(i, Sym(d)) and Wedge(i, Div(d)): the strictly decreasing
+  i-tuples of exponents 0..d (itertools.combinations), sorted
+  lexicographically.  The tuple (l_1+i-1, ..., l_i) realizes the Schur
+  label s_l, so this is also the lexicographic order of the partition
+  labels l (at most i parts, each at most d-i+1).
 * Tensor: itertools.product order, first factor slowest.
-* SymPower(d, inner): monomials as stripped partitions mu with parts
-  bounded by the inner dimension minus one, sorted lexicographically;
-  mu lists the exponents of the divided-power variables.
+* SymPower(d, inner): monomials as weakly decreasing d-tuples of
+  inner labels 0..top (itertools.combinations_with_replacement, top the
+  inner dimension minus one) with the zeros stripped, sorted
+  lexicographically; mu lists the exponents of the divided-power
+  variables.
 * Free(n): an abstract n-dimensional space (no sl2 action); wedge
   labels over it are increasing index tuples.
 
@@ -31,18 +34,18 @@ labels add up, and zero sums are dropped by ExactMatrix.  Only
 `tangent.realize_block` and `tangent.compose_symmetrized`, which
 re-index an existing matrix, bypass it.  Only this module knows the
 SymPower label format; other modules insert a part with `insert_part`,
-shift wedge columns with `column_shift` and contract wedge labels with
-`contract`.
+shift wedge columns with `column_shift` (the Pieri rule, which builds
+`nu`, the maps p and q of `tangent` and the reciprocity matrix of
+`hermite`) and contract wedge labels with `contract`.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
-from .partitions import KIND_P, enumerate_family
 
 
 class RepSpace:
@@ -110,25 +113,15 @@ class RepSpace:
             i = self.d
             if self.inner.kind == "free":
                 return tuple(combinations(range(self.inner.n), i))
-            dd = self.inner.d
-            if i == 0:
-                return ((),)
-            if dd < 0 or i > dd + 1:
-                return ()
-            lams = enumerate_family(i, dd - i + 1, KIND_P)
-            return tuple(self._lam_to_exps(lam, i) for lam in lams)
+            return tuple(combinations(range(self.inner.d, -1, -1), i))[::-1]
         if self.kind == "tensor":
             return tuple(product(*[sp.basis for sp in self.factors]))
         if self.kind == "sympow":
             inner_top = self.inner.d if self.inner.kind in ("sym", "div") \
                 else self.inner.n - 1
-            return tuple(enumerate_family(self.d, inner_top, KIND_P))
+            monos = combinations_with_replacement(range(inner_top, -1, -1), self.d)
+            return tuple(tuple(v for v in mu if v) for mu in monos)[::-1]
         raise ValueError(self.kind)
-
-    @staticmethod
-    def _lam_to_exps(lam, i):
-        padded = lam + (0,) * (i - len(lam))
-        return tuple(padded[k] + i - 1 - k for k in range(i))
 
     @property
     def basis(self):
@@ -222,9 +215,10 @@ def insert_part(mu, v):
 
 
 def column_shift(exps, j):
-    """The wedge labels exps + 1_I over the j-subsets I of the slots,
-    in subset order; the shifts whose exponents collide vanish and are
-    skipped."""
+    """The Pieri rule s_l * e_j in wedge labels: the labels exps + 1_I
+    over the j-subsets I of the slots, in subset order.  l + 1_I is a
+    partition exactly when exps + 1_I stays strictly decreasing; the
+    shifts whose exponents collide vanish and are skipped."""
     i = len(exps)
     for I in combinations(range(i), j):
         new = list(exps)
@@ -401,8 +395,8 @@ def nu(d: int, i: int) -> RepMap:
     """Wedge^i Sym^{d+i-1} U (x) D^i U -> Wedge^i Sym^{d+i} U.
 
     nu(s_l (x) x^(j)) = sum over j-subsets I of the wedge slots of
-    s_{l + 1_I}; labels that are not partitions (colliding exponents)
-    evaluate to zero.
+    s_{l + 1_I}, the Pieri rule `column_shift`; a shift whose exponents
+    collide (l + 1_I not a partition) evaluates to zero.
     """
     src = RepSpace.tensor([RepSpace.wedge(i, RepSpace.sym(d + i - 1)),
                            RepSpace.div(i)])
