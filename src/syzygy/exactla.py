@@ -1,32 +1,29 @@
 """Exact linear algebra over GF(p) and over the rationals.
 
-This is the rank/kernel engine used by every other module.  All
-computations are exact.  GF(p) ranks have one dense engine per prime
-range.  Every prime that `_f64_admits` (up to ~2^23) runs in float64:
-blocked elimination with one BLAS matrix product per panel and delayed
-reduction.  Entries of the un-eliminated block are integers whose
-magnitude the engine bounds as it goes; they are reduced mod p only in
-the column searched for a pivot, in the pivot row, and in bulk when the
-next panel could push the bound to 2^51, which for small primes never
-happens.  Larger primes take the pivot count of `_rref_gf`, the int64
-reduced row echelon form that also yields every kernel basis over GF(p);
-kernel bases over Q come from the Fraction echelon form
-`_rref_fraction`.  Apart from the oracle's independent echelon, these
-three are the package's only eliminators: every other module reads
-echelon data off `rank` and `kernel_basis`.  The float64 engine ranks an
-m x n matrix in one m x n float64 array, filled directly from the sparse
-entries, plus temporaries of at most `_SLAB_CELLS` cells and O((m + n) x
-panel width) for the panels, so its peak memory is about 8 m n bytes.
-Characteristic-zero ranks run on the same float64 engine: the matrix,
-with denominators cleared, is ranked modulo a fixed descending sequence
-of primes until the rank is full or the product of the primes exceeds
-the Hadamard bound, which certifies the largest rank seen (see `rank`).
-Nothing here is floating point in the numerical-analysis sense; float64
-is used only as an exact carrier of integers below 2^53.
+This is the rank/kernel engine used by every other module; all
+computations are exact.  Every prime that `_f64_admits` (up to ~2^23)
+ranks in float64: blocked elimination with one BLAS matrix product per
+panel and delayed reduction.  Entries of the un-eliminated block are
+integers whose magnitude the engine bounds as it goes; they are reduced
+mod p only in the column searched for a pivot, in the pivot row, and in
+bulk when the next panel could push the bound to 2^51.  Its peak memory
+is about 8 m n bytes for an m x n matrix.  Larger primes take the pivot
+count of `_rref_gf`, the int64 reduced row echelon form that also yields
+every kernel basis over GF(p); kernel bases over Q come from the
+Fraction echelon form `_rref_fraction`.  Apart from the oracle's
+independent echelon, these three are the package's only eliminators.
+Over Q the matrix, with denominators cleared, is made dense once and
+ranked modulo descending primes until the rank is full or the primes'
+product exceeds the Hadamard bound (see `rank`).  float64 is used only
+as an exact carrier of integers below 2^53.
 
-Matrices are immutable sparse coordinate maps.  Pivoting is always
-"first nonzero entry in column order" so kernel bases are reproducible
-bit for bit.
+`ExactMatrix` is immutable and stores three coordinate arrays, `row`
+and `col` (int64) and `val`, sorted column-major.  `val` is int64 when
+every entry is an int that fits int64, and otherwise an object array of
+Python ints and Fractions.  An int64 sum or product whose proven
+magnitude bound could reach 2^63 is computed in object dtype, so nothing
+overflows.  Pivoting is always "first nonzero entry in column order", so
+kernel bases are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +48,10 @@ _F64_SAFE = 2**51
 # small beside the matrix itself.  Every benched weight block and the
 # W_4 blocks up to n = 7 fit in one slab.
 _SLAB_CELLS = 2**23
+# int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
+# expands at most about _MATMUL_SLAB partial products (16 MB per array).
+_I64 = 2**63
+_MATMUL_SLAB = 2**21
 
 
 def _is_prime(n: int) -> bool:
@@ -101,145 +102,209 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec(p)
 
 
+def _max_abs(v: np.ndarray) -> int:
+    """Largest magnitude in a value array, as a Python int (0 if empty)."""
+    if v.dtype == object or v.size == 0:
+        return max(map(abs, v.tolist()), default=0)
+    return max(int(v.max()), -int(v.min()))
+
+
+def _values(v) -> np.ndarray:
+    """Entry values as int64 when every one is an int that fits int64,
+    otherwise as an object array of the values themselves."""
+    a = v if isinstance(v, np.ndarray) else np.array(v)
+    if a.dtype == np.int64 or a.size == 0:
+        return a.astype(np.int64, copy=False)
+    if a.dtype != object:           # numpy's guess for ints beyond int64
+        a = np.array(v, dtype=object)
+    xs = a.tolist()
+    if all(isinstance(x, int) for x in xs) and -_I64 <= min(xs) <= max(xs) < _I64:
+        return a.astype(np.int64)
+    return a
+
+
+def _integral(*vals: np.ndarray) -> None:
+    if any(v.dtype == object and not all(isinstance(x, int) for x in v.tolist()) for v in vals):
+        raise TypeError("fractional entry in positive characteristic")
+
+
+def _canonical(rows: int, r: np.ndarray, c: np.ndarray, v: np.ndarray):
+    """Coordinates sorted column-major, repeats summed (in object dtype
+    if an int64 sum could reach 2^63) and zeros dropped, by one sort."""
+    key = c * rows + r
+    order = np.argsort(key)
+    key, v = key[order], v[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if first.size < key.size:
+        if v.dtype != object and _max_abs(v) * int(np.diff(first, append=key.size).max()) >= _I64:
+            v = v.astype(object)
+        key, v = key[first], np.add.reduceat(v, first)
+    keep = v != 0
+    c, r = np.divmod(key[keep], rows)
+    return r, c, v[keep]
+
+
 class ExactMatrix:
-    """Immutable sparse matrix with integer or Fraction entries.
+    """Immutable sparse matrix with integer or Fraction entries: the
+    coordinate arrays of the module docstring, with distinct coordinates
+    and no zeros.  Field-agnostic: reduction happens inside the
+    rank/kernel operations.  Accessors return Python ints and Fractions.
+    `entries` is a {(row, col): value} mapping or a (rows, cols, values)
+    triple whose repeated coordinates add up."""
 
-    The matrix itself is field-agnostic; reduction happens inside the
-    rank/kernel operations, which receive a FieldSpec.  Sparse storage
-    never keeps explicit zeros.
-    """
-
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "row", "col", "val")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if v:
-                    clean[(r, c)] = v
-        self._entries = clean
+        if hasattr(entries, "items"):
+            keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+            entries = keys[:, 0], keys[:, 1], list(entries.values())
+        r, c, v = entries or ((), (), ())
+        r, c, v = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64), _values(v)
+        if not r.shape == c.shape == v.shape:
+            raise ValueError("coordinate and value lists differ in length")
+        bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"entry ({r[k]},{c[k]}) outside {rows}x{cols}")
+        self._set(rows, cols, *_canonical(rows, r, c, v))
+
+    def _set(self, rows, cols, r, c, v) -> "ExactMatrix":
+        v = _values(v) if v.dtype == object else v
+        r.flags.writeable = c.flags.writeable = v.flags.writeable = False
+        self.rows, self.cols, self.row, self.col, self.val = int(rows), int(cols), r, c, v
+        return self
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, r, c, v) -> "ExactMatrix":
+        """Wrap coordinate arrays that are already canonical."""
+        return cls.__new__(cls)._set(rows, cols, r, c, v)
 
     @classmethod
     def from_rows(cls, data) -> "ExactMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, cols, ent)
+        rows, cols = len(data), len(data[0]) if len(data) else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        a = np.array(data, dtype=object).reshape(rows, cols)
+        r, c = np.nonzero(a)
+        return cls(rows, cols, (r, c, a[r, c]))
+
+    @classmethod
+    def from_columns(cls, columns, rows: int) -> "ExactMatrix":
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls.from_rows(columns).transpose() if len(columns) else cls(rows, 0)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        d = np.arange(n, dtype=np.int64)
+        return cls._of(n, n, d, d, np.ones(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols)
 
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "ExactMatrix":
-        ent = {}
-        for c, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for r, v in enumerate(col):
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, len(columns), ent)
-
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return self.val.size
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def entry(self, r: int, c: int):
-        return self._entries.get((r, c), 0)
+        lo, hi = np.searchsorted(self.col, (c, c + 1))
+        k = lo + int(np.searchsorted(self.row[lo:hi], r))
+        return self.val[k:k + 1].tolist()[0] if k < hi and self.row[k] == r else 0
 
     def items(self):
-        return self._entries.items()
+        """The nonzero entries as ((row, col), value) pairs, column-major."""
+        return list(zip(zip(self.row.tolist(), self.col.tolist()), self.val.tolist()))
 
     def column(self, c: int):
+        lo, hi = np.searchsorted(self.col, (c, c + 1))
         v = [0] * self.rows
-        for (r, cc), val in self._entries.items():
-            if cc == c:
-                v[r] = val
+        for r, x in zip(self.row[lo:hi].tolist(), self.val[lo:hi].tolist()):
+            v[r] = x
         return v
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           {(c, r): v for (r, c), v in self._entries.items()})
+        order = np.argsort(self.row * self.cols + self.col)
+        return ExactMatrix._of(self.cols, self.rows, self.col[order],
+                               self.row[order], self.val[order])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Entry (k, j, b) of `other` meets column k of self.  The partial
+        products are expanded for whole columns of `other`, about
+        `_MATMUL_SLAB` at a time, and summed by one sort per slab."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        by_row = {}
-        for (r, k), v in other._entries.items():
-            by_row.setdefault(r, []).append((k, v))
-        out = {}
-        for (r, k), v in self._entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                out[key] = out.get(key, 0) + v * w
-        return ExactMatrix(self.rows, other.cols, out)
+        va, vb = self.val, other.val
+        astart = np.searchsorted(self.col, np.arange(self.cols + 1))
+        bstart = np.searchsorted(other.col, np.arange(other.cols + 1))
+        # a product entry sums at most (longest column of other) terms
+        if _max_abs(va) * _max_abs(vb) * int(np.diff(bstart).max(initial=0)) >= _I64:
+            va, vb = va.astype(object), vb.astype(object)
+        count = astart[other.row + 1] - astart[other.row]
+        ends = np.cumsum(count)
+        pieces, s = [(self.row[:0], self.col[:0], va[:0] * vb[:0])], 0
+        while s < other.nnz:
+            base = int(ends[s - 1]) if s else 0
+            e = int(np.searchsorted(ends, base + _MATMUL_SLAB, side="right"))
+            if e < other.nnz:           # end the slab on a column boundary
+                e = max(int(bstart[other.col[e]]), int(bstart[other.col[s] + 1]))
+            n = count[s:e]
+            b = np.repeat(np.arange(s, e), n)
+            a = np.arange(int(ends[e - 1]) - base) \
+                + np.repeat(astart[other.row[s:e]] - (ends[s:e] - n - base), n)
+            pieces.append(_canonical(self.rows, self.row[a], other.col[b], va[a] * vb[b]))
+            s = e
+        # the slabs hold increasing columns, so they concatenate in order
+        return ExactMatrix._of(self.rows, other.cols,
+                               *(np.concatenate(x) for x in zip(*pieces)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        ent = dict(self._entries)
-        for key, v in other._entries.items():
-            ent[key] = ent.get(key, 0) + v
-        return ExactMatrix(self.rows, self.cols, ent)
+        return ExactMatrix(self.rows, self.cols, [np.concatenate((x, y)) for x, y in zip(
+            (self.row, self.col, self.val), (other.row, other.col, other.val))])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + other.scaled(-1)
 
     def scaled(self, a) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols,
-                           {k: a * v for k, v in self._entries.items()})
+        v = self.val
+        if not (isinstance(a, int) and v.dtype != object and _max_abs(v) * abs(a) < _I64):
+            v = v.astype(object)
+        return ExactMatrix(self.rows, self.cols, (self.row, self.col, v * a))
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; row-major pairing (this factor slowest)."""
-        ent = {}
-        for (r1, c1), v1 in self._entries.items():
-            for (r2, c2), v2 in other._entries.items():
-                ent[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, ent)
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        va, vb = self.val, other.val
+        if _max_abs(va) * _max_abs(vb) >= _I64:
+            va, vb = va.astype(object), vb.astype(object)
+        a, b = np.divmod(np.arange(self.nnz * other.nnz), other.nnz)
+        r = self.row[a] * other.rows + other.row[b]
+        c = self.col[a] * other.cols + other.col[b]
+        order = np.argsort(c * rows + r)
+        return ExactMatrix._of(rows, cols, r[order], c[order], (va[a] * vb[b])[order])
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
         mats = list(mats)
-        rows = mats[0].rows
-        ent = {}
-        off = 0
-        for m in mats:
-            if m.rows != rows:
-                raise ValueError("row count mismatch in hstack")
-            for (r, c), v in m._entries.items():
-                ent[(r, off + c)] = v
-            off += m.cols
-        return ExactMatrix(rows, off, ent)
+        if any(m.rows != mats[0].rows for m in mats):
+            raise ValueError("row count mismatch in hstack")
+        off = np.cumsum([0] + [m.cols for m in mats])
+        parts = zip(*((m.row, m.col + o, m.val) for m, o in zip(mats, off)))
+        return ExactMatrix._of(mats[0].rows, int(off[-1]), *map(np.concatenate, parts))
 
     def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._entries.items():
-            out[r][c] = v
-        return out
+        return _dense(self).tolist()
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self.nnz
 
     def equals_mod(self, other: "ExactMatrix", f: FieldSpec) -> bool:
         """Entrywise equality over the given field: the difference
@@ -248,37 +313,44 @@ class ExactMatrix:
         if self.shape != other.shape:
             return False
         p = f.characteristic
-        if p and not all(isinstance(v, int) for m in (self, other)
-                         for v in m._entries.values()):
-            raise TypeError("fractional entry in positive characteristic")
-        diff = (self - other)._entries.values()
-        return not any(v % p for v in diff) if p else not diff
+        if p:
+            _integral(self.val, other.val)
+        diff = (self - other).val
+        return not np.count_nonzero(diff % p) if p else not diff.size
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._entries == other._entries
+        return self.shape == other.shape and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("row", "col", "val"))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._entries.items())))
+        return hash((self.shape, self.row.tobytes(), self.col.tobytes(), tuple(self.val.tolist())))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _dense(m: ExactMatrix) -> np.ndarray:
+    """m as one dense array of its own dtype; object zeros are the int 0."""
+    a = np.zeros(m.shape, dtype=m.val.dtype)
+    a[m.row, m.col] = m.val
+    return a
 
 
 # ---------------------------------------------------------------------------
 # GF(p) engines
 # ---------------------------------------------------------------------------
 
-def _gf_array(m: ExactMatrix, p: int, dtype=np.int64) -> np.ndarray:
-    """Dense residues of m mod p in [0, p).  The float64 engine takes
-    float64 directly, so its matrix is never held twice; int64 serves
-    the RREF."""
-    a = np.zeros((m.rows, m.cols), dtype=dtype)
-    for (r, c), v in m.items():
-        if not isinstance(v, int):
-            raise TypeError("fractional entry in positive characteristic")
-        a[r, c] = v % p
+def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
+    """Dense residues mod p in [0, p) of an ExactMatrix, by one scatter
+    straight into `dtype` (float64 for the float64 engine, int64 for the
+    RREF), or of a dense integer array (int64 or object) of `rank`."""
+    if isinstance(m, np.ndarray):
+        return np.remainder(m, p).astype(dtype, copy=False)
+    a = np.zeros(m.shape, dtype=dtype)
+    _integral(m.val)
+    a[m.row, m.col] = m.val % p
     return a
 
 
@@ -398,7 +470,8 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_gf(m: ExactMatrix, p: int) -> int:
+def _rank_gf(m, p: int) -> int:
+    """Rank mod p of an ExactMatrix or of a dense integer array."""
     if _f64_admits(p):
         return _rank_gf_f64(_gf_array(m, p, np.float64), p)
     return len(_rref_gf(_gf_array(m, p), p)[1])
@@ -488,15 +561,26 @@ def _char0_primes():
             yield q
 
 
+def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> int:
+    """Product of the `full` largest nonzero squared norms among the n
+    rows (or columns) that `index` assigns the values v to, in Python
+    ints: a squared norm can pass 2^63."""
+    if v.dtype != object and _max_abs(v) ** 2 * v.size >= _I64:
+        v = v.astype(object)
+    sq = np.zeros(n, dtype=v.dtype)
+    np.add.at(sq, index, v * v)
+    return prod(sorted(filter(None, sq.tolist()), reverse=True)[:full])
+
+
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
     """Exact rank of m over f.  Empty matrices have rank 0.
 
     Over Q each row is scaled by the lcm of its denominators, which keeps
-    the rank, and the integer matrix is ranked mod the primes of
-    `_char0_primes` in turn, keeping the largest rank seen.  That stops
-    at full rank min(m, n), or once (prod p)^2 exceeds H^2, the product
-    of the min(m, n) largest squared norms of the nonzero rows (or the
-    same over columns, whichever is smaller).  Certificate: suppose the rank over
+    the rank.  The integer matrix is made dense once and ranked mod the
+    primes of `_char0_primes` in turn, keeping the largest rank seen.
+    That stops at full rank min(m, n), or once (prod p)^2 exceeds H^2,
+    the product of the min(m, n) largest squared norms of the nonzero
+    rows (or the same over columns, whichever is smaller).  Certificate: suppose the rank over
     Q is r.  Then some r x r minor D is nonzero, and |D| <= H by
     Hadamard's inequality.  The rank mod p is at most r, and it drops
     below r only if p divides every r x r minor, D among them.  So if
@@ -508,24 +592,22 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     p = f.characteristic
     if p:
         return _rank_gf(m, p)
-    scale = {}
-    for (r, _), v in m.items():
-        if isinstance(v, Fraction):
-            scale[r] = lcm(scale.get(r, 1), v.denominator)
-    ent = {}
-    row_sq, col_sq = {}, {}
-    for (r, c), v in m.items():
-        v = int(v * scale.get(r, 1))
-        ent[(r, c)] = v
-        row_sq[r] = row_sq.get(r, 0) + v * v
-        col_sq[c] = col_sq.get(c, 0) + v * v
+    v = m.val
+    if v.dtype == object:
+        rows, vals = m.row.tolist(), v.tolist()
+        scale = {}
+        for r, x in zip(rows, vals):
+            if isinstance(x, Fraction):
+                scale[r] = lcm(scale.get(r, 1), x.denominator)
+        v = np.array([int(x * scale.get(r, 1)) for r, x in zip(rows, vals)], dtype=object)
+    scaled = ExactMatrix._of(m.rows, m.cols, m.row, m.col, v)
     full = min(m.rows, m.cols)
-    h2 = min(prod(sorted(row_sq.values(), reverse=True)[:full]),
-             prod(sorted(col_sq.values(), reverse=True)[:full]))
-    scaled = ExactMatrix(m.rows, m.cols, ent)
+    h2 = min(_top_square_product(scaled.row, scaled.val, m.rows, full),
+             _top_square_product(scaled.col, scaled.val, m.cols, full))
+    block = _dense(scaled)
     best, modulus = 0, 1
     for q in _char0_primes():
-        best = max(best, _rank_gf(scaled, q))
+        best = max(best, _rank_gf(block, q))
         modulus *= q
         if best == full or modulus * modulus > h2:
             return best
@@ -589,35 +671,24 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights) -> int:
     map in this package and is verified, not assumed: an ungraded
     matrix or a weight vector of the wrong length raises ValueError.
     """
-    if len(row_weights) != m.rows or len(col_weights) != m.cols:
+    rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
+    if rw.size != m.rows or cw.size != m.cols:
         raise ValueError("weight vector length mismatch")
-    col_groups = {}
-    for c, w in enumerate(col_weights):
-        col_groups.setdefault(w, []).append(c)
-    row_groups = {}
-    for r, w in enumerate(row_weights):
-        row_groups.setdefault(w, []).append(r)
-    # map each column class to the row class its entries live in
-    target_of = {}
-    for (r, c), _ in m.items():
-        cw, rw = col_weights[c], row_weights[r]
-        if target_of.setdefault(cw, rw) != rw:
-            raise ValueError("matrix is not weight-graded")
-    used_rows = {}
-    for cw, rw in target_of.items():
-        if used_rows.setdefault(rw, cw) != cw:
-            raise ValueError("two column classes hit one row class")
+    if m.nnz == 0:
+        return 0
+    # the entries grouped by column class, each group in canonical order
+    order = np.argsort(cw[m.col], kind="stable")
+    row, col, val = m.row[order], m.col[order], m.val[order]
+    ec, er = cw[col], rw[row]
+    first = np.flatnonzero(np.diff(ec, prepend=ec[0] - 1))
+    end = np.append(first[1:], ec.size)
+    if np.any(er != np.repeat(er[first], end - first)):
+        raise ValueError("matrix is not weight-graded")
+    if np.unique(er[first]).size != first.size:
+        raise ValueError("two column classes hit one row class")
     total = 0
-    col_index = {w: {c: i for i, c in enumerate(cs)} for w, cs in col_groups.items()}
-    row_index = {w: {r: i for i, r in enumerate(rs)} for w, rs in row_groups.items()}
-    blocks = {}
-    for (r, c), v in m.items():
-        cw = col_weights[c]
-        blocks.setdefault(cw, {})[(row_index[row_weights[r]][r],
-                                   col_index[cw][c])] = v
-    for cw, ent in sorted(blocks.items()):
-        rw = target_of[cw]
-        sub = ExactMatrix(len(row_groups[rw]), len(col_groups[cw]), ent)
-        total += rank(sub, f)
+    for s, e in zip(first.tolist(), end.tolist()):
+        rs, cs = np.flatnonzero(rw == er[s]), np.flatnonzero(cw == ec[s])
+        total += rank(ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
+                                      np.searchsorted(cs, col[s:e]), val[s:e]), f)
     return total
-

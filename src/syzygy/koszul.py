@@ -101,13 +101,8 @@ def random_koszul_input(n: int, m: int, f: FieldSpec, seed: int) -> KoszulInput:
     n2 = comb(n, 2)
     rng = random.Random(seed)
     while True:
-        ent = {}
-        for c in range(m):
-            for r in range(n2):
-                v = rng.randrange(p)
-                if v:
-                    ent[(r, c)] = v
-        mat = ExactMatrix(n2, m, ent)
+        mat = ExactMatrix.from_columns([[rng.randrange(p) for _ in range(n2)]
+                                        for _ in range(m)], n2)
         if rank(mat, f) == m:
             return KoszulInput(n, mat, f)
 
@@ -182,12 +177,9 @@ def w_dims(k: KoszulInput, q_max: int):
 
 def _columns_homogeneous(k: KoszulInput) -> bool:
     """Is every column of kgens weight-homogeneous in RepSpace.free(k.n)?"""
-    pair_w = RepSpace.wedge(2, RepSpace.free(k.n)).weights
-    col_w = {}
-    for (r, c), _ in k.kgens.items():
-        if col_w.setdefault(c, pair_w[r]) != pair_w[r]:
-            return False
-    return True
+    w = np.array(RepSpace.wedge(2, RepSpace.free(k.n)).weights)[k.kgens.row]
+    col = k.kgens.col                   # sorted: a column's entries are adjacent
+    return not np.any((col[1:] == col[:-1]) & (w[1:] != w[:-1]))
 
 
 def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
@@ -219,15 +211,10 @@ def is_decomposable(vec, n: int, f: FieldSpec) -> bool:
     wedge-square test degenerates.  `resonance_trivial` uses the batched
     Pfaffian test `_decomposable_chunks`; this is its per-point oracle.
     """
-    pairs = wedge2_pairs(n)
     ent = {}
-    for idx, (a, b) in enumerate(pairs):
-        v = vec[idx]
-        if v:
-            ent[(a, b)] = v
-            ent[(b, a)] = -v
-    m = ExactMatrix(n, n, ent)
-    return rank(m, f) <= 2
+    for (a, b), v in zip(wedge2_pairs(n), vec):
+        ent[(a, b)], ent[(b, a)] = v, -v
+    return rank(ExactMatrix(n, n, ent), f) <= 2
 
 
 def _projective_points(basis, p: int, budget: int):

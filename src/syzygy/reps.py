@@ -30,13 +30,12 @@ splitting in exactla.graded_rank valid.
 Every map factory, here and in `hermite` and `tangent`, is one call of
 `_build(source, target, image, name)`: `image(label)` yields the
 (target label, coeff) pairs of one source basis label, repeated target
-labels add up, and zero sums are dropped by ExactMatrix.  Only
-`tangent.realize_block` and `tangent.compose_symmetrized`, which
-re-index an existing matrix, bypass it.  Only this module knows the
-SymPower label format; other modules insert a part with `insert_part`,
-shift wedge columns with `column_shift` (the Pieri rule, which builds
-`nu`, the maps p and q of `tangent` and the reciprocity matrix of
-`hermite`) and contract wedge labels with `contract`.
+labels add up, and zero sums are dropped by ExactMatrix; the realized
+differentials of `tangent` are products of such maps.  Only this module
+knows the SymPower label format; other modules insert a part with
+`insert_part`, shift wedge columns with `column_shift` (the Pieri rule,
+which builds `nu`, the maps p and q of `tangent` and the reciprocity
+matrix of `hermite`) and contract wedge labels with `contract`.
 """
 
 from __future__ import annotations
@@ -191,12 +190,14 @@ def _build(source, target, image, name) -> RepMap:
     (target label, coeff) pairs of one source basis label; repeated
     target labels add up, and ExactMatrix drops the zero sums."""
     index = target._index
-    ent = {}
+    rows, cols, vals = [], [], []
     for c, slab in enumerate(source.basis):
         for tlab, v in image(slab):
-            key = (index[tlab], c)
-            ent[key] = ent.get(key, 0) + v
-    return RepMap(source, target, ExactMatrix(target.dim, source.dim, ent), name)
+            rows.append(index[tlab])
+            cols.append(c)
+            vals.append(v)
+    return RepMap(source, target,
+                  ExactMatrix(target.dim, source.dim, (rows, cols, vals)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +215,21 @@ def insert_part(mu, v):
     return mu[:k] + (v,) + mu[k:]
 
 
+@functools.lru_cache(maxsize=None)
 def column_shift(exps, j):
     """The Pieri rule s_l * e_j in wedge labels: the labels exps + 1_I
-    over the j-subsets I of the slots, in subset order.  l + 1_I is a
-    partition exactly when exps + 1_I stays strictly decreasing; the
-    shifts whose exponents collide vanish and are skipped."""
+    over the j-subsets I of the slots, in subset order, as a memoized
+    tuple.  l + 1_I is a partition exactly when exps + 1_I stays
+    strictly decreasing; the shifts whose exponents collide vanish."""
     i = len(exps)
+    out = []
     for I in combinations(range(i), j):
         new = list(exps)
         for k in I:
             new[k] += 1
         if all(new[k] > new[k + 1] for k in range(i - 1)):
-            yield tuple(new)
+            out.append(tuple(new))
+    return tuple(out)
 
 
 def contract(exps):

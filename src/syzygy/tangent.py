@@ -64,11 +64,8 @@ def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
     pairs = d1.target.basis                                  # (i, j), i > j
     n = a + 1
     pos = {pq: r for r, pq in enumerate(wedge2_pairs(n))}    # (p, q), p < q
-    ent = {}
-    for (row, col), v in d1.matrix.items():
-        i, j = pairs[row]
-        # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
-        ent[(pos[(j, i)], col)] = -v
+    # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
+    ent = {(pos[pairs[r][::-1]], c): -v for (r, c), v in d1.matrix.items()}
     kgens = ExactMatrix(comb(n, 2), d1.source.dim, ent)
     return KoszulInput(n, kgens, f)
 
@@ -231,20 +228,22 @@ def _smono(g: int, k: int) -> RepSpace:
     return RepSpace.sym_power(k, RepSpace.sym(g))
 
 
+@functools.lru_cache(maxsize=None)
+def _mult_left(inner: RepSpace, k: int) -> RepMap:
+    """Multiplication inner (x) Sym^k(inner) -> Sym^{k+1}(inner):
+    reps.sympow_mul(k, inner) with its tensor factors swapped."""
+    src = RepSpace.tensor([inner, RepSpace.sym_power(k, inner)])
+    return _build(src, RepSpace.sym_power(k + 1, inner),
+                  lambda lab: ((insert_part(lab[1], lab[0]), 1),), f"mult_left({k})")
+
+
 def realize_block(block: ExactMatrix, src_gens: RepSpace, tgt_gens: RepSpace,
                   g: int, k: int) -> ExactMatrix:
     """Realize gens -> gens' (x) Sym^g U at S-degree k of the source:
-    the map gens (x) S_k -> gens' (x) S_{k+1}."""
-    sk = _smono(g, k)
-    sk1 = _smono(g, k + 1)
-    ent = {}
-    for (rr, c), v in block.items():
-        tg, z = divmod(rr, g + 1)
-        for mi, mu in enumerate(sk.basis):
-            key = (tg * sk1.dim + sk1.index(insert_part(mu, z)), c * sk.dim + mi)
-            ent[key] = ent.get(key, 0) + v
-    ent = {kk: v for kk, v in ent.items() if v}
-    return ExactMatrix(tgt_gens.dim * sk1.dim, src_gens.dim * sk.dim, ent)
+    the map gens (x) S_k -> gens' (x) S_{k+1}, that is block (x) id on
+    S_k followed by multiplying Sym^g U into S_k."""
+    mult = ExactMatrix.identity(tgt_gens.dim).kron(_mult_left(RepSpace.sym(g), k).matrix)
+    return mult @ block.kron(ExactMatrix.identity(_smono(g, k).dim))
 
 
 def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
@@ -252,21 +251,8 @@ def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
     """(outer (x) id) o inner with the two Sym^g U factors multiplied
     into S_2: gens_src -> gens_out (x) S_2.  Zero iff the two
     differentials compose to zero as S-module maps."""
-    s2 = _smono(g, 2)
-    out = {}
-    # inner: src -> gens_mid (x) W ; outer: gens_mid -> gens_out (x) W
-    by_mid = {}
-    for (rr, c), v in outer.items():
-        to, z1 = divmod(rr, g + 1)
-        by_mid.setdefault(c, []).append((to, z1, v))
-    for (rr, c), v in inner.items():
-        mid, z2 = divmod(rr, g + 1)
-        for to, z1, w in by_mid.get(mid, ()):
-            mono = s2.index(insert_part(insert_part((), z1), z2))
-            key = (to * s2.dim + mono, c)
-            out[key] = out.get(key, 0) + v * w
-    out = {k: v for k, v in out.items() if v}
-    return ExactMatrix(gens_out.dim * s2.dim, inner.cols, out)
+    mult = ExactMatrix.identity(gens_out.dim).kron(_mult_left(RepSpace.sym(g), 1).matrix)
+    return mult @ (outer.kron(ExactMatrix.identity(g + 1)) @ inner)
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,13 +393,8 @@ def map_q_map(g: int, i: int) -> RepMap:
 
 def _delta1_tangent(g: int, i: int) -> RepMap:
     """The multiplication map D^{i+1}U (x) Sym^{g-1-i}(D^{i+1}U) ->
-    Sym^{g-i}(D^{i+1}U), the last leg of the Weyman 3-term complex:
-    reps.sympow_mul(g - 1 - i, D^{i+1}U) with its tensor factors swapped."""
-    inner = RepSpace.div(i + 1)
-    src = RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)])
-    return _build(src, RepSpace.sym_power(g - i, inner),
-                  lambda lab: ((insert_part(lab[1], lab[0]), 1),),
-                  f"delta1_tangent({g},{i})")
+    Sym^{g-i}(D^{i+1}U), the last leg of the Weyman 3-term complex."""
+    return _mult_left(RepSpace.div(i + 1), g - 1 - i)
 
 
 def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:

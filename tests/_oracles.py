@@ -154,3 +154,107 @@ def rref_mod_p(rows, p):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+# -- sparse matrices as plain {(row, col): value} dicts ----------------------
+
+class DictMatrix:
+    """Reference sparse matrix: a dict of its nonzero entries, with
+    Python-int and Fraction arithmetic, so no entry can overflow.  The
+    same operations as `syzygy.exactla.ExactMatrix`, written entry by
+    entry; `equals_mod` takes the characteristic as an int."""
+
+    def __init__(self, rows, cols, entries=None):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        self.rows, self.cols = rows, cols
+        self.entries = {}
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+            if v:
+                self.entries[(r, c)] = v
+
+    @classmethod
+    def from_rows(cls, data):
+        cols = len(data[0]) if data else 0
+        return cls(len(data), cols, {(r, c): v for r, row in enumerate(data)
+                                     for c, v in enumerate(row)})
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        return cls(rows, len(columns), {(r, c): v for c, col in enumerate(columns)
+                                        for r, v in enumerate(col)})
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def entry(self, r, c):
+        return self.entries.get((r, c), 0)
+
+    def items(self):
+        return self.entries.items()
+
+    def column(self, c):
+        return [self.entries.get((r, c), 0) for r in range(self.rows)]
+
+    def to_dense(self):
+        return [[self.entry(r, c) for c in range(self.cols)] for r in range(self.rows)]
+
+    def transpose(self):
+        return DictMatrix(self.cols, self.rows,
+                          {(c, r): v for (r, c), v in self.entries.items()})
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        out = {}
+        for (r, k), v in self.entries.items():
+            for (k2, c), w in other.entries.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + v * w
+        return DictMatrix(self.rows, other.cols, out)
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        out = dict(self.entries)
+        for key, v in other.entries.items():
+            out[key] = out.get(key, 0) + v
+        return DictMatrix(self.rows, self.cols, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, a):
+        return DictMatrix(self.rows, self.cols,
+                          {k: a * v for k, v in self.entries.items()})
+
+    def kron(self, other):
+        out = {}
+        for (r1, c1), v1 in self.entries.items():
+            for (r2, c2), v2 in other.entries.items():
+                out[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
+        return DictMatrix(self.rows * other.rows, self.cols * other.cols, out)
+
+    @staticmethod
+    def hstack(mats):
+        rows = mats[0].rows
+        out, off = {}, 0
+        for m in mats:
+            if m.rows != rows:
+                raise ValueError("row count mismatch in hstack")
+            for (r, c), v in m.entries.items():
+                out[(r, off + c)] = v
+            off += m.cols
+        return DictMatrix(rows, off, out)
+
+    def equals_mod(self, other, p):
+        if self.shape != other.shape:
+            return False
+        if p and not all(isinstance(v, int) for m in (self, other)
+                         for v in m.entries.values()):
+            raise TypeError("fractional entry in positive characteristic")
+        diff = (self - other).entries.values()
+        return not any(v % p for v in diff) if p else not diff

@@ -162,6 +162,26 @@ def test_char0_rank_deficient_stops_at_hadamard_bound(monkeypatch):
     assert primes == seq[:11]
 
 
+def test_char0_rank_builds_its_dense_block_once(monkeypatch):
+    # the 11-prime matrix of the test above: one dense integer block,
+    # reduced once per prime, instead of one rebuild per prime
+    seq = _primes_descending_from(_P_MAX_F64, 40)
+    x = [2**63 + 1, 2**62 + 7, 5, 2**63 + 11]
+    y = [3 * a + seq[0] * seq[10] * z for a, z in zip(x, (1, -2, 3, 0))]
+    data = [x, y, [a + b for a, b in zip(x, y)], [2 * a - b for a, b in zip(x, y)]]
+    dense = []
+    real = exactla._dense
+
+    def spy(m):
+        dense.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(exactla, "_dense", spy)
+    primes = _rank_gf_spy(monkeypatch)
+    assert rank(ExactMatrix.from_rows(data), QQ) == 2
+    assert dense == [(4, 4)] and primes == seq[:11]
+
+
 @st.composite
 def _q_matrices(draw):
     """Matrices over Q of planted rank <= k: rows are Fraction combinations
