@@ -19,7 +19,7 @@ from .hermite import psi_compat_check, psi_map
 from .koszul import (NONTRIVIAL, TRIVIAL, chow_member, hilbert_bound,
                      random_koszul_input, resonance_trivial)
 from .reps import lowering, raising
-from .tangent import GuardExceeded, betti_table, weyman_dim
+from .tangent import GuardExceeded, _check_guard, betti_table, weyman_dim
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -255,7 +255,7 @@ def cmd_hermite(args) -> int:
 # selfcheck
 # ---------------------------------------------------------------------------
 
-def _selfcheck_suites(g_max: int):
+def _selfcheck_suites(g_max: int, override_guard: bool):
     from .exactla import GF, QQ, kernel_basis
     from .reps import delta1, wahl_mu1
     from .tangent import (complex_J, compose_symmetrized, _j_gens,
@@ -308,7 +308,7 @@ def _selfcheck_suites(g_max: int):
     def betti_suite():
         for g in range(3, g_max + 1):
             for f in (QQ, GF(5), GF(7)):
-                bt = betti_table(g, f)
+                bt = betti_table(g, f, override_guard)
                 if bt.duality_ok is False:
                     raise AssertionError(f"duality fails g={g} {f}")
             for i in range(1, g - 1):
@@ -324,7 +324,9 @@ def _selfcheck_suites(g_max: int):
 def cmd_selfcheck(args) -> int:
     if args.g_max < 3:
         raise CliError("need --g-max >= 3")
-    suites = _selfcheck_suites(args.g_max)
+    # the betti suite runs last: check its guard before any suite runs
+    _check_guard(args.g_max, args.override_guard)
+    suites = _selfcheck_suites(args.g_max, args.override_guard)
     failures = []
     lines = []
     for name, fn in suites:

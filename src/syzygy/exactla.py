@@ -279,6 +279,22 @@ class ExactMatrix:
             v = v.astype(object)
         return ExactMatrix(self.rows, self.cols, (self.row, self.col, v * a))
 
+    def permuted(self, rows, cols=None) -> "ExactMatrix":
+        """R self C^-1 for signed permutation matrices R and C (the
+        identity if `cols` is None), each given as (perm, sign) int64
+        arrays: it sends basis vector k to sign[k] times basis vector
+        perm[k].  Entry (r, c) moves to (perm_R[r], perm_C[c]) with the
+        product of the two signs."""
+        (rp, rs), r, c = rows, self.row, self.col
+        s = rs[r]
+        if cols is not None:
+            s = s * cols[1][c]
+            c = cols[0][c]
+        v = self.val
+        if v.dtype != object and _max_abs(v) >= _I64:     # -(-2^63) overflows
+            v = v.astype(object)
+        return ExactMatrix(self.rows, self.cols, (rp[r], c, v * s))
+
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; row-major pairing (this factor slowest)."""
         rows, cols = self.rows * other.rows, self.cols * other.cols
@@ -663,13 +679,21 @@ def subspace_intersection_dim(a, b, f: FieldSpec) -> int:
     return rank(A, f) + rank(B, f) - rank(joint, f)
 
 
-def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights) -> int:
+def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
+                mirrored: bool = False) -> int:
     """Rank of a weight-graded matrix, one small block per weight class.
 
     Entries must connect each column-weight class to a single
     row-weight class (and conversely); this holds for every equivariant
     map in this package and is verified, not assumed: an ungraded
     matrix or a weight vector of the wrong length raises ValueError.
+
+    `mirrored` asserts that the block of column class w and that of
+    top - w have equal rank, where top is the sum of the least and the
+    largest column weight.  Only a passed certificate may set it
+    (`reps.RepMap.mirrored`, `koszul._graded_w_rank`): then only the
+    classes with 2w <= top are ranked, and each with 2w < top counts
+    twice.
     """
     rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
     if rw.size != m.rows or cw.size != m.cols:
@@ -686,9 +710,14 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights) -> int:
         raise ValueError("matrix is not weight-graded")
     if np.unique(er[first]).size != first.size:
         raise ValueError("two column classes hit one row class")
+    # mirrored: a class below the middle counts twice, one above not at all
+    count = (1 + np.sign(int(cw.min() + cw.max()) - 2 * ec[first]) if mirrored
+             else np.ones(first.size, dtype=np.int64))
     total = 0
-    for s, e in zip(first.tolist(), end.tolist()):
+    for s, e, k in zip(first.tolist(), end.tolist(), count.tolist()):
+        if not k:
+            continue
         rs, cs = np.flatnonzero(rw == er[s]), np.flatnonzero(cw == ec[s])
-        total += rank(ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
-                                      np.searchsorted(cs, col[s:e]), val[s:e]), f)
+        total += k * rank(ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
+                                          np.searchsorted(cs, col[s:e]), val[s:e]), f)
     return total

@@ -154,7 +154,7 @@ def w_dim(k: KoszulInput, q: int) -> int:
     proj, keep = _quotient_projection(k)
     mat = _w_matrix(k, q, proj)
     if _columns_homogeneous(k):
-        r = _graded_w_rank(k, q, mat, keep)
+        r = _graded_w_rank(k, q, mat, proj, keep)
     else:
         r = rank(mat, k.field)
     return target_rows - r
@@ -182,16 +182,26 @@ def _columns_homogeneous(k: KoszulInput) -> bool:
     return not np.any((col[1:] == col[:-1]) & (w[1:] != w[:-1]))
 
 
-def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, keep) -> int:
-    """Blockwise rank of `mat`; `keep` lists the quotient coordinates
-    returned by `_quotient_projection(k)`, each of which inherits the
-    weight of its wedge pair."""
+def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, proj: ExactMatrix,
+                   keep) -> int:
+    """Blockwise rank of `mat`, given the projection and the quotient
+    coordinates `keep` of `_quotient_projection(k)`; each coordinate
+    inherits the weight of its wedge pair.
+
+    Weight blocks w and top - w have equal rank when the Weyl flip F
+    maps K onto itself and `generic_koszul_delta(n, 3, q - 1)` passes
+    its `RepMap.mirrored` certificate: the flip then carries the image of
+    the block-w columns onto that of the block-(top - w) columns and
+    induces an automorphism of (Wedge^2 V / K) (x) Sym^q V.  FK = K over
+    the field holds iff proj, whose kernel is K, kills F kgens."""
     V = RepSpace.free(k.n)
-    pair_w = RepSpace.wedge(2, V).weights
-    sym_w = RepSpace.sym_power(q, V).weights
+    w2 = RepSpace.wedge(2, V)
+    pair_w, sym_w = w2.weights, RepSpace.sym_power(q, V).weights
     row_w = [pair_w[c] + sw for c in keep for sw in sym_w]
-    w3 = RepSpace.tensor([RepSpace.wedge(3, V), RepSpace.sym_power(q - 1, V)])
-    return graded_rank(mat, k.field, row_w, w3.weights)
+    delta3 = generic_koszul_delta(k.n, 3, q - 1)
+    moved = proj @ k.kgens.permuted(w2.flip)
+    mirrored = delta3.mirrored and moved.equals_mod(ExactMatrix.zeros(*moved.shape), k.field)
+    return graded_rank(mat, k.field, row_w, delta3.source.weights, mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------

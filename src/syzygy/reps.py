@@ -27,6 +27,22 @@ Every label has an integer weight (total exponent); all maps built
 here shift weight by a constant, which is what makes the graded rank
 splitting in exactla.graded_rank valid.
 
+The Weyl flip x <-> 1 of U acts on every basis above as a signed
+permutation, `RepSpace.flip`, and sends weight w to top - w:
+
+* Sym(d), Div(d): t -> d - t; Free(n): j -> n - 1 - j.
+* Wedge(i, inner): each part flipped, then the tuple reversed (which
+  restores its order), with sign (-1)^(i(i-1)/2).
+* SymPower(d, inner): the label padded with zeros to d parts, each part
+  x -> top - x, re-sorted and stripped of zeros; sign +1.
+* Tensor: the factors' flips, combined by index arithmetic.
+
+An equivariant map M commutes with the flip up to one global sign,
+F_tgt M = +-M F_src.  Then weight block w and block top - w of M are
+signed permutations of each other and have equal rank over every
+field; `RepMap.rank` checks this identity exactly (`RepMap.mirrored`)
+before it ranks only half the blocks.
+
 Every map factory, here and in `hermite` and `tangent`, is one call of
 `_build(source, target, image, name)`: `image(label)` yields the
 (target label, coeff) pairs of one source basis label, repeated target
@@ -44,6 +60,8 @@ import functools
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
+import numpy as np
+
 from .exactla import ExactMatrix, FieldSpec, graded_rank
 
 
@@ -51,7 +69,7 @@ class RepSpace:
     """An sl2 representation with an ordered, labelled basis."""
 
     __slots__ = ("kind", "d", "inner", "factors", "n", "_basis", "_index",
-                 "_weights")
+                 "_weights", "_flip")
 
     def __init__(self, kind, d=None, inner=None, factors=None, n=None):
         self.kind = kind
@@ -62,6 +80,7 @@ class RepSpace:
         self._basis = self._make_basis()
         self._index = {lab: k for k, lab in enumerate(self._basis)}
         self._weights = None
+        self._flip = None
 
     # -- constructors
 
@@ -147,6 +166,37 @@ class RepSpace:
                 self._weights = tuple(map(sum, self._basis))
         return self._weights
 
+    @property
+    def flip(self):
+        """The Weyl flip as (perm, sign), two int64 arrays: it sends basis
+        vector k to sign[k] times basis vector perm[k] (module docstring),
+        computed once per space.  Only wedge and SymPower bases loop over
+        labels; a tensor combines its factors' arrays."""
+        if self._flip is None:
+            if self.kind == "tensor":
+                perm, sign = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+                for sp in self.factors:
+                    fp, fs = sp.flip
+                    perm = (perm[:, None] * sp.dim + fp).ravel()
+                    sign = np.outer(sign, fs).ravel()
+            elif self.kind in ("sym", "div", "free"):
+                perm = np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+                sign = np.ones(self.dim, dtype=np.int64)
+            else:
+                top = self.inner.dim - 1
+                if self.kind == "wedge":
+                    flipped = (tuple(top - e for e in reversed(lab)) for lab in self._basis)
+                else:                           # sympow: padded zeros become top
+                    pad = (0,) * self.d
+                    flipped = (tuple(top - x for x in reversed(lab + pad[len(lab):])
+                                     if x != top) for lab in self._basis)
+                perm = np.fromiter(map(self._index.__getitem__, flipped), dtype=np.int64,
+                                   count=self.dim)
+                odd = self.kind == "wedge" and self.d * (self.d - 1) // 2 % 2
+                sign = np.full(self.dim, -1 if odd else 1, dtype=np.int64)
+            self._flip = perm, sign
+        return self._flip
+
     def __repr__(self):
         if self.kind in ("sym", "div"):
             return f"{self.kind.capitalize()}({self.d})"
@@ -162,7 +212,7 @@ class RepSpace:
 class RepMap:
     """A named linear map between RepSpaces, carried by an ExactMatrix."""
 
-    __slots__ = ("source", "target", "matrix", "name")
+    __slots__ = ("source", "target", "matrix", "name", "_mirrored")
 
     def __init__(self, source: RepSpace, target: RepSpace,
                  matrix: ExactMatrix, name: str):
@@ -173,16 +223,41 @@ class RepMap:
         self.target = target
         self.matrix = matrix
         self.name = name
+        self._mirrored = None
+
+    @property
+    def mirrored(self) -> bool:
+        """Do weight blocks w and top - w of this map have equal rank over
+        every field?  Certified once per map, at the cost of sorting its
+        entries, by two exact checks: the source flip sends weight w to
+        top - w (top the sum of its least and largest weight), and
+        F_tgt M F_src^-1 = +-M.  Then the columns of weight top - w are,
+        up to signs, the flipped columns of weight w with their rows
+        permuted, so the two column blocks have equal rank."""
+        if self._mirrored is None:
+            m = self.matrix
+            self._mirrored = False
+            if _reflects(self.source):
+                flipped = m.permuted(self.target.flip, self.source.flip)
+                self._mirrored = flipped == m or flipped == m.scaled(-1)
+        return self._mirrored
 
     def rank(self, f: FieldSpec) -> int:
         return graded_rank(self.matrix, f, self.target.weights,
-                           self.source.weights)
+                           self.source.weights, mirrored=self.mirrored)
 
     def kernel_dim(self, f: FieldSpec) -> int:
         return self.source.dim - self.rank(f)
 
     def __repr__(self):
         return f"RepMap({self.name}: {self.source!r} -> {self.target!r})"
+
+
+def _reflects(space: RepSpace) -> bool:
+    """Does the flip of `space` send weight w to top - w, where top is
+    the sum of its least and largest weight?"""
+    w = np.array(space.weights, dtype=np.int64)
+    return not w.size or np.array_equal(w[space.flip[0]], w.min() + w.max() - w)
 
 
 def _build(source, target, image, name) -> RepMap:
@@ -220,15 +295,25 @@ def column_shift(exps, j):
     """The Pieri rule s_l * e_j in wedge labels: the labels exps + 1_I
     over the j-subsets I of the slots, in subset order, as a memoized
     tuple.  l + 1_I is a partition exactly when exps + 1_I stays
-    strictly decreasing; the shifts whose exponents collide vanish."""
+    strictly decreasing; the shifts whose exponents collide vanish.
+    Only those vertical strips are enumerated: slot k may move only if
+    slot k - 1 moves or exps[k - 1] > exps[k] + 1."""
     i = len(exps)
-    out = []
-    for I in combinations(range(i), j):
-        new = list(exps)
-        for k in I:
-            new[k] += 1
-        if all(new[k] > new[k + 1] for k in range(i - 1)):
+    new, out = list(exps), []
+
+    def grow(start, need):
+        if not need:
             out.append(tuple(new))
+            return
+        # slot `start` follows a moved slot (or is slot 0); leave room
+        # for the `need - 1` slots after k
+        for k in range(start, i - need + 1):
+            if k == start or exps[k - 1] > exps[k] + 1:
+                new[k] += 1
+                grow(k + 1, need - 1)
+                new[k] -= 1
+
+    grow(0, j)
     return tuple(out)
 
 

@@ -81,6 +81,38 @@ def perm_sign(perm):
     return sign
 
 
+def column_shift_reference(exps, j):
+    """The Pieri rule s_l * e_j on a strictly decreasing wedge label, by
+    testing every j-subset I of the slots: the labels exps + 1_I that
+    stay strictly decreasing, in subset order."""
+    i = len(exps)
+    out = []
+    for I in combinations(range(i), j):
+        new = list(exps)
+        for k in I:
+            new[k] += 1
+        if all(new[k] > new[k + 1] for k in range(i - 1)):
+            out.append(tuple(new))
+    return tuple(out)
+
+
+def weyl_image(kind, top, label, descending=True, length=0):
+    """The Weyl element x <-> 1 on one basis label, as (label, sign).
+    kind "part": a single exponent 0..top.  kind "wedge": a wedge of
+    parts, each sent to top - x in place and then sorted back into the
+    label's order (descending or ascending), the sign counting the
+    inversions.  kind "sympow": a monomial of `length` parts with its
+    zeros stripped, sent part by part to top - x and re-sorted."""
+    if kind == "part":
+        return top - label, 1
+    parts = [top - x for x in label]
+    if kind == "wedge":
+        order = sorted(range(len(parts)), key=parts.__getitem__, reverse=descending)
+        return tuple(parts[k] for k in order), perm_sign(order)
+    parts += [top] * (length - len(label))
+    return tuple(x for x in sorted(parts, reverse=True) if x), 1
+
+
 # -- naive exact rank by minor expansion -------------------------------------
 
 def det_fraction(rows):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from syzygy.cli import main
@@ -164,6 +165,14 @@ def test_selfcheck_small(capsys):
     code, out, _ = run(capsys, "selfcheck", "--g-max", "4")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selfcheck_guard_exits_before_any_suite(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "selfcheck", "--g-max", "13")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert out == "" and err.startswith("resource guard: g=13"), err
 
 
 def test_betti_oracle_report(capsys):

@@ -296,9 +296,9 @@ def _spy_rank_routes(monkeypatch):
     routes = []
     graded, flat = koszul.graded_rank, koszul.rank
 
-    def graded_spy(m, f, row_w, col_w):
+    def graded_spy(m, f, row_w, col_w, mirrored=False):
         routes.append(("graded", len(set(col_w))))
-        return graded(m, f, row_w, col_w)
+        return graded(m, f, row_w, col_w, mirrored)
 
     def flat_spy(m, f):
         routes.append(("flat", None))

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from syzygy import hermite, tangent
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
-from syzygy.reps import (RepSpace, comul, comul2, compose, d_to_sym, delta1,
-                         generic_koszul_delta, insert_part, koszul_k, lowering,
-                         mul, nu, raising, sympow_mul, tensor_map, wahl_mu1)
+from syzygy.reps import (RepSpace, column_shift, comul, comul2, compose, d_to_sym,
+                         delta1, generic_koszul_delta, insert_part, koszul_k,
+                         lowering, mul, nu, raising, sympow_mul, tensor_map,
+                         wahl_mu1)
+
+from _oracles import column_shift_reference
 
 FIELDS = (QQ, GF(2), GF(3), GF(5), GF(101))
 
@@ -240,6 +243,13 @@ def test_free_space_has_no_sl2_action():
 def test_insert_part_is_sorted_insertion(parts, v):
     mu = tuple(sorted(parts, reverse=True))
     assert insert_part(mu, v) == tuple(x for x in sorted(mu + (v,), reverse=True) if x)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 12), max_size=8), st.integers(0, 9))
+def test_column_shift_matches_subset_loop(parts, j):
+    exps = tuple(sorted(parts, reverse=True))
+    assert column_shift(exps, j) == column_shift_reference(exps, j)
 
 
 # sha256 of (shape, sorted (row, col, value) triples) of every matrix of

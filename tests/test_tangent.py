@@ -54,9 +54,9 @@ def test_weyman_input_shape(monkeypatch):
     blocks = []
     graded = koszul.graded_rank
 
-    def graded_spy(m, f, row_w, col_w):
+    def graded_spy(m, f, row_w, col_w, mirrored=False):
         blocks.append(len(set(col_w)))
-        return graded(m, f, row_w, col_w)
+        return graded(m, f, row_w, col_w, mirrored)
 
     def flat_spy(m, f):
         raise AssertionError("a Weyman input took the flat rank")
