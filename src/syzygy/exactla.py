@@ -2,12 +2,13 @@
 
 This is the rank/kernel engine used by every other module; all
 computations are exact.  Every prime that `_f64_admits` (up to ~2^23)
-ranks in float64: blocked elimination with one BLAS matrix product per
-panel and delayed reduction.  Entries of the un-eliminated block are
-integers whose magnitude the engine bounds as it goes; they are reduced
-mod p only in the column searched for a pivot, in the pivot row, and in
-bulk when the next panel could push the bound to 2^51.  Its peak memory
-is about 8 m n bytes for an m x n matrix.  Larger primes take the pivot
+ranks in float64 (`_rank_gf_f64`), with the bulk of the work in float64
+matrix products and delayed reduction: column blocks of up to 256 are
+factored on small copies, and the rest of the matrix takes one product
+per block.  Entries are integers whose magnitude the engine bounds as
+it goes, reduced mod p only where a pivot is searched or used and in
+bulk when the bound could reach 2^51.  Besides the matrix it holds a
+few blocks and one row slab.  Larger primes take the pivot
 count of `_rref_gf`, the int64 reduced row echelon form that also yields
 every kernel basis over GF(p); kernel bases over Q come from the
 Fraction echelon form `_rref_fraction`.  Apart from the oracle's
@@ -37,21 +38,22 @@ import numpy as np
 # float64 carries exact integers up to 2**53; the blocked GF(p) path
 # keeps every entry below _F64_SAFE = 2**51, which leaves room for the
 # rounding of the quotient in `_reduce_f64`.  _GF_BLOCK is its panel
-# width; each pivot pays a rank-1 update of (rows x panel width).  Among
-# 24..128, 32 was fastest, or within noise of it, on every delta2 weight
-# block of betti g = 12 over GF(3) and g = 13 over GF(113), and on the
-# 2100x2940 W_4 block of koszul-resonance n = 7 over GF(5).
+# width, the unit of its column blocks and the width `_f64_admits`
+# requires.  In the two-level engine, panels of 16, 64 and 128 were
+# within noise (about 10%) of 32 on the weight blocks of betti g = 12
+# over GF(3) and g = 13 over GF(113) and on the W_4 blocks of
+# koszul-resonance n = 7 over GF(5); none was faster, so 32 stays.
 _GF_BLOCK = 32
 _F64_SAFE = 2**51
-# Row slabs of the float64 engine's trailing update and bulk reduction
-# hold at most this many cells (64 MB), so that their temporaries stay
-# small beside the matrix itself.  Every benched weight block and the
-# W_4 blocks up to n = 7 fit in one slab.
-_SLAB_CELLS = 2**23
+# Row slabs of the float64 engine's trailing product and bulk reduction
+# hold at most this many cells (4 MB), well below the large matrices:
+# the 2100x2940 W_4 block (49 MB) takes 2^19 no slower than 2^23 did.
+_SLAB_CELLS = 2**19
 # int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
-# expands at most about _MATMUL_SLAB partial products (16 MB per array).
+# expands at most about _MATMUL_SLAB partial products (4 MB per array);
+# hermite --d 6 --i 7 peaks at 189 MB with it, 213 MB with 2^21.
 _I64 = 2**63
-_MATMUL_SLAB = 2**21
+_MATMUL_SLAB = 2**19
 
 
 def _is_prime(n: int) -> bool:
@@ -407,81 +409,115 @@ def _row_slabs(r0: int, m: int, width: int):
         yield i, min(i + step, m)
 
 
+def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
+    """Pivot rows, in order, of the first w columns of C, eliminated in
+    place in panels of _GF_BLOCK columns.  Inside a panel a column takes
+    its pending updates by one matrix-vector product just before its
+    search, and a pivot row on the columns after it; then the rows take
+    one product for the columns after the panel.  Multipliers stay in
+    the pivot columns.  A pivot row is copied out and zeroed, so no row
+    moves.  Columns w.. of C, if any, start at zero, and the t-th pivot
+    puts 1 in column w + t of its row: they carry each row's
+    coefficients on the original pivot rows."""
+    mm, wide = C.shape
+    piv = []
+    for q0 in range(0, w, _GF_BLOCK):
+        q1, k = min(q0 + _GF_BLOCK, w), len(piv)
+        end = min(wide, w + k + q1 - q0)    # the coefficient columns in use
+        U = np.zeros((q1 - q0, end - q0))   # the panel's pivot rows, reduced
+        for c in range(q0, q1):
+            if len(piv) == mm:
+                return piv
+            col = C[:, c]
+            if len(piv) > k:
+                col -= C[:, q0:c] @ U[:c - q0, c - q0]
+            _reduce_f64(col, p)
+            j = int((col != 0).argmax())
+            if not col[j]:
+                continue
+            row = C[j, c + 1:end]
+            if len(piv) > k:
+                row -= C[j, q0:c] @ U[:c - q0, c + 1 - q0:]
+            if wide > w:
+                C[j, w + len(piv)] = 1
+            _reduce_f64(row, p)
+            U[c - q0, c + 1 - q0:] = row
+            col *= pow(int(col[j]), p - 2, p)
+            C[j, q0:end] = 0
+            _reduce_f64(col, p)
+            piv.append(j)
+        if len(piv) > k and end > q1:
+            L, V = C[:, q0:q1], U[:, q1 - q0:]    # the product in the layout of C
+            C[:, q1:end] -= (V.T @ L.T).T if C.flags.f_contiguous else L @ V
+    return piv
+
+
 def _rank_gf_f64(a: np.ndarray, p: int) -> int:
-    """Blocked elimination mod p in float64, with delayed reduction.
+    """Two-level blocked elimination mod p in float64, with delayed
+    reduction.  `a` holds reduced residues mod p (magnitude <= p-1); a
+    float64 `a` is eliminated in place, any other dtype converted once.
 
-    `a` holds reduced residues mod p (magnitude <= p-1).  A float64 `a`
-    is eliminated in place, without a copy; any other dtype is converted
-    once.
+    W is the widest multiple of _GF_BLOCK up to 256 that `_f64_fits`
+    admits (256 for p below ~2.9e6, 32 near 2^23).  A matrix no wider
+    than W is eliminated in place by `_pivot_rows`, along its shorter
+    side.  Otherwise the columns are cut into equal blocks of width at
+    most W.  The un-eliminated rows of a block are copied into a
+    column-major C with W more columns, where `_pivot_rows` finds k
+    pivot rows and leaves on each other row the coefficients Y with
+    row + Y (pivot rows) = its eliminated form.  So the trailing
+    columns need no triangular solve: the non-pivot rows move into the
+    places of the pivot rows below the first k (no other row moves) and
+    take one float64 product Y T of inner width k, T being the pivot
+    rows' trailing entries as before the block.
 
-    Right-looking panel LU: within a panel the update is rank-1; the
-    trailing update is one matrix product per panel.  Pivot rows apply
-    pending panel updates when discovered, so no triangular solve is
-    needed.
-
-    Invariant: every entry of the un-eliminated block A[r:, c0:] is an
-    integer of magnitude <= `bound` < _F64_SAFE (tracked, not measured).
-    Multipliers and pivot rows are reduced residues of magnitude <= p-1,
-    so each pivot moves an entry by at most (p-1)^2 and a panel with k
-    pivots raises the bound by at most k (p-1)^2.  Reduction mod p
-    (`_reduce_f64`) happens only on the column about to be searched for
-    a pivot, on the pivot row, and on the whole trailing block when the
-    next panel could break `_f64_fits`.  That last case comes after
-    ~2^51 / (p-1)^2 pivots (2^27 at p = 2^12), so for small primes the
-    trailing block is never reduced in bulk.  The trailing update and
-    the bulk reduction run in row slabs (`_row_slabs`), so their
-    temporaries stay below `_SLAB_CELLS` cells.
+    Invariant: every entry of the un-eliminated rows, in C and in the
+    trailing columns, is an integer of magnitude <= `bound` < _F64_SAFE
+    (tracked, not measured).  Multipliers, pivot rows, Y and T are
+    reduced (`_reduce_f64`), to magnitude <= p-1, so each pivot moves an
+    entry by at most (p-1)^2: in C, in Y and in Y T alike, a block with
+    k pivots raises the bound by at most k (p-1)^2.  Columns are reduced
+    just before their search, and the trailing block in bulk when the
+    next block could break `_f64_fits`, after ~2^51 / (p-1)^2 pivots
+    (2^27 at p = 2^12): never for small primes.  The product and the
+    bulk reduction run in row slabs (`_row_slabs`).  Besides the matrix
+    the engine holds C and T with T's reduction, about 16 W (m + n)
+    bytes, and then Y, T and one slab of _SLAB_CELLS cells.
     """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
     A = np.asarray(a, dtype=np.float64)
-    bound = p - 1
-    r = 0
-    c0 = 0
+    width = max(w for w in range(_GF_BLOCK, 257, _GF_BLOCK) if _f64_fits(p - 1, w, p))
+    if n <= width:
+        return len(_pivot_rows(A.T, m, p) if m <= n else _pivot_rows(A, n, p))
+    width = -(-n // -(-n // width))
+    bound, r, c0 = p - 1, 0, 0
     while c0 < n and r < m:
-        c1 = min(c0 + _GF_BLOCK, n)
+        c1 = min(c0 + width, n)
         if not _f64_fits(bound, c1 - c0, p):
             for i, j in _row_slabs(r, m, n - c0):
                 _reduce_f64(A[i:j, c0:], p)
             bound = p - 1
-        trail = np.empty((c1 - c0, n - c1), dtype=np.float64)
-        L = np.zeros((m, c1 - c0), dtype=np.float64)   # panel multipliers
-        k = 0                    # pivots found in this panel
-        for c in range(c0, c1):
-            col = A[r:, c]
-            _reduce_f64(col, p)
-            nz = col.nonzero()[0]
-            if nz.size == 0:
-                continue
-            j = r + int(nz[0])
-            if j != r:
-                t = A[r, c0:].copy()
-                A[r, c0:] = A[j, c0:]
-                A[j, c0:] = t
-                t = L[r].copy()
-                L[r] = L[j]
-                L[j] = t
-            row = A[r, c:]
-            if k and c1 < n:
-                # apply pending trailing updates to the new pivot row
-                row[c1 - c:] -= L[r, :k] @ trail[:k]
-            _reduce_f64(row, p)
-            row *= pow(int(row[0]), p - 2, p)
-            _reduce_f64(row, p)
-            if c1 < n:
-                trail[k] = row[c1 - c:]
-            if r + 1 < m:
-                f = A[r + 1:, c]
-                L[r + 1:, k] = f
-                # column c is finished: update only the columns after it
-                A[r + 1:, c + 1:c1] -= f[:, None] * row[1:c1 - c]
-            k += 1
-            r += 1
-        if k and c1 < n and r < m:
-            for i, j in _row_slabs(r, m, n - c1):
-                A[i:j, c1:] -= L[i:j, :k] @ trail[:k]
-        bound += k * (p - 1) * (p - 1)
+        w, mm = c1 - c0, m - r
+        C = np.zeros((mm, w + min(w, mm) * (c1 < n)), order="F")
+        C[:, :w] = A[r:, c0:c1]
+        piv = np.array(_pivot_rows(C, w, p), dtype=np.int64)
+        k = piv.size
+        if k and c1 < n:
+            T = A[r + piv, c1:]
+            _reduce_f64(T, p)
+            src = np.setdiff1d(np.arange(k), piv)   # non-pivot rows among the first k
+            dst = piv[piv >= k]
+            A[r + dst, c1:] = A[r + src, c1:]
+            orig = np.arange(k, mm)                 # the row of C now at r + k + i
+            orig[dst - k] = src
+            Y = C[orig, w:w + k]
+            del C                                   # before the slabs' temporaries
+            _reduce_f64(Y, p)
+            for i, j in _row_slabs(r + k, m, n - c1):
+                A[i:j, c1:] += Y[i - r - k:j - r - k] @ T
+            bound += k * (p - 1) * (p - 1)
+        r += k
         c0 = c1
     return r
 

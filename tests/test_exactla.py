@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -430,6 +431,106 @@ def test_gf_f64_row_slabs_match_one_slab(monkeypatch):
     for slab in (7 * B, 64 * B):
         monkeypatch.setattr(exactla, "_SLAB_CELLS", slab)
         assert run() == (want, cells)
+
+
+@st.composite
+def _blocked_gf_matrices(draw):
+    """Matrices mod p over three or more column blocks of the float64
+    engine: it cuts n columns into ceil(n / W) equal blocks, W = 256 for
+    these primes up to 65521 and 32 at _P_MAX_F64.  Shapes are wide,
+    tall (rank <= 48), or wide with rows that run out in the second
+    block (full row rank).  One whole block may be zero or repeat the
+    block before it, so that it has no pivot."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 197, 65521, _P_MAX_F64)))
+    big = 32 if p == _P_MAX_F64 else 256
+    n = draw(st.integers(2 * big + 1, 900 if big > 32 else 400))
+    width = -(-n // -(-n // big))
+    shape = draw(st.sampled_from(("wide", "tall", "rows run out")))
+    if shape == "wide":
+        m = draw(st.integers(1, 80))
+        r = draw(st.integers(0, m))
+    elif shape == "tall":
+        m = draw(st.integers(n + 1, n + 40))
+        r = draw(st.integers(0, 48))
+    else:
+        m = r = draw(st.integers(width + 1, width + 40))
+    # rank <= r; the int64 product cannot overflow: r (p - 1)^2 < 2^63
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+    b0 = draw(st.integers(0, (n - 1) // width)) * width
+    b1 = min(b0 + width, n)
+    band = draw(st.sampled_from(("none", "zero", "repeat")))
+    if band == "zero" or (band == "repeat" and not b0):
+        a[:, b0:b1] = 0
+    elif band == "repeat":
+        a[:, b0:b1] = a[:, b0 - width:b1 - width]
+    return a, p, r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_blocked_gf_matrices())
+def test_gf_f64_blocks_match_the_echelon_forms(case):
+    a, p, r = case
+    got = _rank_gf_f64(a.astype(np.float64), p)
+    assert got == len(_rref_gf(a.copy(), p)[1]) <= r
+    if a.shape[0] <= 48:                    # small enough for plain lists
+        assert got == len(rref_mod_p(a.tolist(), p)[1])
+
+
+def test_gf_f64_pivot_rows_are_reduced_before_the_product():
+    # p = 65521, blocks of 256.  Block 0 adds k h^2 (~2^37) to every
+    # trailing entry of the rows G1.  In block 1 the rows G2 are h times
+    # the sum of G1's, so their coefficients are all -h, and each entry
+    # of their product sums k terms h (k h^2), ~2^59: inexact unless
+    # G1's trailing entries are reduced first.  G2 then vanishes, and
+    # the rank is 2k.
+    p, W, k, s = 65521, 256, 128, 16
+    h = (p - 1) // 2
+    c = k * h * h % p
+    a = np.zeros((2 * k + s, 3 * W), dtype=np.int64)
+    g0, g1, g2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 2 * k + s)
+    a[g0, :k] = np.eye(k, dtype=np.int64)
+    a[g0, W:] = -h
+    a[g1, :k] = h
+    a[g1, W:W + k] = np.eye(k, dtype=np.int64)
+    a[g1, 2 * W:] = -h
+    a[g2, W:2 * W] = h * k * c
+    a[g2, W:W + k] += h
+    a[g2, 2 * W:] = h * k * (c - h)
+    a %= p
+    assert _rank_gf_f64(a.astype(np.float64), p) == len(_rref_gf(a.copy(), p)[1]) == 2 * k
+
+
+def test_gf_f64_bulk_reduction_before_every_block_at_largest_prime(monkeypatch):
+    # at the largest prime one block of 32 pivots fills the bound, so
+    # each later block b starts by reducing the (m - 32 b) x (n - 32 b)
+    # rows and columns left
+    p, B = _P_MAX_F64, _GF_BLOCK
+    shapes = []
+
+    def spy(x, q):
+        shapes.append(x.shape)
+        _reduce_f64(x, q)
+
+    monkeypatch.setattr(exactla, "_reduce_f64", spy)
+    a = np.random.default_rng(73).integers(0, p, (200, 8 * B))
+    assert _rank_gf_f64(a.astype(np.float64), p) == 200        # random: full rank
+    assert all((200 - B * b, 8 * B - B * b) in shapes for b in range(1, 7))
+
+
+def test_gf_f64_temporaries_stay_below_the_matrix():
+    # its block copies, the pivot rows' trailing entries, the coefficients
+    # and one row slab of the product stay well below the 38 MB matrix:
+    # a slab must not hold the whole trailing block
+    a = np.random.default_rng(71).integers(0, 5, (2000, 2400)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        got = _rank_gf_f64(a, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 2000                      # random mod 5: full rank
+    assert peak < a.nbytes / 2
 
 
 def test_large_sparse_matrix_takes_the_dense_engine(monkeypatch):
