@@ -727,9 +727,8 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     `mirrored` asserts that the block of column class w and that of
     top - w have equal rank, where top is the sum of the least and the
     largest column weight.  Only a passed certificate may set it
-    (`reps.RepMap.mirrored`, `koszul._graded_w_rank`): then only the
-    classes with 2w <= top are ranked, and each with 2w < top counts
-    twice.
+    (`reps.RepMap.mirrored`): then only the classes with 2w <= top are
+    ranked, and each with 2w < top counts twice.
     """
     rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
     if rw.size != m.rows or cw.size != m.cols:

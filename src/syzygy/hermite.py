@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 
-from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
+from .exactla import FieldSpec
 from .reps import (RepMap, RepSpace, _build, column_shift, compose, nu,
                    sympow_mul, tensor_map)
 
@@ -52,20 +52,6 @@ def psi_map(d: int, i: int) -> RepMap:
     if src.dim != tgt.dim:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
     return _build(src, tgt, lambda mu: _psi_column(mu, i).items(), f"psi({d},{i})")
-
-
-def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:
-    """Inverse of psi over f, by exact elimination.  Only cross-checks
-    use this; the forward map is always built combinatorially."""
-    m = psi_map(d, i).matrix
-    n = m.rows
-    if rank(m, f) < n:
-        raise ValueError(f"psi({d},{i}) not invertible over {f}")
-    # the kernel of [m | -I] is {(x, m x)}; its vector of free column n + k
-    # is (m^-1 e_k, e_k)
-    minus_id = ExactMatrix.identity(n).scaled(-1)
-    null = kernel_basis(ExactMatrix.hstack([m, minus_id]), f)
-    return ExactMatrix.from_columns([v[:n] for v in null], n)
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:

@@ -24,7 +24,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank
+from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from .reps import RepSpace, generic_koszul_delta
 
 TRIVIAL = "trivial"
@@ -65,11 +65,6 @@ def hilbert_bound(n: int, q: int) -> int:
 class KoszulInput:
     """A pair (V, K): n = dim V and a matrix of independent columns
     spanning K inside Wedge^2 V (coordinates indexed by wedge2_pairs).
-
-    The basis vector v_j of V has weight j, the weight of its label in
-    RepSpace.free(n).  When every column of kgens is weight-homogeneous
-    (a Weyman input is; a random K almost never is), `w_dim` detects it
-    and ranks the graded pieces one weight block at a time.
     """
 
     n: int
@@ -115,22 +110,16 @@ def _quotient_projection(k: KoszulInput):
     """Projection Wedge^2 V -> Wedge^2 V / K in coordinates.
 
     Its rows are the vectors of `k_perp_basis(k)`, each scaled by the
-    lcm of its denominators, which keeps every rank built from it.  The
-    vector of free column c is e_c minus the entries in column c of the
-    echelon rows of K, so its last nonzero entry sits in column c, and
-    the quotient keeps the free columns.  Returns (projection matrix with
-    int entries, kept coordinate list).
+    lcm of its denominators, which keeps every rank built from it.
     """
+    basis = k_perp_basis(k)
     ent = {}
-    keep = []
-    for i, v in enumerate(k_perp_basis(k)):
+    for i, v in enumerate(basis):
         scale = lcm(*(x.denominator for x in v))
         for c, x in enumerate(v):
             if x:
                 ent[(i, c)] = int(x * scale)
-                last = c
-        keep.append(last)
-    return ExactMatrix(len(keep), comb(k.n, 2), ent), keep
+    return ExactMatrix(len(basis), comb(k.n, 2), ent)
 
 
 def _w_matrix(k: KoszulInput, q: int, proj: ExactMatrix) -> ExactMatrix:
@@ -151,13 +140,7 @@ def w_dim(k: KoszulInput, q: int) -> int:
     target_rows = (comb(k.n, 2) - k.m) * RepSpace.sym_power(q, RepSpace.free(k.n)).dim
     if q == 0:
         return target_rows
-    proj, keep = _quotient_projection(k)
-    mat = _w_matrix(k, q, proj)
-    if _columns_homogeneous(k):
-        r = _graded_w_rank(k, q, mat, proj, keep)
-    else:
-        r = rank(mat, k.field)
-    return target_rows - r
+    return target_rows - rank(_w_matrix(k, q, _quotient_projection(k)), k.field)
 
 
 def w_dims(k: KoszulInput, q_max: int):
@@ -175,35 +158,6 @@ def w_dims(k: KoszulInput, q_max: int):
     return out
 
 
-def _columns_homogeneous(k: KoszulInput) -> bool:
-    """Is every column of kgens weight-homogeneous in RepSpace.free(k.n)?"""
-    w = np.array(RepSpace.wedge(2, RepSpace.free(k.n)).weights)[k.kgens.row]
-    col = k.kgens.col                   # sorted: a column's entries are adjacent
-    return not np.any((col[1:] == col[:-1]) & (w[1:] != w[:-1]))
-
-
-def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, proj: ExactMatrix,
-                   keep) -> int:
-    """Blockwise rank of `mat`, given the projection and the quotient
-    coordinates `keep` of `_quotient_projection(k)`; each coordinate
-    inherits the weight of its wedge pair.
-
-    Weight blocks w and top - w have equal rank when the Weyl flip F
-    maps K onto itself and `generic_koszul_delta(n, 3, q - 1)` passes
-    its `RepMap.mirrored` certificate: the flip then carries the image of
-    the block-w columns onto that of the block-(top - w) columns and
-    induces an automorphism of (Wedge^2 V / K) (x) Sym^q V.  FK = K over
-    the field holds iff proj, whose kernel is K, kills F kgens."""
-    V = RepSpace.free(k.n)
-    w2 = RepSpace.wedge(2, V)
-    pair_w, sym_w = w2.weights, RepSpace.sym_power(q, V).weights
-    row_w = [pair_w[c] + sw for c in keep for sw in sym_w]
-    delta3 = generic_koszul_delta(k.n, 3, q - 1)
-    moved = proj @ k.kgens.permuted(w2.flip)
-    mirrored = delta3.mirrored and moved.equals_mod(ExactMatrix.zeros(*moved.shape), k.field)
-    return graded_rank(mat, k.field, row_w, delta3.source.weights, mirrored=mirrored)
-
-
 # ---------------------------------------------------------------------------
 # Resonance and the Chow form
 # ---------------------------------------------------------------------------
@@ -211,52 +165,6 @@ def _graded_w_rank(k: KoszulInput, q: int, mat: ExactMatrix, proj: ExactMatrix,
 def k_perp_basis(k: KoszulInput):
     """Basis of K-perp inside Wedge^2 V-dual (same pair coordinates)."""
     return kernel_basis(k.kgens.transpose(), k.field)
-
-
-def is_decomposable(vec, n: int, f: FieldSpec) -> bool:
-    """Is a 2-form (coordinates over wedge2_pairs) zero or decomposable?
-
-    Equivalent to the alternating coefficient matrix having rank <= 2;
-    valid over every field, including characteristic 2 where the naive
-    wedge-square test degenerates.  `resonance_trivial` uses the batched
-    Pfaffian test `_decomposable_chunks`; this is its per-point oracle.
-    """
-    ent = {}
-    for (a, b), v in zip(wedge2_pairs(n), vec):
-        ent[(a, b)], ent[(b, a)] = v, -v
-    return rank(ExactMatrix(n, n, ent), f) <= 2
-
-
-def _projective_points(basis, p: int, budget: int):
-    """Normalized representatives of the projectivization of a span
-    over GF(p), at most budget of them.  The per-point reference for
-    the enumeration order of `_decomposable_chunks`."""
-    k = len(basis)
-    amb = len(basis[0])
-    count = 0
-    # first nonzero coordinate (in the span's own coordinates) equal 1
-    for lead in range(k):
-        tail = k - lead - 1
-        for rest in _tuples(p, tail):
-            coeffs = (0,) * lead + (1,) + rest
-            vec = [0] * amb
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for idx, v in enumerate(b):
-                        vec[idx] = (vec[idx] + c * v) % p
-            yield vec
-            count += 1
-            if count >= budget:
-                return
-
-
-def _tuples(p, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(p):
-        for rest in _tuples(p, length - 1):
-            yield (head,) + rest
 
 
 _PFAFFIAN_CHUNK = 4096      # points per numpy batch of the Pfaffian test
@@ -272,13 +180,14 @@ def _pfaffian_index(n: int):
 
 
 def _decomposable_chunks(basis, n: int, p: int, budget: int):
-    """Batched decomposability test on the points of `_projective_points`.
+    """Batched decomposability test on the points of P(span of basis)
+    over GF(p), at most budget of them.
 
     Yields (points, mask) for consecutive chunks of at most
-    _PFAFFIAN_CHUNK points, in the order of
-    `_projective_points(basis, p, budget)`.  `points` holds the Wedge^2
-    coordinates mod p as int64 rows; mask[i] is True iff points[i] is
-    zero or decomposable, i.e. every 4x4 Pfaffian
+    _PFAFFIAN_CHUNK points, in the order of the per-point reference
+    `projective_points(basis, p, budget)` in tests/_oracles.py.
+    `points` holds the Wedge^2 coordinates mod p as int64 rows; mask[i]
+    is True iff points[i] is zero or decomposable, i.e. every 4x4 Pfaffian
     w_ab w_cd - w_ac w_bd + w_ad w_bc vanishes mod p.  These Pluecker
     quadrics cut out the Grassmannian of lines over every field,
     characteristic 2 included.  Each product is reduced before summing,

@@ -33,15 +33,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
-from .tangent import GuardExceeded
+from .tangent import _check_guard
 
 ORACLE_G_MAX = 7
-
-def _check_guard(g: int, override: bool):
-    if g > ORACLE_G_MAX and not override:
-        raise GuardExceeded(
-            f"g={g} exceeds the oracle guard ({ORACLE_G_MAX}); "
-            "pass override_guard=True")
 
 
 def _z_polys(g: int, p: int, chart: str):
@@ -234,7 +228,7 @@ def ring_dim(g: int, n: int, f: FieldSpec, chart: str = "jet",
     """dim R_n, the Hilbert function of the tangent developable at n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_guard(g, override_guard)
+    _check_guard(g, override_guard, ORACLE_G_MAX)
     return _ring(g, f, chart).dim(n)
 
 
@@ -290,7 +284,7 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet",
     """
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    _check_guard(g, override_guard)
+    _check_guard(g, override_guard, ORACLE_G_MAX)
     ring = _ring(g, f, chart)
     out = _wedge_mult_matrix(ring, i, j)
     into = _wedge_mult_matrix(ring, i + 1, j - 1) if j >= 1 else \

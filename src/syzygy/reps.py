@@ -246,9 +246,6 @@ class RepMap:
         return graded_rank(self.matrix, f, self.target.weights,
                            self.source.weights, mirrored=self.mirrored)
 
-    def kernel_dim(self, f: FieldSpec) -> int:
-        return self.source.dim - self.rank(f)
-
     def __repr__(self):
         return f"RepMap({self.name}: {self.source!r} -> {self.target!r})"
 

@@ -8,7 +8,9 @@ reduces to kernels and cokernels of constant integer matrices:
   valid in every characteristic;
 * row 2 (weight-two syzygies) is a graded piece of a Weyman module,
   the Koszul module of (D^{a}U, D^{2a-2}U) embedded by the dual
-  Gaussian-Wahl map, valid away from characteristic 2;
+  Gaussian-Wahl map, valid away from characteristic 2.  It is the
+  middle homology of the Weyman 3-term complex, whose first map is a
+  delta2 map again, so row 2 costs no rank beyond those of row 1;
 * in characteristic 2 the variety is a rational normal scroll of
   degree g-1 and the whole resolution is a single Eagon-Northcott
   linear strand with the closed-form ranks i * C(g-1, i+1).
@@ -28,8 +30,7 @@ from math import comb
 
 from .exactla import ExactMatrix, FieldSpec
 from .hermite import psi_map
-from .koszul import KoszulInput, w_dim, wedge2_pairs
-from .reps import (RepMap, RepSpace, _build, column_shift, contract, delta1,
+from .reps import (RepMap, RepSpace, _build, column_shift, contract,
                    insert_part, koszul_k)
 
 DELTA2_G_MAX = 12
@@ -44,35 +45,6 @@ def _check_guard(g: int, override: bool, limit: int = DELTA2_G_MAX):
     if g > limit and not override:
         raise GuardExceeded(
             f"g={g} exceeds the guard ({limit}); pass override_guard=True")
-
-
-# ---------------------------------------------------------------------------
-# Weyman modules
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
-    """The Koszul input (V, K) = (D^a U, D^{2a-2} U) with K embedded by
-    the dual Gaussian-Wahl map.  Defined for characteristic != 2, where
-    the embedding is injective."""
-    if a < 2:
-        raise ValueError("need a >= 2")
-    if f.characteristic == 2:
-        raise ValueError("Weyman modules are undefined in characteristic 2 "
-                         "(the dual Gaussian-Wahl map is not injective)")
-    d1 = delta1(a)
-    pairs = d1.target.basis                                  # (i, j), i > j
-    n = a + 1
-    pos = {pq: r for r, pq in enumerate(wedge2_pairs(n))}    # (p, q), p < q
-    # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
-    ent = {(pos[pairs[r][::-1]], c): -v for (r, c), v in d1.matrix.items()}
-    kgens = ExactMatrix(comb(n, 2), d1.source.dim, ent)
-    return KoszulInput(n, kgens, f)
-
-
-def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
-    """dim of the q-th graded piece of the Weyman module for D^a U."""
-    return w_dim(weyman_input(a, f), q)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +87,42 @@ def delta2(g: int, i: int) -> ExactMatrix:
     return delta2_map(g, i).matrix
 
 
+@functools.lru_cache(maxsize=None)
+def _delta2_rank(g: int, i: int, f: FieldSpec) -> int:
+    """rank of delta2_map(g, i) over f, shared by row 1 at i and row 2
+    at i - 1 of the degree-g table."""
+    return delta2_map(g, i).rank(f)
+
+
+def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
+    """dim of the q-th graded piece W^{(a)}_q of the Weyman module for
+    D^a U: the middle homology of the Weyman 3-term complex
+
+        D^{2a-2}U (x) Sym^q(D^aU) -> D^aU (x) Sym^{q+1}(D^aU) -> Sym^{q+2}(D^aU),
+
+    whose first map is delta2_map(a+q+1, a-1) and whose second is
+    multiplication.  The Koszul complex of Sym(D^aU) is exact in every
+    characteristic and multiplication is onto, so the cycles have
+    dimension n C(n+q, q+1) - C(n+q+1, q+2), n = a+1, and only delta2
+    is ranked.  Defined for characteristic != 2, where the dual
+    Gaussian-Wahl map is injective."""
+    if a < 2:
+        raise ValueError("need a >= 2")
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    if f.characteristic == 2:
+        raise ValueError("Weyman modules are undefined in characteristic 2 "
+                         "(the dual Gaussian-Wahl map is not injective)")
+    n = a + 1
+    cycles = n * comb(n + q, q + 1) - comb(n + q + 1, q + 2)
+    return cycles - _delta2_rank(a + q + 1, a - 1, f)
+
+
 def k_i1(g: int, i: int, f: FieldSpec, override_guard: bool = False) -> int:
     """dim K_{i,1} of the tangent developable: the kernel of delta2.
     Valid in arbitrary characteristic."""
     _check_guard(g, override_guard)
-    return delta2_map(g, i).kernel_dim(f)
+    return delta2_map(g, i).source.dim - _delta2_rank(g, i, f)
 
 
 def k_i2(g: int, i: int, f: FieldSpec, override_guard: bool = False) -> int:
@@ -159,8 +162,11 @@ def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTabl
     """The full graded Betti table of the degree-g tangent developable.
 
     For characteristic != 2 row 1 comes from delta2 kernels and row 2
-    from Weyman modules, computed independently; Gorenstein duality
-    b[i][1] = b[g-2-i][2] is then checked and reported, never assumed.
+    from Weyman modules, whose dimensions are closed-form cycle counts
+    minus the ranks of the same delta2 maps: b[i][2] reads the rank of
+    delta2 at i + 1.  Gorenstein duality b[i][1] = b[g-2-i][2] thus
+    compares the ranks of delta2 at i and at g-1-i; it is checked and
+    reported, never assumed.
     For characteristic 2 the variety is a scroll and the single linear
     strand has the Eagon-Northcott ranks i*C(g-1, i+1).
     """

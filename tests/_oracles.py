@@ -1,13 +1,22 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Nothing here shares code paths with the package: polynomials are plain
-exponent-dicts, Schur polynomials come from the dual Jacobi-Trudi
-determinant (a different rule than the Pieri iteration under test), and
-ranks come from minor expansion.
+Up to the last section nothing here shares code paths with the package:
+polynomials are plain exponent-dicts, Schur polynomials come from the
+dual Jacobi-Trudi determinant (a different rule than the Pieri
+iteration under test), and ranks come from minor expansion.  The last
+section holds per-point and presentation references built from package
+primitives, which no code in the package calls.
 """
 
+import functools
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb
+
+from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
+from syzygy.hermite import psi_map
+from syzygy.koszul import KoszulInput, wedge2_pairs
+from syzygy.reps import delta1
 
 
 # -- symbolic polynomials in z_1..z_k as {exponent tuple: coeff} --------------
@@ -290,3 +299,76 @@ class DictMatrix:
             raise TypeError("fractional entry in positive characteristic")
         diff = (self - other).entries.values()
         return not any(v % p for v in diff) if p else not diff
+
+
+# -- references built from package primitives ---------------------------------
+
+def is_decomposable(vec, n: int, f: FieldSpec) -> bool:
+    """Is a 2-form (coordinates over wedge2_pairs) zero or decomposable?
+
+    Equivalent to the alternating coefficient matrix having rank <= 2;
+    valid over every field, including characteristic 2 where the naive
+    wedge-square test degenerates.  The per-point reference for the
+    batched Pfaffian test `koszul._decomposable_chunks`.
+    """
+    ent = {}
+    for (a, b), v in zip(wedge2_pairs(n), vec):
+        ent[(a, b)], ent[(b, a)] = v, -v
+    return rank(ExactMatrix(n, n, ent), f) <= 2
+
+
+def projective_points(basis, p: int, budget: int):
+    """Normalized representatives of the projectivization of a span
+    over GF(p), at most budget of them: the first nonzero coefficient
+    (in the span's own coordinates) is 1, the ones after it run through
+    GF(p) lexicographically.  The per-point reference for the
+    enumeration order of `koszul._decomposable_chunks`."""
+    k = len(basis)
+    amb = len(basis[0])
+    count = 0
+    for lead in range(k):
+        for rest in product(range(p), repeat=k - lead - 1):
+            coeffs = (0,) * lead + (1,) + rest
+            vec = [0] * amb
+            for c, b in zip(coeffs, basis):
+                if c:
+                    for idx, v in enumerate(b):
+                        vec[idx] = (vec[idx] + c * v) % p
+            yield vec
+            count += 1
+            if count >= budget:
+                return
+
+
+def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:
+    """Inverse of `hermite.psi_map(d, i)` over f, by exact elimination."""
+    m = psi_map(d, i).matrix
+    n = m.rows
+    if rank(m, f) < n:
+        raise ValueError(f"psi({d},{i}) not invertible over {f}")
+    # the kernel of [m | -I] is {(x, m x)}; its vector of free column n + k
+    # is (m^-1 e_k, e_k)
+    minus_id = ExactMatrix.identity(n).scaled(-1)
+    null = kernel_basis(ExactMatrix.hstack([m, minus_id]), f)
+    return ExactMatrix.from_columns([v[:n] for v in null], n)
+
+
+@functools.lru_cache(maxsize=None)
+def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
+    """The Koszul input (V, K) = (D^a U, D^{2a-2} U) with K embedded by
+    the dual Gaussian-Wahl map.  Defined for characteristic != 2, where
+    the embedding is injective.  `koszul.w_dim(weyman_input(a, f), q)`
+    is the presentation-route reference for `tangent.weyman_dim`."""
+    if a < 2:
+        raise ValueError("need a >= 2")
+    if f.characteristic == 2:
+        raise ValueError("Weyman modules are undefined in characteristic 2 "
+                         "(the dual Gaussian-Wahl map is not injective)")
+    d1 = delta1(a)
+    pairs = d1.target.basis                                  # (i, j), i > j
+    n = a + 1
+    pos = {pq: r for r, pq in enumerate(wedge2_pairs(n))}    # (p, q), p < q
+    # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
+    ent = {(pos[pairs[r][::-1]], c): -v for (r, c), v in d1.matrix.items()}
+    kgens = ExactMatrix(comb(n, 2), d1.source.dim, ent)
+    return KoszulInput(n, kgens, f)

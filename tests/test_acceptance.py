@@ -9,13 +9,15 @@ from math import comb
 from syzygy.exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis
 from syzygy.hermite import psi_compat_check, psi_map
 from syzygy.koszul import (TRIVIAL, KoszulInput, chow_member,
-                           hilbert_bound, is_decomposable, random_koszul_input,
+                           hilbert_bound, random_koszul_input,
                            resonance_trivial, w_dim)
 from syzygy.oracle import oracle_kij, ring_dim
 from syzygy.reps import lowering, raising
 from syzygy.tangent import (betti_table, hermite_square_check, k_i1, k_i2,
                             map_p_map, map_q_map, complex_J,
                             compose_symmetrized, _j_gens)
+
+from _oracles import is_decomposable
 
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
 

@@ -68,6 +68,15 @@ def test_weyman_report(capsys):
     assert all(row["equal"] for row in payload["dims"])
 
 
+def test_weyman_a7_meets_the_hilbert_bound(capsys):
+    code, out, _ = run(capsys, "weyman", "--a", "7", "--char", "0",
+                       "--q", "0..4", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["dims"]
+    assert [row["dim"] for row in rows] == [15, 64, 162, 288, 330]
+    assert all(row["dim"] == row["bound"] and row["equal"] for row in rows)
+
+
 def test_weyman_char2_exit_code(capsys):
     code, _, err = run(capsys, "weyman", "--a", "4", "--char", "2")
     assert code == 2

@@ -1,16 +1,14 @@
 """The Weyl flip: `RepSpace.flip`, the `RepMap.mirrored` certificate and
-the half-block ranks it licenses in `graded_rank` and the Weyman W_q."""
-
-from itertools import product
+the half-block ranks it licenses in `graded_rank`."""
 
 import numpy as np
 import pytest
 
-from syzygy import exactla, koszul
+from syzygy import exactla
 from syzygy.exactla import GF, QQ, ExactMatrix, graded_rank
 from syzygy.hermite import psi_map
 from syzygy.reps import RepMap, RepSpace, generic_koszul_delta, lowering
-from syzygy.tangent import delta2_map, weyman_input
+from syzygy.tangent import delta2_map
 
 from _oracles import weyl_image
 
@@ -94,47 +92,6 @@ def test_other_maps():
     # the flip conjugates lowering into raising: no certificate
     assert not lowering(RepSpace.sym(3)).mirrored
     assert lowering(RepSpace.sym(3)).rank(QQ) == 3
-
-
-def test_weyman_k_is_flip_invariant():
-    for f in (QQ, GF(3), GF(101)):
-        for a in range(3, 9):
-            k = weyman_input(a, f)
-            proj, _ = koszul._quotient_projection(k)
-            flipped = k.kgens.permuted(RepSpace.wedge(2, RepSpace.free(a + 1)).flip)
-            assert (proj @ flipped).equals_mod(ExactMatrix.zeros(proj.rows, k.m), f)
-    # a random K is not, and its W_q takes the flat rank anyway
-    k = koszul.random_koszul_input(5, 7, GF(3), seed=1)
-    proj, _ = koszul._quotient_projection(k)
-    flipped = k.kgens.permuted(RepSpace.wedge(2, RepSpace.free(5)).flip)
-    assert not (proj @ flipped).equals_mod(ExactMatrix.zeros(proj.rows, k.m), GF(3))
-
-
-def test_weyman_blocks_both_halves_agree(monkeypatch):
-    """Every (a, q) of the Betti tables g <= 10: the W_q blocks pair up,
-    and `w_dim` takes the mirrored rank, which equals the full one."""
-    seen = []
-    graded = koszul.graded_rank
-
-    def spy(m, f, row_w, col_w, mirrored=False):
-        seen.append(mirrored)
-        return graded(m, f, row_w, col_w, mirrored)
-
-    monkeypatch.setattr(koszul, "graded_rank", spy)
-    for f in (GF(3), GF(101), QQ):
-        for a, q in product(range(3, 10), range(1, 7)):
-            if a + q > 9 or (f == QQ and a + q > 7):
-                continue
-            k = weyman_input(a, f)
-            proj, keep = koszul._quotient_projection(k)
-            delta3 = generic_koszul_delta(k.n, 3, q - 1)
-            mat = koszul._w_matrix(k, q, proj)
-            w = delta3.source.weights
-            ranks = _column_block_ranks(mat, w, f)
-            _assert_halves_equal(ranks, min(w) + max(w))
-            seen.clear()
-            assert koszul.w_dim(k, q) == mat.rows - sum(ranks.values())
-            assert seen == [True]
 
 
 def _broken_delta2(g, i):

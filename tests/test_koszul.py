@@ -7,10 +7,11 @@ import pytest
 from syzygy import koszul
 from syzygy.exactla import GF, QQ, ExactMatrix, kernel_basis, rank
 from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
-                           _decomposable_chunks, _projective_points,
-                           catalan_degree, chow_member, hilbert_bound,
-                           is_decomposable, k_perp_basis, random_koszul_input,
+                           _decomposable_chunks, catalan_degree, chow_member,
+                           hilbert_bound, k_perp_basis, random_koszul_input,
                            resonance_trivial, w_dim, w_dims)
+
+from _oracles import is_decomposable, projective_points, weyman_input
 
 
 def _unit(i, n=6):
@@ -182,15 +183,13 @@ def test_point_search_sound_against_w_dim_n5():
     # n = 5 over GF(3): a rational decomposable point in K-perp forces
     # the degree-(n-3) piece to survive; resonance_trivial cross-checks
     # the two methods internally whenever both are conclusive
-    from syzygy.koszul import _projective_points
-
     f = GF(3)
     found_some = False
     for s in range(30):
         k = random_koszul_input(5, 7, f, seed=7000 + s)
         basis = k_perp_basis(k)
         hit = any(is_decomposable(pt, 5, f)
-                  for pt in _projective_points(basis, 3, 10**4))
+                  for pt in projective_points(basis, 3, 10**4))
         if hit:
             found_some = True
             assert w_dim(k, 2) != 0, s
@@ -220,7 +219,7 @@ def test_pfaffian_scan_exhaustive_small_n():
         for p in (2, 3):
             f = GF(p)
             pts, mask = _scan(basis, n, p)
-            assert pts == list(_projective_points(basis, p, 10**6))
+            assert pts == list(projective_points(basis, p, 10**6))
             assert len(pts) == (p**n2 - 1) // (p - 1)
             assert mask == [is_decomposable(v, n, f) for v in pts]
             assert sum(mask) == _gaussian_binomial_2(n, p)
@@ -231,7 +230,7 @@ def test_pfaffian_scan_n3_has_no_quadrics():
     basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for p in (2, 5):
         pts, mask = _scan(basis, 3, p)
-        assert pts == list(_projective_points(basis, p, 10**6))
+        assert pts == list(projective_points(basis, p, 10**6))
         assert all(mask) and len(mask) == p * p + p + 1
         assert all(is_decomposable(v, 3, GF(p)) for v in pts)
 
@@ -243,7 +242,7 @@ def test_pfaffian_scan_order_across_chunks_and_budget(monkeypatch):
         basis = k_perp_basis(k)
         for budget in (1, 8, 50, 10**6):
             pts, mask = _scan(basis, n, p, budget)
-            assert pts == list(_projective_points(basis, p, budget))
+            assert pts == list(projective_points(basis, p, budget))
             assert mask == [is_decomposable(v, n, GF(p)) for v in pts]
 
 
@@ -268,8 +267,6 @@ def test_pfaffian_scan_no_overflow_mersenne_31():
 
 
 def test_w_dim_projects_once(monkeypatch):
-    from syzygy.tangent import weyman_input
-
     calls = []
     real = koszul._quotient_projection
 
@@ -280,38 +277,23 @@ def test_w_dim_projects_once(monkeypatch):
     monkeypatch.setattr(koszul, "_quotient_projection", counting)
     k = weyman_input(5, GF(3))
     k_random = random_koszul_input(6, 9, GF(3), seed=69)
-    routes = _spy_rank_routes(monkeypatch)
-    w_dim(k, 2)
-    assert len(calls) == 1
-    # the Weyl grading is detected: one graded rank over several blocks
-    assert len(routes) == 1 and routes[0][0] == "graded" and routes[0][1] > 1
-    routes.clear()
-    w_dim(k_random, 2)
-    assert routes == [("flat", None)]
-
-
-def _spy_rank_routes(monkeypatch):
-    """Record every rank `koszul` requests: ("graded", number of column
-    weight blocks) or ("flat", None)."""
-    routes = []
-    graded, flat = koszul.graded_rank, koszul.rank
-
-    def graded_spy(m, f, row_w, col_w, mirrored=False):
-        routes.append(("graded", len(set(col_w))))
-        return graded(m, f, row_w, col_w, mirrored)
+    ranks = []
+    flat = koszul.rank
 
     def flat_spy(m, f):
-        routes.append(("flat", None))
+        ranks.append(m)
         return flat(m, f)
 
-    monkeypatch.setattr(koszul, "graded_rank", graded_spy)
     monkeypatch.setattr(koszul, "rank", flat_spy)
-    return routes
+    # a weight-homogeneous K and a random one alike: one flat rank
+    for kin in (k, k_random):
+        calls.clear()
+        ranks.clear()
+        w_dim(kin, 2)
+        assert len(calls) == 1 and len(ranks) == 1
 
 
 def _projection_inputs():
-    from syzygy.tangent import weyman_input
-
     for a in range(3, 7):
         yield weyman_input(a, QQ)
     for f in (GF(3), GF(101)):
@@ -321,15 +303,9 @@ def _projection_inputs():
 
 def test_quotient_projection_is_a_quotient_map():
     for k in _projection_inputs():
-        p = k.field.characteristic
-        proj, keep = koszul._quotient_projection(k)
+        proj = koszul._quotient_projection(k)
         n2 = comb(k.n, 2)
-        assert proj.shape == (n2 - k.m, n2) and len(keep) == proj.rows
+        assert proj.shape == (n2 - k.m, n2)
         assert all(type(v) is int for _, v in proj.items())
         assert (proj @ k.kgens).equals_mod(ExactMatrix.zeros(proj.rows, k.m), k.field)
         assert rank(proj, k.field) == proj.rows
-        # on the kept columns: diagonal, with a nonzero diagonal
-        for i in range(proj.rows):
-            for j, c in enumerate(keep):
-                v = proj.entry(i, c)
-                assert bool(v % p if p else v) == (i == j), (k.n, k.field, i, c)

@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from syzygy.exactla import GF, QQ
-from syzygy.oracle import GuardExceeded, oracle_kij, ring_dim
-from syzygy.tangent import betti_table, k_i1, k_i2
+from syzygy.oracle import oracle_kij, ring_dim
+from syzygy.tangent import GuardExceeded, betti_table, k_i1, k_i2
 
 CHARS_NO2 = (QQ, GF(3), GF(5), GF(7))
 

@@ -12,7 +12,7 @@ from syzygy.reps import (RepSpace, column_shift, comul, comul2, compose, d_to_sy
                          lowering, mul, nu, raising, sympow_mul, tensor_map,
                          wahl_mu1)
 
-from _oracles import column_shift_reference
+from _oracles import column_shift_reference, weyman_input
 
 FIELDS = (QQ, GF(2), GF(3), GF(5), GF(101))
 
@@ -295,7 +295,7 @@ _FACTORIES = {
     "complex_J": lambda: [m for g in _G
                           for d in tangent.complex_J(g).differentials[1:]
                           for m in d.values()],
-    "weyman_kgens": lambda: [tangent.weyman_input(a, QQ).kgens for a in range(2, 7)],
+    "weyman_kgens": lambda: [weyman_input(a, QQ).kgens for a in range(2, 7)],
 }
 _DIGESTS = {
     "lowering": "f8f9367c13067e1ebe8708723ea122cdd230d8236fb4f90e67b3473a22ba338f",
