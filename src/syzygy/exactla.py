@@ -8,15 +8,15 @@ factored on small copies, and the rest of the matrix takes one product
 per block.  Entries are integers whose magnitude the engine bounds as
 it goes, reduced mod p only where a pivot is searched or used and in
 bulk when the bound could reach 2^51.  Besides the matrix it holds a
-few blocks and one row slab.  Larger primes take the pivot
-count of `_rref_gf`, the int64 reduced row echelon form that also yields
-every kernel basis over GF(p); kernel bases over Q come from the
-Fraction echelon form `_rref_fraction`.  Apart from the oracle's
-independent echelon, these three are the package's only eliminators.
-Over Q the matrix, with denominators cleared, is made dense once and
-ranked modulo descending primes until the rank is full or the primes'
-product exceeds the Hadamard bound (see `rank`).  float64 is used only
-as an exact carrier of integers below 2^53.
+few blocks and one row slab.  Larger primes take the pivot count
+of `_rref_gf`, the int64 reduced row echelon form that yields every
+kernel basis: over GF(p) directly, over Q lifted by CRT and rational
+reconstruction.  Apart from the oracle's independent echelon, these two
+are the package's only eliminators.  Over Q the matrix, with
+denominators cleared, is made dense once and ranked modulo descending
+primes.  Each rank carries one of three certificates (see `rank`): full
+rank mod a prime, an exact kernel, or the Hadamard bound.  float64 is
+used only as an exact carrier of integers below 2^53.
 
 `ExactMatrix` is immutable and stores three coordinate arrays, `row`
 and `col` (int64) and `val`, sorted column-major.  `val` is int64 when
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -533,35 +533,6 @@ def _rank_gf(m, p: int) -> int:
 # Row echelon forms (kernel bases)
 # ---------------------------------------------------------------------------
 
-def _rref_fraction(rows):
-    """Reduced row echelon form over Q.  Returns (rref rows, pivot cols)."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = None
-        for i in range(r, m):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def _rref_gf(a: np.ndarray, p: int):
     """Reduced row echelon form mod p in int64; valid for any p < 2^31.
     Returns (rref, pivot cols).  The int64 input is reduced and
@@ -624,53 +595,196 @@ def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> 
     return prod(sorted(filter(None, sq.tolist()), reverse=True)[:full])
 
 
+def _integer_rows(m: ExactMatrix) -> ExactMatrix:
+    """m with each row scaled by the lcm of its denominators (an int's
+    is 1): an integer matrix with the same rank and the same kernel."""
+    v = m.val
+    if v.dtype == object:
+        rows, vals = m.row.tolist(), v.tolist()
+        scale = {}
+        for r, x in zip(rows, vals):
+            scale[r] = lcm(scale.get(r, 1), x.denominator)
+        v = np.array([x.numerator * (scale[r] // x.denominator)
+                      for r, x in zip(rows, vals)], dtype=object)
+    return ExactMatrix._of(m.rows, m.cols, m.row, m.col, v)
+
+
+def _crt(run):
+    """The residue arrays of `run`, [(q, array)] over distinct primes q,
+    combined: (x, modulus), x in [0, modulus) congruent to each and
+    modulus the product of the qs.  x is int64 while it fits."""
+    (modulus, x), *rest = run
+    for q, r in rest:
+        t = (r - x % q) * pow(modulus, -1, q) % q
+        if modulus * q >= _I64:
+            x, t = x.astype(object), t.astype(object)
+        x, modulus = x + modulus * t, modulus * q
+    return x, modulus
+
+
+def _wang(u: int, modulus: int, nbound: int, dbound: int) -> int:
+    """The denominator b of a/b = u mod modulus with |a| <= nbound,
+    0 < b <= dbound and gcd(a, b) = 1, or 0 if there is none, by Wang's
+    half-extended Euclid (it needs 2 nbound dbound < modulus)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if abs(t1) <= dbound and gcd(r1, t1) == 1 else 0
+
+
+def _rational(x: np.ndarray, modulus: int):
+    """Rational reconstruction of the r x d residues x mod `modulus`, one
+    denominator per column: (num, den) with num = den x mod modulus,
+    |num| <= N and 0 < den <= N for N = isqrt((modulus - 1) // 2), so
+    2 N^2 < modulus; or None.  A column's den takes the `_wang`
+    denominator of its first numerator still too large, until none is."""
+    bound = isqrt((modulus - 1) // 2)
+    if modulus * bound >= _I64:
+        x = x.astype(object)
+    num, den = np.empty_like(x), np.ones(x.shape[1], dtype=x.dtype)
+    cols = np.arange(den.size)          # the columns whose den changed
+    while cols.size:
+        y = x[:, cols] * den[cols] % modulus
+        num[:, cols] = y = np.where(y > modulus // 2, y - modulus, y)
+        big = abs(y) > bound
+        bad = np.flatnonzero(big.any(axis=0))
+        for k, j in zip(bad.tolist(), cols[bad].tolist()):
+            u = int(num[int(big[:, k].argmax()), j]) % modulus
+            b = _wang(u, modulus, bound, bound // int(den[j]))
+            if not b:
+                return None
+            den[j] *= b
+        cols = cols[bad]
+    return num, den
+
+
+def _annihilates(block: np.ndarray, k: np.ndarray) -> bool:
+    """Is block @ k exactly zero?  No partial sum exceeds
+    B = max|block| max|k| n, so the int64 product is exact if B < 2^63.
+    Otherwise the product is taken mod the primes of `_char0_primes`
+    until theirs exceeds B, in int64: n (q-1)^2 < 2^63 for n < 2^17."""
+    bound = _max_abs(block.ravel()) * _max_abs(k.ravel()) * block.shape[1]
+    if bound < _I64:
+        return not bound or not (block.astype(np.int64) @ k.astype(np.int64)).any()
+    modulus = 1
+    for q in _char0_primes():
+        if (_gf_array(block, q) @ _gf_array(k, q) % q).any():
+            return False
+        modulus *= q
+        if modulus > bound:
+            return True
+
+
+def _lift(block: np.ndarray, run, pivots, free: np.ndarray):
+    """The kernel of `block` over Q from `run`, [(q, R)] for the primes
+    whose RREF has these pivot columns, R its pivot rows on the free
+    columns: (num, den), kernel column j being den[j] e_free[j] minus
+    sum_i num[i, j] e_pivots[i].  None unless `_rational` rebuilds it and
+    block annihilates it exactly.  The last column goes first, alone, so
+    a modulus still too small costs one column."""
+    for cols in (slice(-1, None), slice(None)):
+        lifted = _rational(*_crt([(q, R[:, cols]) for q, R in run]))
+        if lifted is None:
+            return None
+        num, den = lifted
+        k = np.zeros((block.shape[1], den.size), dtype=num.dtype)
+        k[pivots] = -num
+        k[free[cols], np.arange(den.size)] = den
+        if not _annihilates(block, k):
+            return None
+    return num, den
+
+
+def _char0(block: np.ndarray, h2):
+    """The prime loop over Q of `rank` (h2 = H^2, see there) and of
+    `kernel_basis` (h2 None) on a dense integer block.  Returns the rank,
+    or (pivots, free columns, num, den) of the RREF kernel (see `_lift`).
+
+    `rank` ranks the block mod each prime q by `_rank_gf` and returns at
+    full rank.  Otherwise a rank r_q at least the best so far takes
+    `_rref_gf` mod q, as every prime of `kernel_basis` does: a larger one
+    drops the earlier residues, an equal one joins the primes with its
+    pivot columns, and `_lift` tries their kernel.  `rank` lifts no block
+    with an entry past int64, whose lift would run on Python ints from
+    the start, so the Hadamard stop alone decides it."""
+    m, n = block.shape
+    lift = h2 is None or block.dtype != object
+    best, modulus, runs = 0, 1, {}
+    for q in _char0_primes():
+        modulus *= q
+        if h2 is not None:
+            r = _rank_gf(block, q)
+            if r == min(m, n):
+                return r
+        if lift and (h2 is None or r >= best):
+            A, pivots = _rref_gf(_gf_array(block, q), q)
+            r = len(pivots)
+        if r > best:
+            best, runs = r, {}
+        if lift and r == best:
+            free = np.setdiff1d(np.arange(n), pivots)
+            run = runs.setdefault(tuple(pivots), [])
+            run.append((q, A[:r][:, free]))
+            kernel = _lift(block, run, pivots, free)
+            if kernel is not None:
+                return r if h2 is not None else (pivots, free, *kernel)
+        if h2 is not None and modulus * modulus > h2:
+            return best
+    raise ArithmeticError("Hadamard bound exceeds the product of all primes below 2^23")
+
+
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
     """Exact rank of m over f.  Empty matrices have rank 0.
 
     Over Q each row is scaled by the lcm of its denominators, which keeps
-    the rank.  The integer matrix is made dense once and ranked mod the
-    primes of `_char0_primes` in turn, keeping the largest rank seen.
-    That stops at full rank min(m, n), or once (prod p)^2 exceeds H^2,
-    the product of the min(m, n) largest squared norms of the nonzero
-    rows (or the same over columns, whichever is smaller).  Certificate: suppose the rank over
-    Q is r.  Then some r x r minor D is nonzero, and |D| <= H by
-    Hadamard's inequality.  The rank mod p is at most r, and it drops
-    below r only if p divides every r x r minor, D among them.  So if
-    the largest rank seen were below r, D would be a nonzero multiple of
-    the product of the primes used, which is larger than H: impossible.
+    the rank.  The integer matrix M is made dense once and ranked mod the
+    primes of `_char0_primes` in turn, keeping the largest rank seen (see
+    `_char0`); rank_Q >= r_q for every prime q.  The rank is certified by
+    one of three stops:
+
+    * full rank: r_q = min(m, n);
+    * kernel: at a deficient prime, the n - r_q columns K that `_lift`
+      rebuilds from the RREF mod q satisfy M K = 0 exactly; they are
+      independent, being the identity on the free columns, so rank_Q <= r_q;
+    * Hadamard: (prod q)^2 exceeds H^2, the product of the min(m, n)
+      largest squared norms of the nonzero rows (or the same over
+      columns, whichever is smaller).  Suppose rank_Q = r.  Then some
+      r x r minor D is nonzero, and |D| <= H by Hadamard's inequality.
+      The rank mod q drops below r only if q divides every r x r minor,
+      D among them.  So if the largest rank seen were below r, D would
+      be a nonzero multiple of the product of the primes used, which is
+      larger than H: impossible.  No matrix takes more primes than this
+      fallback alone would.
     """
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return 0
     p = f.characteristic
     if p:
         return _rank_gf(m, p)
-    v = m.val
-    if v.dtype == object:
-        rows, vals = m.row.tolist(), v.tolist()
-        scale = {}
-        for r, x in zip(rows, vals):
-            if isinstance(x, Fraction):
-                scale[r] = lcm(scale.get(r, 1), x.denominator)
-        v = np.array([int(x * scale.get(r, 1)) for r, x in zip(rows, vals)], dtype=object)
-    scaled = ExactMatrix._of(m.rows, m.cols, m.row, m.col, v)
+    scaled = _integer_rows(m)
     full = min(m.rows, m.cols)
     h2 = min(_top_square_product(scaled.row, scaled.val, m.rows, full),
              _top_square_product(scaled.col, scaled.val, m.cols, full))
-    block = _dense(scaled)
-    best, modulus = 0, 1
-    for q in _char0_primes():
-        best = max(best, _rank_gf(block, q))
-        modulus *= q
-        if best == full or modulus * modulus > h2:
-            return best
-    raise ArithmeticError("Hadamard bound exceeds the product of all primes below 2^23")
+    return _char0(_dense(scaled), h2)
 
 
 def kernel_basis(m: ExactMatrix, f: FieldSpec):
-    """Deterministic basis of the right kernel of m over f.
+    """Deterministic basis of the right kernel of m over f: the RREF
+    kernel, one vector per free column (a column that is no pivot of the
+    reduced row echelon form), in free-column order.  Over GF(p) entries
+    are reduced residues, over Q they are Fractions.
 
-    Vectors are returned in free-column order; over GF(p) entries are
-    reduced residues, over Q they are Fractions.
+    Over Q the rows are scaled to integers as in `rank`, and `_char0`
+    runs the prime loop without the Hadamard stop until M K = 0 holds
+    exactly for a kernel K lifted from the RREF mod primes q with equal
+    pivot columns.  As in `rank` that makes r_q the rank over Q.  Column
+    f of K is 1 at f, and since a row of an echelon form vanishes left
+    of its pivot, it is nonzero elsewhere only at pivots before f.  So
+    every free column mod q is a combination of the columns before it
+    over Q, which makes the pivots mod q the column rank profile over Q,
+    and K the unique RREF kernel.  A prime whose pivots differ (q itself
+    for the 1x2 matrix [q 1]) fails the check and never joins the others.
     """
     p = f.characteristic
     if m.cols == 0:
@@ -688,16 +802,13 @@ def kernel_basis(m: ExactMatrix, f: FieldSpec):
                 v[pc] = (-int(A[r, c])) % p
             basis.append(v)
         return basis
-    rref, pivots = _rref_fraction(m.to_dense())
-    pivset = set(pivots)
+    pivots, free, num, den = _char0(_dense(_integer_rows(m)), None)
     basis = []
-    for c in range(m.cols):
-        if c in pivset:
-            continue
+    for c, column, d in zip(free.tolist(), num.T.tolist(), den.tolist()):
         v = [Fraction(0)] * m.cols
         v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][c]
+        for pc, x in zip(pivots, column):
+            v[pc] = Fraction(-x, d)
         basis.append(v)
     return basis
 

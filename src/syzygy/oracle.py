@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
 from .tangent import _check_guard
@@ -61,13 +61,6 @@ def _z_polys(g: int, p: int, chart: str):
             raise ValueError(f"unknown chart {chart!r}")
         polys.append(terms)
     return polys
-
-
-def _mono_iter(g: int, n: int):
-    """Weakly decreasing degree-n index tuples in z_0..z_g."""
-    from itertools import combinations_with_replacement
-    for mono in combinations_with_replacement(range(g, -1, -1), n):
-        yield tuple(sorted(mono, reverse=True))
 
 
 def _eval_mono(mono, polys):
@@ -143,6 +136,7 @@ class ParamRing:
         self._polys = _z_polys(self.g, self.field.characteristic, self.chart)
         self._blocks = {}      # n -> {weight -> _Block}
         self._built = set()
+        self._products = {}    # (n, w, local, c) -> `multiply`
 
     def _coords(self, n: int, w: int):
         """Ambient coordinates of z-weight w in degree n: (beta, delta)
@@ -160,7 +154,8 @@ class ParamRing:
             return
         p = self.field.characteristic
         blocks = {}
-        for mono in _mono_iter(self.g, n):
+        # the degree-n monomials, as weakly decreasing index tuples
+        for mono in combinations_with_replacement(range(self.g, -1, -1), n):
             w = sum(mono)
             blk = blocks.get(w)
             if blk is None:
@@ -199,8 +194,15 @@ class ParamRing:
         """Coordinates of z_c * (basis element) inside R_{n+1}.
 
         The product must lie in the stored span; a nonzero residue
-        would mean the graded basis is inconsistent.
+        would mean the graded basis is inconsistent.  Memoized: the
+        Koszul maps of `oracle_kij` ask for each product many times.
         """
+        key = (n, w, local, c)
+        if key not in self._products:
+            self._products[key] = self._multiply(n, w, local, c)
+        return self._products[key]
+
+    def _multiply(self, n: int, w: int, local: int, c: int):
         p = self.field.characteristic
         src = self.block(n, w)
         tgt = self.block(n + 1, w + c)
@@ -262,7 +264,8 @@ def _wedge_mult_matrix(ring: ParamRing, i: int, n: int) -> ExactMatrix:
                     if v:
                         rowidx = tpos[rest] * dim_tgt_r + btgt_pos[(tw, loc2)]
                         key = (rowidx, col)
-                        ent[key] = ent.get(key, 0) + ((-1) ** k) * v
+                        term = -v if k % 2 else v
+                        ent[key] = ent[key] + term if key in ent else term
     ent = {k: v for k, v in ent.items() if v}
     return ExactMatrix(len(wtgt) * dim_tgt_r, len(wsrc) * dim_src_r, ent)
 

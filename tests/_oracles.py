@@ -197,6 +197,44 @@ def rref_mod_p(rows, p):
     return a, pivots
 
 
+def rref_fraction(rows):
+    """Reduced row echelon form over Q in Fractions, with the same pivot
+    rule.  Returns (rref rows, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def kernel_from_rref(rref, pivots, n):
+    """The kernel basis read off a reduced row echelon form: one vector
+    per free column c, 1 at c and minus column c of the rref at the
+    pivots, in free-column order."""
+    basis = []
+    for c in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][c]
+        basis.append(v)
+    return basis
+
+
 # -- sparse matrices as plain {(row, col): value} dicts ----------------------
 
 class DictMatrix:

@@ -14,7 +14,8 @@ from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
                             _is_prime, _rank_gf_f64, _reduce_f64, _rref_gf)
 
-from _oracles import nonzero_minor_exists, rank_by_minors, rref_mod_p
+from _oracles import (kernel_from_rref, nonzero_minor_exists, rank_by_minors,
+                      rref_fraction, rref_mod_p)
 
 
 def test_fieldspec_validation():
@@ -212,6 +213,90 @@ def test_char0_rank_matches_minor_oracle_differential(case):
     rows, k = case
     got = rank(ExactMatrix.from_rows(rows), QQ)
     assert got == rank_by_minors(rows) <= k
+
+
+@st.composite
+def _q_kernel_cases(draw):
+    """The planted-rank matrices of `_q_matrices`, with zero rows and
+    zero columns inserted."""
+    rows, _ = draw(_q_matrices())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows[0])))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_q_kernel_cases())
+def test_q_kernel_matches_fraction_rref(rows):
+    got = kernel_basis(ExactMatrix.from_rows(rows), QQ)
+    assert got == kernel_from_rref(*rref_fraction(rows), len(rows[0]))
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
+def test_q_kernel_skips_an_unlucky_pivot(monkeypatch):
+    # mod q the 1x2 matrix [q 1] has pivot column 1, over Q column 0; the
+    # kernel that q gives, e_0, fails M K = 0, so later primes decide
+    q = _P_MAX_F64
+    primes = []
+    real = exactla._rref_gf
+
+    def spy(a, p):
+        primes.append(p)
+        return real(a, p)
+
+    monkeypatch.setattr(exactla, "_rref_gf", spy)
+    assert kernel_basis(ExactMatrix.from_rows([[q, 1]]), QQ) == [[Fraction(-1, q), 1]]
+    assert primes[0] == q and len(primes) >= 2
+
+
+def _hadamard_primes(data, seq):
+    """How many primes of seq the Hadamard stop of `rank` takes on data."""
+    full = min(len(data), len(data[0]))
+    h2 = min(prod(sorted((sum(v * v for v in vec) for vec in vecs), reverse=True)[:full])
+             for vecs in (data, list(zip(*data))))
+    return next(k for k in range(1, len(seq) + 1) if prod(seq[:k]) ** 2 > h2)
+
+
+def test_char0_rank_certified_by_a_kernel_of_several_primes(monkeypatch):
+    # rank 1 with entries near 2^59, so the Hadamard stop takes 6 primes.
+    # The kernel, -1/q1, -5/q1 and -7/q1 at column 0, needs 3 primes
+    # besides q1, which puts the pivot at column 1 and must not join them
+    seq = _primes_descending_from(_P_MAX_F64, 12)
+    row = [seq[0], 1, 5, 7]
+    data = [row, [(2**36 + 1) * v for v in row], [(2**36 + 3) * v for v in row]]
+    assert rank_by_minors(data) == 1 and _hadamard_primes(data, seq) == 6
+    primes = _rank_gf_spy(monkeypatch)
+    assert rank(ExactMatrix.from_rows(data), QQ) == 1
+    assert primes == seq[:4]
+
+
+def test_char0_rank_falls_back_to_hadamard_when_no_kernel_lifts(monkeypatch):
+    # rank 2 with entries near 2^60 and int64: the kernel's entries are
+    # 2 x 2 minors, about 2^121, and would need more primes than the
+    # Hadamard stop, so every lift fails and the stop decides
+    seq = _primes_descending_from(_P_MAX_F64, 20)
+    rng = random.Random(7)
+    x = [rng.randrange(2**59, 2**60) for _ in range(3)]
+    y = [rng.randrange(2**59, 2**60) for _ in range(3)]
+    data = [x, y, [a - b for a, b in zip(x, y)]]
+    assert rank_by_minors(data) == 2
+    primes = _rank_gf_spy(monkeypatch)
+    assert rank(ExactMatrix.from_rows(data), QQ) == 2
+    assert primes == seq[:_hadamard_primes(data, seq)]
+
+
+def test_annihilation_check_is_exact_past_int64():
+    # 2^62 * 2 + 2^62 * 2 = 2^64 wraps to 0 in int64, so the check must
+    # take another route; entries past int64 take it too
+    block = np.array([[2**62, 2**62]], dtype=np.int64)
+    assert not exactla._annihilates(block, np.array([[2], [2]]))
+    assert exactla._annihilates(block, np.array([[2], [-2]]))
+    big = np.array([[2**70, 2**70 + 1]], dtype=object)
+    assert exactla._annihilates(big, np.array([[2**70 + 1], [-(2**70)]], dtype=object))
+    assert not exactla._annihilates(big, np.array([[1], [0]]))
 
 
 def test_gf_engines_agree():
