@@ -2,21 +2,23 @@
 
 This is the rank/kernel engine used by every other module; all
 computations are exact.  Every prime that `_f64_admits` (up to ~2^23)
-ranks in float64 (`_rank_gf_f64`), with the bulk of the work in float64
+ranks in floating point (`_rank_gf_f64`), with the bulk of the work in
 matrix products and delayed reduction: column blocks of up to 256 are
 factored on small copies, and the rest of the matrix takes one product
 per block.  Entries are integers whose magnitude the engine bounds as
 it goes, reduced mod p only where a pivot is searched or used and in
-bulk when the bound could reach 2^51.  Besides the matrix it holds a
-few blocks and one row slab.  Larger primes take the pivot count
-of `_rref_gf`, the int64 reduced row echelon form that yields every
-kernel basis: over GF(p) directly, over Q lifted by CRT and rational
-reconstruction.  Apart from the oracle's independent echelon, these two
-are the package's only eliminators.  Over Q the matrix, with
-denominators cleared, is made dense once and ranked modulo descending
-primes.  Each rank carries one of three certificates (see `rank`): full
-rank mod a prime, an exact kernel, or the Hadamard bound.  float64 is
-used only as an exact carrier of integers below 2^53.
+bulk when the bound could reach its carrier's limit: 2^22 in float32,
+which carries the primes up to 359 (`_carrier`), and 2^51 in float64.
+Besides the matrix it holds a few blocks and one row slab.  Larger
+primes take the pivot count of `_rref_gf`, the int64 reduced row
+echelon form that yields every kernel basis: over GF(p) directly, over
+Q lifted by CRT and rational reconstruction.  Apart from the oracle's
+independent echelon, these two are the package's only eliminators.
+Over Q the matrix, with denominators cleared, is made dense once and
+ranked modulo descending primes.  Each rank carries one of three
+certificates (see `rank`): full rank mod a prime, an exact kernel, or
+the Hadamard bound.  Floats are used only as exact carriers of
+integers: below 2^24 in float32 and below 2^53 in float64.
 
 `ExactMatrix` is immutable and stores three coordinate arrays, `row`
 and `col` (int64) and `val`, sorted column-major.  `val` is int64 when
@@ -35,23 +37,26 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-# float64 carries exact integers up to 2**53; the blocked GF(p) path
-# keeps every entry below _F64_SAFE = 2**51, which leaves room for the
-# rounding of the quotient in `_reduce_f64`.  _GF_BLOCK is its panel
-# width, the unit of its column blocks and the width `_f64_admits`
-# requires.  In the two-level engine, panels of 16, 64 and 128 were
-# within noise (about 10%) of 32 on the weight blocks of betti g = 12
-# over GF(3) and g = 13 over GF(113) and on the W_4 blocks of
-# koszul-resonance n = 7 over GF(5); none was faster, so 32 stays.
+# float64 carries exact integers up to 2**53 and float32 up to 2**24;
+# the blocked GF(p) path keeps every entry below _F64_SAFE = 2**51 or
+# _F32_SAFE = 2**22, which leaves room for the rounding of the quotient
+# in `_reduce_f64`.  _GF_BLOCK is its panel width, the unit of its
+# column blocks and the width `_f64_admits` and `_carrier` require.
+# In the two-level engine, panels of 16, 64 and 128 were within noise
+# (about 10%) of 32 on the weight blocks of betti g = 12 over GF(3) and
+# g = 13 over GF(113) and on the W_4 blocks of koszul-resonance n = 7
+# over GF(5); none was faster, so 32 stays.
 _GF_BLOCK = 32
 _F64_SAFE = 2**51
-# Row slabs of the float64 engine's trailing product and bulk reduction
-# hold at most this many cells (4 MB), well below the large matrices:
-# the 2100x2940 W_4 block (49 MB) takes 2^19 no slower than 2^23 did.
+_F32_SAFE = 2**22
+# Row slabs of the GF(p) engine's trailing product and bulk reduction,
+# and of the scatter into its dense array, hold at most this many cells
+# (4 MB in float64, 2 MB in float32), well below the large matrices: the
+# 2100x2940 W_4 block (49 MB in float64) takes 2^19 no slower than 2^23.
 _SLAB_CELLS = 2**19
 # int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
 # expands at most about _MATMUL_SLAB partial products (4 MB per array);
-# hermite --d 6 --i 7 peaks at 189 MB with it, 213 MB with 2^21.
+# hermite --d 6 --i 7 --char 5 peaks at 127 MB with it, 212 MB with 2^21.
 _I64 = 2**63
 _MATMUL_SLAB = 2**19
 
@@ -327,12 +332,20 @@ class ExactMatrix:
     def equals_mod(self, other: "ExactMatrix", f: FieldSpec) -> bool:
         """Entrywise equality over the given field: the difference
         vanishes.  In characteristic p every entry of both operands must
-        be an integer."""
+        be an integer.  Both operands are canonical, so on equal
+        coordinate arrays the values are compared directly, with no sort."""
         if self.shape != other.shape:
             return False
         p = f.characteristic
         if p:
             _integral(self.val, other.val)
+        if np.array_equal(self.row, other.row) and np.array_equal(self.col, other.col):
+            a, b = self.val, other.val
+            if not p:
+                return np.array_equal(a, b)
+            if a.dtype == object or b.dtype == object or _max_abs(a) + _max_abs(b) >= _I64:
+                a, b = a.astype(object), b.astype(object)
+            return not np.count_nonzero((a - b) % p)
         diff = (self - other).val
         return not np.count_nonzero(diff % p) if p else not diff.size
 
@@ -361,36 +374,50 @@ def _dense(m: ExactMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
-    """Dense residues mod p in [0, p) of an ExactMatrix, by one scatter
-    straight into `dtype` (float64 for the float64 engine, int64 for the
-    RREF), or of a dense integer array (int64 or object) of `rank`."""
+    """Dense residues mod p in [0, p) of an ExactMatrix, scattered
+    straight into `dtype` (the `_carrier` of p for the float engine,
+    int64 for the RREF) _SLAB_CELLS entries at a time, or of a dense
+    integer array (int64 or object) of `rank`."""
     if isinstance(m, np.ndarray):
         return np.remainder(m, p).astype(dtype, copy=False)
     a = np.zeros(m.shape, dtype=dtype)
     _integral(m.val)
-    a[m.row, m.col] = m.val % p
+    for s in range(0, m.nnz, _SLAB_CELLS):
+        e = s + _SLAB_CELLS
+        a[m.row[s:e], m.col[s:e]] = m.val[s:e] % p
     return a
 
 
-def _f64_fits(bound: int, width: int, p: int) -> bool:
-    """Do entries of magnitude <= bound stay below _F64_SAFE through
-    `width` more eliminations, each subtracting one product of two
-    reduced residues?  The single exactness inequality of the engine."""
-    return bound + width * (p - 1) * (p - 1) < _F64_SAFE
+def _f64_fits(bound: int, width: int, p: int, safe: int = _F64_SAFE) -> bool:
+    """Do entries of magnitude <= bound stay below `safe` (_F64_SAFE in
+    float64, _F32_SAFE in float32) through `width` more eliminations,
+    each subtracting one product of two reduced residues?  The single
+    exactness inequality of the engine."""
+    return bound + width * (p - 1) * (p - 1) < safe
 
 
 def _f64_admits(p: int) -> bool:
-    """Dispatch predicate: one full panel fits right after a bulk reduction."""
+    """Dispatch predicate: one full float64 panel fits right after a bulk
+    reduction."""
     return _f64_fits(p - 1, _GF_BLOCK, p)
+
+
+def _carrier(p: int):
+    """The narrowest float dtype in which one full panel fits right after
+    a bulk reduction: float32 for p <= 359, float64 above."""
+    return np.float32 if _f64_fits(p - 1, _GF_BLOCK, p, _F32_SAFE) else np.float64
 
 
 def _reduce_f64(x: np.ndarray, p: int) -> None:
     """Reduce integer-valued x in place to a residue of magnitude <= (p+1)//2.
 
-    For |x| < 2^51 every step is exact except the quotient x*(1/p), which
-    is off x/p by at most (|x|/p) 2^-52 (1 + 2^-53), a hair over 1/(2p).
+    x is float64 with |x| < 2^51 or float32 with |x| < 2^22, and every
+    step runs in x's dtype.  Each is exact except the quotient x*(1/p),
+    which is off x/p by at most (|x|/p) 2^-52 (1 + 2^-53) in float64 and
+    (|x|/p) 2^-23 (1 + 2^-24) in float32, a hair over 1/(2p) either way.
     So x - p*rint(x*(1/p)) is an integer congruent to x within
-    p/2 + 1/2 + 2^-54 of zero, hence within (p+1)//2 (for p = 2 the
+    p/2 + 1/2 + 2^-54 (2^-25 in float32) of zero, hence within (p+1)//2
+    (products below 2^24 stay exact in float32; for p = 2 the
     quotient is exact).  (p+1)//2 <= p-1 for every prime, so a product
     of two such residues is at most (p-1)^2, and a residue is zero
     exactly when x = 0 mod p.
@@ -424,7 +451,7 @@ def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
     for q0 in range(0, w, _GF_BLOCK):
         q1, k = min(q0 + _GF_BLOCK, w), len(piv)
         end = min(wide, w + k + q1 - q0)    # the coefficient columns in use
-        U = np.zeros((q1 - q0, end - q0))   # the panel's pivot rows, reduced
+        U = np.zeros((q1 - q0, end - q0), dtype=C.dtype)  # the panel's pivot rows, reduced
         for c in range(q0, q1):
             if len(piv) == mm:
                 return piv
@@ -453,12 +480,20 @@ def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
 
 
 def _rank_gf_f64(a: np.ndarray, p: int) -> int:
-    """Two-level blocked elimination mod p in float64, with delayed
-    reduction.  `a` holds reduced residues mod p (magnitude <= p-1); a
-    float64 `a` is eliminated in place, any other dtype converted once.
+    """Two-level blocked elimination mod p in float32 or float64, with
+    delayed reduction.  `a` holds reduced residues mod p (magnitude
+    <= p-1).  A float32 `a` runs in float32 if p <= 359 (`_carrier`),
+    with the bound safe = _F32_SAFE = 2^22; every other `a` runs in
+    float64, with safe = _F64_SAFE = 2^51.  Every temporary takes that
+    dtype.  A float64 `a`, or a float32 one at p <= 359, is eliminated
+    in place; any other is converted once, so a float32 `a` at a prime
+    that float32 cannot hold is never ranked inexactly.
 
     W is the widest multiple of _GF_BLOCK up to 256 that `_f64_fits`
-    admits (256 for p below ~2.9e6, 32 near 2^23).  A matrix no wider
+    admits below safe: in float64 256 for p below ~2.9e6 and 32 near
+    2^23, in float32 256 for p <= 127, 224 at 131, 128 at 163-181, 96 at
+    197 and 32 at 359.  Sums of products stay below safe, so below 2^24
+    in float32, and every sgemm/dgemm is exact.  A matrix no wider
     than W is eliminated in place by `_pivot_rows`, along its shorter
     side.  Otherwise the columns are cut into equal blocks of width at
     most W.  The un-eliminated rows of a block are copied into a
@@ -467,39 +502,42 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     row + Y (pivot rows) = its eliminated form.  So the trailing
     columns need no triangular solve: the non-pivot rows move into the
     places of the pivot rows below the first k (no other row moves) and
-    take one float64 product Y T of inner width k, T being the pivot
+    take one product Y T of inner width k, T being the pivot
     rows' trailing entries as before the block.
 
     Invariant: every entry of the un-eliminated rows, in C and in the
-    trailing columns, is an integer of magnitude <= `bound` < _F64_SAFE
+    trailing columns, is an integer of magnitude <= `bound` < safe
     (tracked, not measured).  Multipliers, pivot rows, Y and T are
     reduced (`_reduce_f64`), to magnitude <= p-1, so each pivot moves an
     entry by at most (p-1)^2: in C, in Y and in Y T alike, a block with
     k pivots raises the bound by at most k (p-1)^2.  Columns are reduced
     just before their search, and the trailing block in bulk when the
-    next block could break `_f64_fits`, after ~2^51 / (p-1)^2 pivots
-    (2^27 at p = 2^12): never for small primes.  The product and the
-    bulk reduction run in row slabs (`_row_slabs`).  Besides the matrix
-    the engine holds C and T with T's reduction, about 16 W (m + n)
-    bytes, and then Y, T and one slab of _SLAB_CELLS cells.
+    next block could break `_f64_fits`, after ~safe / (p-1)^2 pivots:
+    in float64 2^27 at p = 2^12, never for small primes; in float32 about
+    400 at p = 101 and 32 at p = 359.  The product and the bulk
+    reduction run in row slabs (`_row_slabs`).  Besides the matrix the
+    engine holds C and T with T's reduction, about 2 W (m + n) cells,
+    and then Y, T and one slab of _SLAB_CELLS cells.
     """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    A = np.asarray(a, dtype=np.float64)
-    width = max(w for w in range(_GF_BLOCK, 257, _GF_BLOCK) if _f64_fits(p - 1, w, p))
+    f32 = a.dtype == np.float32 and _carrier(p) == np.float32
+    A = np.asarray(a, dtype=np.float32 if f32 else np.float64)
+    safe = _F32_SAFE if f32 else _F64_SAFE
+    width = max(w for w in range(_GF_BLOCK, 257, _GF_BLOCK) if _f64_fits(p - 1, w, p, safe))
     if n <= width:
         return len(_pivot_rows(A.T, m, p) if m <= n else _pivot_rows(A, n, p))
     width = -(-n // -(-n // width))
     bound, r, c0 = p - 1, 0, 0
     while c0 < n and r < m:
         c1 = min(c0 + width, n)
-        if not _f64_fits(bound, c1 - c0, p):
+        if not _f64_fits(bound, c1 - c0, p, safe):
             for i, j in _row_slabs(r, m, n - c0):
                 _reduce_f64(A[i:j, c0:], p)
             bound = p - 1
         w, mm = c1 - c0, m - r
-        C = np.zeros((mm, w + min(w, mm) * (c1 < n)), order="F")
+        C = np.zeros((mm, w + min(w, mm) * (c1 < n)), dtype=A.dtype, order="F")
         C[:, :w] = A[r:, c0:c1]
         piv = np.array(_pivot_rows(C, w, p), dtype=np.int64)
         k = piv.size
@@ -525,7 +563,7 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
 def _rank_gf(m, p: int) -> int:
     """Rank mod p of an ExactMatrix or of a dense integer array."""
     if _f64_admits(p):
-        return _rank_gf_f64(_gf_array(m, p, np.float64), p)
+        return _rank_gf_f64(_gf_array(m, p, _carrier(p)), p)
     return len(_rref_gf(_gf_array(m, p), p)[1])
 
 

@@ -13,6 +13,7 @@ from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
                             _is_prime, _rank_gf_f64, _reduce_f64, _rref_gf)
+from syzygy.exactla import _F32_SAFE, _carrier
 
 from _oracles import (kernel_from_rref, nonzero_minor_exists, rank_by_minors,
                       rref_fraction, rref_mod_p)
@@ -644,6 +645,147 @@ def test_large_sparse_matrix_takes_the_dense_engine(monkeypatch):
     got = rank(m, GF(p))
     assert calls == [(rows, cols)]
     assert got == len(_rref_gf(_gf_array(m, p), p)[1]) == rows - 10
+
+
+# The float32 block width W of each prime below: the widest multiple of
+# 32 up to 256 with (p - 1) + W (p - 1)^2 < 2^22
+_F32_WIDTH = {2: 256, 3: 256, 5: 256, 101: 256, 197: 96, 359: 32}
+
+
+def test_f32_predicate_edge():
+    assert _carrier(2) is _carrier(5) is _carrier(359) is np.float32
+    assert _carrier(367) is _carrier(_P_MAX_F64) is np.float64
+    assert _f64_fits(358, _GF_BLOCK, 359, _F32_SAFE)
+    assert not _f64_fits(366, _GF_BLOCK, 367, _F32_SAFE)
+    # at 359 one pivot already forces a bulk reduction before the next panel
+    assert not _f64_fits(358 + 358**2, _GF_BLOCK, 359, _F32_SAFE)
+    for p, w in _F32_WIDTH.items():
+        assert _f64_fits(p - 1, w, p, _F32_SAFE)
+        assert w == 256 or not _f64_fits(p - 1, w + _GF_BLOCK, p, _F32_SAFE)
+
+
+def test_reduce_f64_balanced_and_exact_in_float32():
+    rng = random.Random(83)
+    lim = _F32_SAFE - 1
+    for p in (2, 3, 5, 7, 11, 101, 127, 131, 197, 331, 359):
+        q = lim // p
+        xs = list(range(-lim, -lim + 2000)) + list(range(lim - 2000, lim + 1))
+        xs += list(range(-2000, 2001)) + [rng.randrange(-lim, lim + 1) for _ in range(4000)]
+        xs += [q * p, -q * p, q * p + p // 2, q * p - p // 2, -(q * p + p // 2),
+               (q - 1) * p + (p + 1) // 2]
+        x = np.array(xs, dtype=np.float32)
+        assert x.astype(np.int64).tolist() == xs        # every input is exact
+        _reduce_f64(x, p)
+        assert x.dtype == np.float32
+        after = x.astype(np.int64)
+        assert (after == x).all() and np.abs(after).max() <= (p + 1) // 2
+        assert not ((np.array(xs) - after) % p).any()
+
+
+@st.composite
+def _blocked_f32_matrices(draw):
+    """Residue matrices for the float32 engine over three or more column
+    blocks of its width W (`_F32_WIDTH`), as `_blocked_gf_matrices`:
+    wide, tall (rank <= 48), or wide with rows that run out in the second
+    block, and one whole block zero or a repeat of the block before it.
+    At 359 the blocks are 32 wide, so one pivot fills the bound."""
+    p = draw(st.sampled_from(tuple(_F32_WIDTH)))
+    big = _F32_WIDTH[p]
+    n = draw(st.integers(2 * big + 1, 900 if big > 96 else 400))
+    if p == 359:                            # blocks of exactly 32 columns
+        n = -(-n // big) * big
+    width = -(-n // -(-n // big))
+    shape = draw(st.sampled_from(("wide", "tall", "rows run out")))
+    if shape == "wide":
+        m = draw(st.integers(1, 80))
+        r = draw(st.integers(0, m))
+    elif shape == "tall":
+        m = draw(st.integers(n + 1, n + 40))
+        r = draw(st.integers(0, 48))
+    else:
+        m = r = draw(st.integers(width + 1, width + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+    b0 = draw(st.integers(0, (n - 1) // width)) * width
+    b1 = min(b0 + width, n)
+    band = draw(st.sampled_from(("zero", "repeat")))
+    if band == "zero" or not b0:
+        a[:, b0:b1] = 0
+    else:
+        a[:, b0:b1] = a[:, b0 - width:b1 - width]
+    return a, p, r, width
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_blocked_f32_matrices())
+def test_gf_f32_blocks_match_the_echelon_forms(case):
+    a, p, r, width = case
+    m, n = a.shape
+    b = a.astype(np.float32)                # eliminated in place
+    dtypes, bulk = [], []
+
+    def spy(x, q):
+        dtypes.append(x.dtype)
+        if x.ndim == 2 and np.shares_memory(x, b):
+            bulk.append(x.shape)            # not a copy: a bulk reduction
+        _reduce_f64(x, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_reduce_f64", spy)
+        got = _rank_gf_f64(b, p)
+    pivots = _rref_gf(a.copy(), p)[1]
+    assert got == len(pivots) <= r
+    if m <= 48:                             # small enough for plain lists
+        assert got == len(rref_mod_p(a.tolist(), p)[1])
+    assert dtypes and all(d == np.float32 for d in dtypes)
+    if p == 359:
+        # one block of 32 pivots at most fills the bound, so every block
+        # after one with a pivot starts by reducing the rows and columns left
+        for c0 in range(width, n, width):
+            done = sum(c < c0 for c in pivots)
+            if sum(c < c0 - width for c in pivots) < done < m:
+                assert (m - done, n - c0) in bulk
+
+
+def test_rank_hands_the_engine_its_carrier(monkeypatch):
+    dtypes = []
+
+    def spy(a, q):
+        dtypes.append((q, a.dtype))
+        return _rank_gf_f64(a, q)
+
+    monkeypatch.setattr(exactla, "_rank_gf_f64", spy)
+    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    for p in (5, 359, 367):
+        assert rank(m, GF(p)) == 3
+    assert dtypes == [(5, np.float32), (359, np.float32), (367, np.float64)]
+    dtypes.clear()
+    assert rank(m, QQ) == 3
+    assert [d for _, d in dtypes] == [np.float64]
+    # a float32 array at a prime float32 cannot hold is ranked in float64
+    p = 65521
+    a = np.random.default_rng(89).integers(0, p, (40, 300))
+    a[20:] = a[:20] * 3 % p
+    assert _rank_gf_f64(a.astype(np.float32), p) == 20
+
+
+def test_rank_mod_small_prime_stays_below_the_f64_dense_size():
+    # the float32 carrier and the scattered residues: the dense array is
+    # half the float64 one, and neither the scatter nor the engine's
+    # temporaries make up the difference
+    rows, cols = 2000, 2400
+    a = np.random.default_rng(71).integers(0, 5, (rows, cols))
+    r, c = np.nonzero(a)
+    m = ExactMatrix(rows, cols, (r, c, a[r, c]))
+    del a, r, c
+    tracemalloc.start()
+    try:
+        got = rank(m, GF(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == rows                      # random mod 5: full rank
+    assert peak < 0.8 * rows * cols * 8
 
 
 def test_graded_rank_matches_plain_rank():
