@@ -8,7 +8,7 @@ factored on small copies, and the rest of the matrix takes one product
 per block.  Entries are integers whose magnitude the engine bounds as
 it goes, reduced mod p only where a pivot is searched or used and in
 bulk when the bound could reach its carrier's limit: 2^22 in float32,
-which carries the primes up to 359 (`_carrier`), and 2^51 in float64.
+which carries the primes up to 199 (`_carrier`), and 2^51 in float64.
 Besides the matrix it holds a few blocks and one row slab.  Larger
 primes take the pivot count of `_rref_gf`, the int64 reduced row
 echelon form that yields every kernel basis: over GF(p) directly, over
@@ -41,7 +41,7 @@ import numpy as np
 # the blocked GF(p) path keeps every entry below _F64_SAFE = 2**51 or
 # _F32_SAFE = 2**22, which leaves room for the rounding of the quotient
 # in `_reduce_f64`.  _GF_BLOCK is its panel width, the unit of its
-# column blocks and the width `_f64_admits` and `_carrier` require.
+# column blocks and the width `_f64_admits` requires.
 # In the two-level engine, panels of 16, 64 and 128 were within noise
 # (about 10%) of 32 on the weight blocks of betti g = 12 over GF(3) and
 # g = 13 over GF(113) and on the W_4 blocks of koszul-resonance n = 7
@@ -49,6 +49,14 @@ import numpy as np
 _GF_BLOCK = 32
 _F64_SAFE = 2**51
 _F32_SAFE = 2**22
+# float32 carries a prime only if it allows blocks of at least this many
+# columns.  Ranking the captured blocks of koszul-resonance n = 7 in
+# each carrier (2 CPUs, OpenBLAS), float32 ties float64 at W = 96
+# (p = 197, 199) but loses at W = 64 (p = 211: 0.38 s against 0.33 s;
+# 251: 0.40 against 0.32) and at W = 32 (293, 359: 0.6 against 0.3):
+# narrow blocks take more passes over the trailing matrix and a bulk
+# reduction before nearly every block.
+_F32_MIN_WIDTH = 3 * _GF_BLOCK
 # Row slabs of the GF(p) engine's trailing product and bulk reduction,
 # and of the scatter into its dense array, hold at most this many cells
 # (4 MB in float64, 2 MB in float32), well below the large matrices: the
@@ -403,9 +411,11 @@ def _f64_admits(p: int) -> bool:
 
 
 def _carrier(p: int):
-    """The narrowest float dtype in which one full panel fits right after
-    a bulk reduction: float32 for p <= 359, float64 above."""
-    return np.float32 if _f64_fits(p - 1, _GF_BLOCK, p, _F32_SAFE) else np.float64
+    """The float dtype of the engine at p: float32 where blocks of
+    _F32_MIN_WIDTH columns fit below _F32_SAFE right after a bulk
+    reduction (p <= 199), float64 above.  float32 would stay exact up to
+    p = 359, but with blocks too narrow to be faster."""
+    return np.float32 if _f64_fits(p - 1, _F32_MIN_WIDTH, p, _F32_SAFE) else np.float64
 
 
 def _reduce_f64(x: np.ndarray, p: int) -> None:
@@ -482,17 +492,17 @@ def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
 def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     """Two-level blocked elimination mod p in float32 or float64, with
     delayed reduction.  `a` holds reduced residues mod p (magnitude
-    <= p-1).  A float32 `a` runs in float32 if p <= 359 (`_carrier`),
+    <= p-1).  A float32 `a` runs in float32 if p <= 199 (`_carrier`),
     with the bound safe = _F32_SAFE = 2^22; every other `a` runs in
     float64, with safe = _F64_SAFE = 2^51.  Every temporary takes that
-    dtype.  A float64 `a`, or a float32 one at p <= 359, is eliminated
+    dtype.  A float64 `a`, or a float32 one at p <= 199, is eliminated
     in place; any other is converted once, so a float32 `a` at a prime
-    that float32 cannot hold is never ranked inexactly.
+    outside `_carrier`'s float32 range is never ranked inexactly.
 
     W is the widest multiple of _GF_BLOCK up to 256 that `_f64_fits`
     admits below safe: in float64 256 for p below ~2.9e6 and 32 near
-    2^23, in float32 256 for p <= 127, 224 at 131, 128 at 163-181, 96 at
-    197 and 32 at 359.  Sums of products stay below safe, so below 2^24
+    2^23, in float32 256 for p <= 127, 224 at 131, 128 at 163-181 and 96
+    at 197-199.  Sums of products stay below safe, so below 2^24
     in float32, and every sgemm/dgemm is exact.  A matrix no wider
     than W is eliminated in place by `_pivot_rows`, along its shorter
     side.  Otherwise the columns are cut into equal blocks of width at
@@ -514,7 +524,7 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     just before their search, and the trailing block in bulk when the
     next block could break `_f64_fits`, after ~safe / (p-1)^2 pivots:
     in float64 2^27 at p = 2^12, never for small primes; in float32 about
-    400 at p = 101 and 32 at p = 359.  The product and the bulk
+    400 at p = 101 and 107 at p = 199.  The product and the bulk
     reduction run in row slabs (`_row_slabs`).  Besides the matrix the
     engine holds C and T with T's reduction, about 2 W (m + n) cells,
     and then Y, T and one slab of _SLAB_CELLS cells.
