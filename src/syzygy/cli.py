@@ -19,12 +19,18 @@ from .hermite import psi_compat_check, psi_map
 from .koszul import (NONTRIVIAL, TRIVIAL, chow_member, hilbert_bound,
                      random_koszul_input, resonance_trivial)
 from .reps import lowering, raising
-from .tangent import GuardExceeded, _check_guard, betti_table, weyman_dim
+from .tangent import betti_table, weyman_dim
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
+
+# The package's only resource guard, on g alone (the library computes at
+# every g): `betti` and `selfcheck` refuse g > DELTA2_G_MAX, and
+# `betti-oracle` refuses g > ORACLE_G_MAX, unless --override-guard is given.
+DELTA2_G_MAX = 12
+ORACLE_G_MAX = 7
 
 
 class CliError(Exception):
@@ -38,6 +44,12 @@ def _field(char: int) -> FieldSpec:
         return FieldSpec(char)
     except ValueError as e:
         raise CliError(str(e))
+
+
+def _check_guard(g: int, args, limit: int):
+    if g > limit and not args.override_guard:
+        raise CliError(f"g={g} exceeds the guard ({limit}); pass --override-guard",
+                       EXIT_GUARD)
 
 
 def _parse_range(spec: str):
@@ -70,7 +82,8 @@ def cmd_betti(args) -> int:
     f = _field(args.char)
     if args.g < 3:
         raise CliError("need --g >= 3")
-    bt = betti_table(args.g, f, override_guard=args.override_guard)
+    _check_guard(args.g, args, DELTA2_G_MAX)
+    bt = betti_table(args.g, f)
     payload = {
         "g": bt.g,
         "char": bt.characteristic,
@@ -100,14 +113,12 @@ def cmd_betti_oracle(args) -> int:
     f = _field(args.char)
     if args.g < 3:
         raise CliError("need --g >= 3")
+    _check_guard(args.g, args, ORACLE_G_MAX)
     vals = {}
     for i in range(1, args.g - 1):
         for j in (1, 2):
-            vals[f"{i},{j}"] = oracle.oracle_kij(
-                args.g, i, j, f, override_guard=args.override_guard)
-    dims = {str(n): oracle.ring_dim(args.g, n, f,
-                                    override_guard=args.override_guard)
-            for n in range(0, 4)}
+            vals[f"{i},{j}"] = oracle.oracle_kij(args.g, i, j, f)
+    dims = {str(n): oracle.ring_dim(args.g, n, f) for n in range(0, 4)}
     payload = {"g": args.g, "char": f.characteristic, "kij": vals,
                "ring_dims": dims, "version": __version__}
     lines = [f"oracle syzygies, g={args.g}, char={f.characteristic}"]
@@ -255,7 +266,7 @@ def cmd_hermite(args) -> int:
 # selfcheck
 # ---------------------------------------------------------------------------
 
-def _selfcheck_suites(g_max: int, override_guard: bool):
+def _selfcheck_suites(g_max: int):
     from .exactla import GF, QQ, kernel_basis
     from .reps import delta1, wahl_mu1
     from .tangent import (complex_J, compose_symmetrized, _j_gens,
@@ -308,7 +319,7 @@ def _selfcheck_suites(g_max: int, override_guard: bool):
     def betti_suite():
         for g in range(3, g_max + 1):
             for f in (QQ, GF(5), GF(7)):
-                bt = betti_table(g, f, override_guard)
+                bt = betti_table(g, f)
                 if bt.duality_ok is False:
                     raise AssertionError(f"duality fails g={g} {f}")
             for i in range(1, g - 1):
@@ -325,8 +336,8 @@ def cmd_selfcheck(args) -> int:
     if args.g_max < 3:
         raise CliError("need --g-max >= 3")
     # the betti suite runs last: check its guard before any suite runs
-    _check_guard(args.g_max, args.override_guard)
-    suites = _selfcheck_suites(args.g_max, args.override_guard)
+    _check_guard(args.g_max, args, DELTA2_G_MAX)
+    suites = _selfcheck_suites(args.g_max)
     failures = []
     lines = []
     for name, fn in suites:
@@ -358,23 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Koszul-module and tangent-developable computations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
-        p.add_argument("--char", type=int, default=0,
-                       help="field characteristic (0 = rationals)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--override-guard", action="store_true")
-        if fmt:
-            p.add_argument("--format", choices=("table", "json", "csv"),
-                           default="table")
+    def common(p, char=True, seed=False, guard=False):
+        """The shared flags, each on the subcommands that read it."""
+        if char:
+            p.add_argument("--char", type=int, default=0,
+                           help="field characteristic (0 = rationals)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if guard:
+            p.add_argument("--override-guard", action="store_true",
+                           help="compute past the resource guard on g")
+        p.add_argument("--format", choices=("table", "json", "csv"),
+                       default="table")
 
     p = sub.add_parser("betti", help="Betti table of the tangent developable")
     p.add_argument("--g", type=int, required=True)
-    common(p)
+    common(p, guard=True)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("betti-oracle", help="brute-force syzygies from the parametrization")
     p.add_argument("--g", type=int, required=True)
-    common(p)
+    common(p, guard=True)
     p.set_defaults(fn=cmd_betti_oracle)
 
     p = sub.add_parser("weyman", help="graded dimensions of a Weyman module")
@@ -388,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--budget", type=int, default=koszul.DEFAULT_POINT_BUDGET)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_koszul_resonance)
 
     p = sub.add_parser("chow", help="Cayley-Chow membership sampling (m = 2n-3)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_chow)
 
     p = sub.add_parser("hermite", help="verify the reciprocity isomorphism")
@@ -405,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the package invariant suites")
     p.add_argument("--g-max", type=int, default=6)
-    common(p)
+    common(p, char=False, guard=True)
     p.set_defaults(fn=cmd_selfcheck)
     return ap
 
@@ -419,11 +434,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as e:
-        sys.stderr.write(f"error: {e}\n")
+        label = "resource guard" if e.code == EXIT_GUARD else "error"
+        sys.stderr.write(f"{label}: {e}\n")
         return e.code
-    except GuardExceeded as e:
-        sys.stderr.write(f"resource guard: {e}\n")
-        return EXIT_GUARD
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INVALID

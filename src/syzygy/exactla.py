@@ -216,10 +216,6 @@ class ExactMatrix:
         d = np.arange(n, dtype=np.int64)
         return cls._of(n, n, d, d, np.ones(n, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
     @property
     def nnz(self) -> int:
         return self.val.size
@@ -331,9 +327,6 @@ class ExactMatrix:
         parts = zip(*((m.row, m.col + o, m.val) for m, o in zip(mats, off)))
         return ExactMatrix._of(mats[0].rows, int(off[-1]), *map(np.concatenate, parts))
 
-    def to_dense(self):
-        return _dense(self).tolist()
-
     def is_zero(self) -> bool:
         return not self.nnz
 
@@ -385,9 +378,13 @@ def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
     """Dense residues mod p in [0, p) of an ExactMatrix, scattered
     straight into `dtype` (the `_carrier` of p for the float engine,
     int64 for the RREF) _SLAB_CELLS entries at a time, or of a dense
-    integer array (int64 or object) of `rank`."""
+    integer array (int64 or object) of `rank`.  An int64 array is reduced
+    straight into the result, with no int64 copy; numpy will not cast an
+    object result to float, so an object array takes one."""
     if isinstance(m, np.ndarray):
-        return np.remainder(m, p).astype(dtype, copy=False)
+        if m.dtype == object:
+            return np.remainder(m, p).astype(dtype, copy=False)
+        return np.remainder(m, p, out=np.empty(m.shape, dtype=dtype))
     a = np.zeros(m.shape, dtype=dtype)
     _integral(m.val)
     for s in range(0, m.nnz, _SLAB_CELLS):

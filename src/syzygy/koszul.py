@@ -20,11 +20,11 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec, kernel_basis, rank
+from .exactla import ExactMatrix, FieldSpec, _integer_rows, kernel_basis, rank
 from .reps import RepSpace, generic_koszul_delta
 
 TRIVIAL = "trivial"
@@ -109,17 +109,11 @@ def random_koszul_input(n: int, m: int, f: FieldSpec, seed: int) -> KoszulInput:
 def _quotient_projection(k: KoszulInput):
     """Projection Wedge^2 V -> Wedge^2 V / K in coordinates.
 
-    Its rows are the vectors of `k_perp_basis(k)`, each scaled by the
-    lcm of its denominators, which keeps every rank built from it.
+    Its rows are the vectors of `k_perp_basis(k)`, each scaled to
+    integers by `_integer_rows`, which keeps every rank built from it.
     """
-    basis = k_perp_basis(k)
-    ent = {}
-    for i, v in enumerate(basis):
-        scale = lcm(*(x.denominator for x in v))
-        for c, x in enumerate(v):
-            if x:
-                ent[(i, c)] = int(x * scale)
-    return ExactMatrix(len(basis), comb(k.n, 2), ent)
+    basis = ExactMatrix.from_columns(k_perp_basis(k), comb(k.n, 2))
+    return _integer_rows(basis.transpose())
 
 
 def _w_matrix(k: KoszulInput, q: int, proj: ExactMatrix) -> ExactMatrix:

@@ -23,6 +23,10 @@ Two charts are available:
 Syzygy groups are computed as the middle homology of the standard
 3-term complexes over the ambient polynomial ring, using explicit
 multiplication on column-reduced graded bases of R.
+
+This module is independent of `tangent`, which it cross-checks, and
+imports nothing from it.  Its cost grows steeply with g, but nothing
+here limits g: the command line (`cli`) guards `betti-oracle`.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
-from .tangent import _check_guard
-
-ORACLE_G_MAX = 7
 
 
 def _z_polys(g: int, p: int, chart: str):
@@ -225,12 +226,10 @@ class ParamRing:
         return coeffs
 
 
-def ring_dim(g: int, n: int, f: FieldSpec, chart: str = "jet",
-             override_guard: bool = False) -> int:
+def ring_dim(g: int, n: int, f: FieldSpec, chart: str = "jet") -> int:
     """dim R_n, the Hilbert function of the tangent developable at n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_guard(g, override_guard, ORACLE_G_MAX)
     return _ring(g, f, chart).dim(n)
 
 
@@ -276,8 +275,7 @@ def _wedge_weights(ring: ParamRing, i: int, n: int):
     return [sum(A) + w for A in wlabels for (w, _) in blabels]
 
 
-def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet",
-               override_guard: bool = False) -> int:
+def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet") -> int:
     """dim K_{i,j} of the tangent developable, as the middle homology of
 
         Wedge^{i+1} W (x) R_{j-1} -> Wedge^i W (x) R_j -> Wedge^{i-1} W (x) R_{j+1}
@@ -287,7 +285,6 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet",
     """
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    _check_guard(g, override_guard, ORACLE_G_MAX)
     ring = _ring(g, f, chart)
     out = _wedge_mult_matrix(ring, i, j)
     into = _wedge_mult_matrix(ring, i + 1, j - 1) if j >= 1 else \

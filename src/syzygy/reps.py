@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
 
 import numpy as np
 
@@ -325,23 +324,18 @@ def contract(exps):
 # Lowering / raising operators
 # ---------------------------------------------------------------------------
 
-def _op_terms(space: RepSpace, label, lower: bool):
-    """Terms of L or R applied to one basis label, as (label, coeff) pairs."""
+def _op_terms(space: RepSpace, label):
+    """Terms of L applied to one basis label, as (label, coeff) pairs."""
     k = space.kind
     if k == "sym":
-        e, d = label, space.d
-        if lower:
-            return [(e - 1, e)] if e >= 1 else []
-        return [(e + 1, d - e)] if e < d else []
+        return [(label - 1, label)] if label >= 1 else []
     if k == "div":
         e, d = label, space.d
-        if lower:
-            return [(e - 1, d - e + 1)] if e >= 1 else []
-        return [(e + 1, e + 1)] if e < d else []
+        return [(e - 1, d - e + 1)] if e >= 1 else []
     if k == "tensor":
         out = []
         for pos, (sp, lab) in enumerate(zip(space.factors, label)):
-            for nl, c in _op_terms(sp, lab, lower):
+            for nl, c in _op_terms(sp, lab):
                 out.append((label[:pos] + (nl,) + label[pos + 1:], c))
         return out
     if k == "wedge":
@@ -350,7 +344,7 @@ def _op_terms(space: RepSpace, label, lower: bool):
         exps = label
         present = set(exps)
         for pos, e in enumerate(exps):
-            for nl, c in _op_terms(inner, e, lower):
+            for nl, c in _op_terms(inner, e):
                 if nl in present:
                     continue
                 out.append((exps[:pos] + (nl,) + exps[pos + 1:], c))
@@ -366,7 +360,7 @@ def _op_terms(space: RepSpace, label, lower: bool):
             seen.add(e)
             mult = padded.count(e)
             rest = label[:pos] + label[pos + 1:]   # drop one x_e; zeros are implicit
-            for nl, c in _op_terms(inner, e, lower):
+            for nl, c in _op_terms(inner, e):
                 out.append((insert_part(rest, nl), mult * c))
         return out
     raise ValueError(f"no sl2 action on {space!r}")
@@ -374,43 +368,20 @@ def _op_terms(space: RepSpace, label, lower: bool):
 
 @functools.lru_cache(maxsize=None)
 def lowering(space: RepSpace) -> RepMap:
-    return _build(space, space, lambda lab: _op_terms(space, lab, True), "L")
+    return _build(space, space, lambda lab: _op_terms(space, lab), "L")
 
 
 @functools.lru_cache(maxsize=None)
 def raising(space: RepSpace) -> RepMap:
-    return _build(space, space, lambda lab: _op_terms(space, lab, False), "R")
+    """R = F L F^-1: the Weyl flip F exchanges x and 1, so it conjugates
+    the lowering operator into the raising one."""
+    flip = space.flip
+    return RepMap(space, space, lowering(space).matrix.permuted(flip, flip), "R")
 
 
 # ---------------------------------------------------------------------------
 # The equivariant maps
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def d_to_sym(d: int) -> RepMap:
-    """D^d U -> Sym^d U, x^(e) -> C(d, e) x^e.  Isomorphism iff no
-    binomial C(d, e) vanishes in the field."""
-    return _build(RepSpace.div(d), RepSpace.sym(d),
-                  lambda e: ((e, comb(d, e)),), f"d_to_sym({d})")
-
-
-@functools.lru_cache(maxsize=None)
-def mul(a: int, b: int) -> RepMap:
-    """Multiplication Sym^a U (x) Sym^b U -> Sym^{a+b} U."""
-    src = RepSpace.tensor([RepSpace.sym(a), RepSpace.sym(b)])
-    return _build(src, RepSpace.sym(a + b), lambda ij: ((ij[0] + ij[1], 1),),
-                  f"mul({a},{b})")
-
-
-@functools.lru_cache(maxsize=None)
-def comul(a: int, b: int) -> RepMap:
-    """Co-multiplication D^{a+b} U -> D^a U (x) D^b U."""
-    tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.div(b)])
-    return _build(RepSpace.div(a + b), tgt,
-                  lambda t: (((i, t - i), 1)
-                             for i in range(max(0, t - b), min(a, t) + 1)),
-                  f"comul({a},{b})")
-
 
 @functools.lru_cache(maxsize=None)
 def wahl_mu1(a: int) -> RepMap:
@@ -445,18 +416,6 @@ def delta1(a: int) -> RepMap:
 
     return _build(RepSpace.div(2 * a - 2), RepSpace.wedge(2, RepSpace.div(a)),
                   image, f"delta1({a})")
-
-
-@functools.lru_cache(maxsize=None)
-def comul2(a: int) -> RepMap:
-    """D^{a+2} U -> D^a U (x) Sym^2 U: co-multiplication followed by
-    the divided-to-symmetric square; the middle coefficient C(2,1)=2
-    dies in characteristic 2."""
-    tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.sym(2)])
-    return _build(RepSpace.div(a + 2), tgt,
-                  lambda t: (((t - u, u), comb(2, u))
-                             for u in range(3) if 0 <= t - u <= a),
-                  f"comul2({a})")
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,11 +15,14 @@ reduces to kernels and cokernels of constant integer matrices:
   degree g-1 and the whole resolution is a single Eagon-Northcott
   linear strand with the closed-form ranks i * C(g-1, i+1).
 
-The explicit complexes F (resolution of the parametrizing ring), J
-(linear complex with homology k and the canonical module) and K (the
-Koszul complex), together with the chain maps between them, are built
-at generator level so that all the commuting squares can be checked as
-exact matrix identities.
+The explicit complexes F (resolution of the parametrizing ring) and J
+(linear complex with homology k and the canonical module), together
+with the chain maps q : F -> J and p from J into the generators of the
+Koszul complex K, are built at generator level so that all the
+commuting squares can be checked as exact matrix identities.
+
+Nothing here limits g: the resource guard on g is a policy of the
+command line (`cli`), and the library computes at every g.
 """
 
 from __future__ import annotations
@@ -30,21 +33,7 @@ from math import comb
 
 from .exactla import ExactMatrix, FieldSpec
 from .hermite import psi_map
-from .reps import (RepMap, RepSpace, _build, column_shift, contract,
-                   insert_part, koszul_k)
-
-DELTA2_G_MAX = 12
-
-
-class GuardExceeded(Exception):
-    """Raised when a computation exceeds its resource guard; pass
-    override_guard=True to proceed anyway."""
-
-
-def _check_guard(g: int, override: bool, limit: int = DELTA2_G_MAX):
-    if g > limit and not override:
-        raise GuardExceeded(
-            f"g={g} exceeds the guard ({limit}); pass override_guard=True")
+from .reps import RepMap, RepSpace, _build, column_shift, contract, insert_part
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +107,15 @@ def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
     return cycles - _delta2_rank(a + q + 1, a - 1, f)
 
 
-def k_i1(g: int, i: int, f: FieldSpec, override_guard: bool = False) -> int:
+def k_i1(g: int, i: int, f: FieldSpec) -> int:
     """dim K_{i,1} of the tangent developable: the kernel of delta2.
     Valid in arbitrary characteristic."""
-    _check_guard(g, override_guard)
     return delta2_map(g, i).source.dim - _delta2_rank(g, i, f)
 
 
-def k_i2(g: int, i: int, f: FieldSpec, override_guard: bool = False) -> int:
+def k_i2(g: int, i: int, f: FieldSpec) -> int:
     """dim K_{i,2} of the tangent developable, as the graded piece
     W^{(i+2)}_{g-3-i} of a Weyman module.  Characteristic != 2."""
-    _check_guard(g, override_guard)
     if not (1 <= i <= g - 3):
         raise ValueError(f"need 1 <= i <= g-3, got i={i}, g={g}")
     if f.characteristic == 2:
@@ -158,7 +145,7 @@ class BettiTable:
         return range(self.g - 1)
 
 
-def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTable:
+def betti_table(g: int, f: FieldSpec) -> BettiTable:
     """The full graded Betti table of the degree-g tangent developable.
 
     For characteristic != 2 row 1 comes from delta2 kernels and row 2
@@ -172,7 +159,6 @@ def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTabl
     """
     if g < 3:
         raise ValueError("need g >= 3")
-    _check_guard(g, override_guard)
     rows = g - 1
     entries = [[0] * 4 for _ in range(rows)]
     methods = [["shape"] * 4 for _ in range(rows)]
@@ -187,10 +173,10 @@ def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTabl
     entries[g - 2][3] = 1
     methods[g - 2][3] = "corner"
     for i in range(1, g - 1):
-        entries[i][1] = k_i1(g, i, f, override_guard)
+        entries[i][1] = k_i1(g, i, f)
         methods[i][1] = "delta2"
     for i in range(1, g - 2):
-        entries[i][2] = k_i2(g, i, f, override_guard)
+        entries[i][2] = k_i2(g, i, f)
         methods[i][2] = "weyman"
     duality = all(entries[i][1] == entries[g - 2 - i][2] for i in range(1, g - 2))
     # the shape forces b_{g-2,1} = 0 away from characteristic 2
@@ -199,7 +185,7 @@ def betti_table(g: int, f: FieldSpec, override_guard: bool = False) -> BettiTabl
 
 
 # ---------------------------------------------------------------------------
-# The complexes F, J, K at generator level
+# The complexes F and J at generator level
 # ---------------------------------------------------------------------------
 #
 # A linear complex of free S-modules (S the polynomial ring on the
@@ -229,27 +215,12 @@ class GradedComplex:
 
 
 @functools.lru_cache(maxsize=None)
-def _smono(g: int, k: int) -> RepSpace:
-    """Degree-k monomials of S = Sym(Sym^g U) as a sym-power space."""
-    return RepSpace.sym_power(k, RepSpace.sym(g))
-
-
-@functools.lru_cache(maxsize=None)
 def _mult_left(inner: RepSpace, k: int) -> RepMap:
     """Multiplication inner (x) Sym^k(inner) -> Sym^{k+1}(inner):
     reps.sympow_mul(k, inner) with its tensor factors swapped."""
     src = RepSpace.tensor([inner, RepSpace.sym_power(k, inner)])
     return _build(src, RepSpace.sym_power(k + 1, inner),
                   lambda lab: ((insert_part(lab[1], lab[0]), 1),), f"mult_left({k})")
-
-
-def realize_block(block: ExactMatrix, src_gens: RepSpace, tgt_gens: RepSpace,
-                  g: int, k: int) -> ExactMatrix:
-    """Realize gens -> gens' (x) Sym^g U at S-degree k of the source:
-    the map gens (x) S_k -> gens' (x) S_{k+1}, that is block (x) id on
-    S_k followed by multiplying Sym^g U into S_k."""
-    mult = ExactMatrix.identity(tgt_gens.dim).kron(_mult_left(RepSpace.sym(g), k).matrix)
-    return mult @ block.kron(ExactMatrix.identity(_smono(g, k).dim))
 
 
 def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
@@ -338,18 +309,6 @@ def _j_diff(g: int, i: int) -> ExactMatrix:
 @functools.lru_cache(maxsize=None)
 def _k_gens(g: int, i: int) -> RepSpace:
     return RepSpace.wedge(i, RepSpace.sym(g))
-
-
-@functools.lru_cache(maxsize=None)
-def complex_K(g: int) -> GradedComplex:
-    """The Koszul complex on Sym^g U resolving the residue field."""
-    terms = [[Summand(_k_gens(g, i), i)] for i in range(g + 2)]
-    diffs = [None]
-    for i in range(1, g + 2):
-        # koszul_k already targets Tensor([Wedge^{i-1}, Sym^g]), the
-        # gens (x) Sym^g U layout used by every block here
-        diffs.append({(0, 0): koszul_k(i, g).matrix})
-    return GradedComplex(g, terms, diffs)
 
 
 # ---------------------------------------------------------------------------

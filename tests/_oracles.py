@@ -5,7 +5,8 @@ polynomials are plain exponent-dicts, Schur polynomials come from the
 dual Jacobi-Trudi determinant (a different rule than the Pieri
 iteration under test), and ranks come from minor expansion.  The last
 section holds per-point and presentation references built from package
-primitives, which no code in the package calls.
+primitives, which no code in the package calls, and the maps, complexes
+and matrix helpers that only the tests use.
 """
 
 import functools
@@ -16,7 +17,8 @@ from math import comb
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
-from syzygy.reps import delta1
+from syzygy.reps import RepSpace, _build, delta1, koszul_k
+from syzygy.tangent import GradedComplex, Summand, _k_gens, _mult_left
 
 
 # -- symbolic polynomials in z_1..z_k as {exponent tuple: coeff} --------------
@@ -410,3 +412,75 @@ def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
     ent = {(pos[pairs[r][::-1]], c): -v for (r, c), v in d1.matrix.items()}
     kgens = ExactMatrix(comb(n, 2), d1.source.dim, ent)
     return KoszulInput(n, kgens, f)
+
+
+# -- matrix helpers, maps and complexes that only the tests use ---------------
+
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols)
+
+
+def to_dense(m: ExactMatrix):
+    """m as a list of rows of Python ints and Fractions."""
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.items():
+        out[r][c] = v
+    return out
+
+
+def d_to_sym(d: int):
+    """D^d U -> Sym^d U, x^(e) -> C(d, e) x^e.  Isomorphism iff no
+    binomial C(d, e) vanishes in the field."""
+    return _build(RepSpace.div(d), RepSpace.sym(d),
+                  lambda e: ((e, comb(d, e)),), f"d_to_sym({d})")
+
+
+def mul(a: int, b: int):
+    """Multiplication Sym^a U (x) Sym^b U -> Sym^{a+b} U."""
+    src = RepSpace.tensor([RepSpace.sym(a), RepSpace.sym(b)])
+    return _build(src, RepSpace.sym(a + b), lambda ij: ((ij[0] + ij[1], 1),),
+                  f"mul({a},{b})")
+
+
+def comul(a: int, b: int):
+    """Co-multiplication D^{a+b} U -> D^a U (x) D^b U."""
+    tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.div(b)])
+    return _build(RepSpace.div(a + b), tgt,
+                  lambda t: (((i, t - i), 1)
+                             for i in range(max(0, t - b), min(a, t) + 1)),
+                  f"comul({a},{b})")
+
+
+def comul2(a: int):
+    """D^{a+2} U -> D^a U (x) Sym^2 U: co-multiplication followed by
+    the divided-to-symmetric square; the middle coefficient C(2,1)=2
+    dies in characteristic 2."""
+    tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.sym(2)])
+    return _build(RepSpace.div(a + 2), tgt,
+                  lambda t: (((t - u, u), comb(2, u))
+                             for u in range(3) if 0 <= t - u <= a),
+                  f"comul2({a})")
+
+
+def _smono(g: int, k: int) -> RepSpace:
+    """Degree-k monomials of S = Sym(Sym^g U) as a sym-power space."""
+    return RepSpace.sym_power(k, RepSpace.sym(g))
+
+
+def realize_block(block: ExactMatrix, src_gens: RepSpace, tgt_gens: RepSpace,
+                  g: int, k: int) -> ExactMatrix:
+    """Realize gens -> gens' (x) Sym^g U at S-degree k of the source:
+    the map gens (x) S_k -> gens' (x) S_{k+1}, that is block (x) id on
+    S_k followed by multiplying Sym^g U into S_k."""
+    mult = ExactMatrix.identity(tgt_gens.dim).kron(_mult_left(RepSpace.sym(g), k).matrix)
+    return mult @ block.kron(ExactMatrix.identity(_smono(g, k).dim))
+
+
+def complex_K(g: int) -> GradedComplex:
+    """The Koszul complex on Sym^g U resolving the residue field, in the
+    generator-level layout of `tangent.GradedComplex`."""
+    terms = [[Summand(_k_gens(g, i), i)] for i in range(g + 2)]
+    # koszul_k already targets Tensor([Wedge^{i-1}, Sym^g]), the
+    # gens (x) Sym^g U layout used by every block here
+    diffs = [None] + [{(0, 0): koszul_k(i, g).matrix} for i in range(1, g + 2)]
+    return GradedComplex(g, terms, diffs)

@@ -118,7 +118,7 @@ def test_criterion_5_char2_scroll_law():
         bt = betti_table(g, GF(2))
         for i in range(1, g - 1):
             assert bt.entries[i][1] == i * comb(g - 1, i + 1), (g, i)
-        i2 = comb(g + 2, 2) - ring_dim(g, 2, GF(2), override_guard=True)
+        i2 = comb(g + 2, 2) - ring_dim(g, 2, GF(2))
         assert i2 == comb(g - 1, 2), g
     print("\nACCEPTANCE 5 (char-2 scroll law g=4..8): PASS")
 

@@ -161,6 +161,21 @@ def test_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_guard_hint_names_the_flag(capsys):
+    code, _, err = run(capsys, "betti-oracle", "--g", "8", "--char", "0")
+    assert code == 3
+    assert err.startswith("resource guard: g=8") and "--override-guard" in err, err
+
+
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
+    for argv in (("hermite", "--d", "2", "--i", "2", "--seed", "1"),
+                 ("weyman", "--a", "5", "--override-guard"),
+                 ("selfcheck", "--char", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments" in err, argv
+
+
 def test_invalid_characteristic(capsys):
     code, _, err = run(capsys, "betti", "--g", "4", "--char", "6")
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from syzygy.exactla import GF, QQ
 from syzygy.oracle import oracle_kij, ring_dim
-from syzygy.tangent import GuardExceeded, betti_table, k_i1, k_i2
+from syzygy.tangent import betti_table, k_i1, k_i2
 
 CHARS_NO2 = (QQ, GF(3), GF(5), GF(7))
 
@@ -84,9 +84,7 @@ def test_hilbert_function_consistency():
 
 
 def test_guard():
-    with pytest.raises(GuardExceeded):
-        ring_dim(8, 2, QQ)
-    assert ring_dim(8, 1, QQ, override_guard=True) == 9
+    assert ring_dim(8, 1, QQ) == 9
 
 
 def test_invalid_input():
