@@ -63,10 +63,13 @@ _F32_MIN_WIDTH = 3 * _GF_BLOCK
 # 2100x2940 W_4 block (49 MB in float64) takes 2^19 no slower than 2^23.
 _SLAB_CELLS = 2**19
 # int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
-# expands at most about _MATMUL_SLAB partial products (4 MB per array);
-# hermite --d 6 --i 7 --char 5 peaks at 127 MB with it, 212 MB with 2^21.
+# expands at most about _MATMUL_SLAB partial products (512 KB per int64
+# array).  Process peaks of the hermite jobs (d, i) = (6, 7), (5, 7),
+# (6, 6), (7, 5) are 71.5, 49.0, 48.7, 43.8 MB with it and 100.5, 51.5,
+# 52.1, 43.9 MB with 2^19; the products of those jobs, selfcheck and
+# koszul-resonance take the same time with either.
 _I64 = 2**63
-_MATMUL_SLAB = 2**19
+_MATMUL_SLAB = 2**16
 
 
 def _is_prime(n: int) -> bool:
@@ -682,26 +685,40 @@ def _rational(x: np.ndarray, modulus: int):
     """Rational reconstruction of the r x d residues x mod `modulus`, one
     denominator per column: (num, den) with num = den x mod modulus,
     |num| <= N and 0 < den <= N for N = isqrt((modulus - 1) // 2), so
-    2 N^2 < modulus; or None.  A column's den takes the `_wang`
-    denominator of its first numerator still too large, until none is."""
+    2 N^2 < modulus; or None.  Such a num/den is unique as a rational
+    (not as a pair).  The columns of an RREF share the pivot minor as a
+    denominator, so each column starts from the den of the column before
+    it, and from 1 again if that start fails."""
     bound = isqrt((modulus - 1) // 2)
     if modulus * bound >= _I64:
         x = x.astype(object)
     num, den = np.empty_like(x), np.ones(x.shape[1], dtype=x.dtype)
-    cols = np.arange(den.size)          # the columns whose den changed
-    while cols.size:
-        y = x[:, cols] * den[cols] % modulus
-        num[:, cols] = y = np.where(y > modulus // 2, y - modulus, y)
-        big = abs(y) > bound
-        bad = np.flatnonzero(big.any(axis=0))
-        for k, j in zip(bad.tolist(), cols[bad].tolist()):
-            u = int(num[int(big[:, k].argmax()), j]) % modulus
-            b = _wang(u, modulus, bound, bound // int(den[j]))
-            if not b:
-                return None
-            den[j] *= b
-        cols = cols[bad]
+    start = 1
+    for j in range(den.size):
+        col = _rational_column(x[:, j], modulus, bound, start)
+        if col is None and start > 1:
+            col = _rational_column(x[:, j], modulus, bound, 1)
+        if col is None:
+            return None
+        num[:, j], den[j] = col
+        start = col[1]
     return num, den
+
+
+def _rational_column(x: np.ndarray, modulus: int, bound: int, den: int):
+    """(num, den) of `_rational` for one column, from the denominator
+    `den` <= bound: while a numerator is too large, den takes the
+    `_wang` denominator of the first one; None if it has none."""
+    while True:
+        y = x * den % modulus
+        y = np.where(y > modulus // 2, y - modulus, y)
+        big = np.flatnonzero(abs(y) > bound)
+        if not big.size:
+            return y, den
+        b = _wang(int(y[big[0]]) % modulus, modulus, bound, bound // den)
+        if not b:
+            return None
+        den *= b
 
 
 def _annihilates(block: np.ndarray, k: np.ndarray) -> bool:

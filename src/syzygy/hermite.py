@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 
-from .exactla import FieldSpec
-from .reps import (RepMap, RepSpace, _build, column_shift, compose, nu,
-                   sympow_mul, tensor_map)
+from .exactla import ExactMatrix, FieldSpec
+from .reps import RepMap, RepSpace, _build, column_shift, nu, sympow_mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,12 +54,43 @@ def psi_map(d: int, i: int) -> RepMap:
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
-    """Does nu o (psi (x) id) equal psi o multiplication, over f?
+    """Does nu o (psi_d (x) id) equal psi_{d+1} o multiplication, over f?
 
     This is the square that propagates equivariance from degree d to
-    degree d+1.
+    degree d+1.  Both `nu(d, i)` and `sympow_mul(d, D^i)` have a tensor
+    source whose D^i factor varies fastest (the `reps` tensor order), so
+    the source column (label, j) is label * (i+1) + j.  Split by j, psi_d
+    (x) id sends the columns of part j to the rows of part j, and the
+    square is i+1 exact identities, one per divided-power part j:
+
+        N_j psi_d = psi_{d+1} M_j,
+
+    N_j the columns of nu and M_j the columns of multiplication of part
+    j (M_j is the 0/1 selection mu -> insert_part(mu, j)).  The two
+    composites are equal exactly when every column block is, so no
+    Kronecker product and no full composite is formed.
     """
-    div_i = RepSpace.div(i)
-    lhs = compose(nu(d, i), tensor_map([psi_map(d, i), div_i], "psi(x)id"))
-    rhs = compose(psi_map(d + 1, i), sympow_mul(d, div_i))
-    return lhs.matrix.equals_mod(rhs.matrix, f)
+    return _square_holds(nu(d, i).matrix, psi_map(d, i).matrix,
+                         psi_map(d + 1, i).matrix,
+                         sympow_mul(d, RepSpace.div(i)).matrix, f)
+
+
+def _square_holds(nu_m: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
+                  mul: ExactMatrix, f: FieldSpec) -> bool:
+    """The blocked comparison of `psi_compat_check` on given matrices:
+    N_j psi = psi_next M_j over f for every part j, with the i+1 parts
+    read off the column counts (nu_m has i+1 columns per row of psi)."""
+    parts = nu_m.cols // psi.rows
+    return all((n_j @ psi).equals_mod(psi_next @ m_j, f)
+               for n_j, m_j in zip(_column_blocks(nu_m, parts),
+                                   _column_blocks(mul, parts)))
+
+
+def _column_blocks(m: ExactMatrix, parts: int):
+    """The column blocks c = k * parts + j of m, for j = 0..parts-1, each
+    with its columns k in order (so still column-major canonical)."""
+    part = m.col % parts
+    for j in range(parts):
+        keep = part == j
+        yield ExactMatrix._of(m.rows, m.cols // parts, m.row[keep],
+                              m.col[keep] // parts, m.val[keep])

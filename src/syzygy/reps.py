@@ -474,38 +474,3 @@ def sympow_mul(d: int, inner: RepSpace) -> RepMap:
     src = RepSpace.tensor([RepSpace.sym_power(d, inner), inner])
     return _build(src, RepSpace.sym_power(d + 1, inner),
                   lambda lab: ((insert_part(*lab), 1),), f"sympow_mul({d})")
-
-
-def tensor_map(maps_and_spaces, name: str) -> RepMap:
-    """Tensor product of RepMaps and identity placeholders.
-
-    Each item is either a RepMap or a RepSpace (acting as identity).
-    """
-    mats = []
-    srcs = []
-    tgts = []
-    for item in maps_and_spaces:
-        if isinstance(item, RepMap):
-            mats.append(item.matrix)
-            srcs.append(item.source)
-            tgts.append(item.target)
-        else:
-            mats.append(ExactMatrix.identity(item.dim))
-            srcs.append(item)
-            tgts.append(item)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m)
-    return RepMap(RepSpace.tensor(srcs), RepSpace.tensor(tgts), out, name)
-
-
-def compose(*maps) -> RepMap:
-    """Composition, rightmost applied first."""
-    *rest, last = maps
-    mat = last.matrix
-    src = last.source
-    for m in reversed(rest):
-        mat = m.matrix @ mat
-    tgt = maps[0].target
-    name = "o".join(m.name for m in maps)
-    return RepMap(src, tgt, mat, name)

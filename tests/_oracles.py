@@ -17,7 +17,7 @@ from math import comb
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
-from syzygy.reps import RepSpace, _build, delta1, koszul_k
+from syzygy.reps import RepMap, RepSpace, _build, delta1, koszul_k, nu, sympow_mul
 from syzygy.tangent import GradedComplex, Summand, _k_gens, _mult_left
 
 
@@ -415,6 +415,55 @@ def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
 
 
 # -- matrix helpers, maps and complexes that only the tests use ---------------
+
+def tensor_map(maps_and_spaces, name: str) -> RepMap:
+    """Tensor product of RepMaps and identity placeholders.
+
+    Each item is either a RepMap or a RepSpace (acting as identity).
+    """
+    mats = []
+    srcs = []
+    tgts = []
+    for item in maps_and_spaces:
+        if isinstance(item, RepMap):
+            mats.append(item.matrix)
+            srcs.append(item.source)
+            tgts.append(item.target)
+        else:
+            mats.append(ExactMatrix.identity(item.dim))
+            srcs.append(item)
+            tgts.append(item)
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.kron(m)
+    return RepMap(RepSpace.tensor(srcs), RepSpace.tensor(tgts), out, name)
+
+
+def compose(*maps) -> RepMap:
+    """Composition, rightmost applied first."""
+    *rest, last = maps
+    mat = last.matrix
+    src = last.source
+    for m in reversed(rest):
+        mat = m.matrix @ mat
+    tgt = maps[0].target
+    name = "o".join(m.name for m in maps)
+    return RepMap(src, tgt, mat, name)
+
+
+def psi_compat_composite(d: int, i: int, f: FieldSpec, psi_next=None) -> bool:
+    """The Hermite compatibility square nu o (psi_d (x) id) = psi_{d+1} o
+    multiplication over f, by its two full composites: the reference for
+    the blocked `hermite.psi_compat_check`.  `psi_next` replaces the
+    matrix of psi_{d+1} when given."""
+    div_i = RepSpace.div(i)
+    nxt = psi_map(d + 1, i)
+    if psi_next is not None:
+        nxt = RepMap(nxt.source, nxt.target, psi_next, nxt.name)
+    lhs = compose(nu(d, i), tensor_map([psi_map(d, i), div_i], "psi(x)id"))
+    rhs = compose(nxt, sympow_mul(d, div_i))
+    return lhs.matrix.equals_mod(rhs.matrix, f)
+
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(rows, cols)

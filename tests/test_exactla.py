@@ -849,3 +849,22 @@ def test_matrix_algebra():
     assert ExactMatrix.hstack([a, b]).shape == (2, 4)
     with pytest.raises(ValueError):
         ExactMatrix(2, 2, {(2, 0): 1})
+
+
+@pytest.mark.parametrize("modulus", [1_000_003, 8_388_593 * 8_388_587])
+def test_rational_reconstruction_across_columns(modulus):
+    # columns of denominators da, 7, da, da / 2: the second is coprime to
+    # the first and 7 da passes the bound, so it lifts only when started
+    # from 1 again; the others lift from the denominator before them
+    bound = isqrt((modulus - 1) // 2)
+    da = next(d for d in range(bound // 12 * 6, 0, -6) if d % 7)
+    cols = [[Fraction(a, d) for a in (1, -2, 3, 0)] for d in (da, 7, da, da // 2)]
+    x = np.array([[a.numerator * pow(a.denominator, -1, modulus) % modulus for a in col]
+                  for col in cols], dtype=np.int64).T
+    num, den = exactla._rational(x, modulus)
+    assert 0 < den.min() and max(den.tolist()) <= bound
+    assert max(map(abs, num.ravel().tolist())) <= bound
+    assert [[Fraction(int(v), int(d)) for v in col] for col, d in zip(num.T, den)] == cols
+    # one column with both denominators has none below the bound
+    both = np.array([[x[0, 0]], [x[0, 1]]], dtype=np.int64)
+    assert exactla._rational(both, modulus) is None
