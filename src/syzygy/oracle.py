@@ -135,8 +135,7 @@ class ParamRing:
 
     def __post_init__(self):
         self._polys = _z_polys(self.g, self.field.characteristic, self.chart)
-        self._blocks = {}      # n -> {weight -> _Block}
-        self._built = set()
+        self._blocks = {}      # n -> {weight -> _Block}, filled by `_build`
         self._products = {}    # (n, w, local, c) -> `multiply`
 
     def _coords(self, n: int, w: int):
@@ -151,7 +150,7 @@ class ParamRing:
         return out
 
     def _build(self, n: int):
-        if n in self._built:
+        if n in self._blocks:
             return
         p = self.field.characteristic
         blocks = {}
@@ -169,7 +168,6 @@ class ParamRing:
                     vec[blk.pos[key]] = vv
             blk.insert(vec, p)
         self._blocks[n] = blocks
-        self._built.add(n)
 
     def block(self, n: int, w: int) -> _Block:
         self._build(n)

@@ -3,8 +3,13 @@
 A two-dimensional space U with basis (1, x) generates everything here:
 symmetric powers Sym^d U with monomial basis x^0..x^d, divided powers
 D^d U with basis x^(0)..x^(d), and wedge / tensor / symmetric-power
-constructions of those.  Every map is produced once as an integer
-ExactMatrix (field reduction happens at rank time) and cached.
+constructions of those.  Every map is an integer ExactMatrix (field
+reduction happens at rank time).  Only what a job reads again is
+memoized: the Sym, Div, Wedge, SymPower and Free spaces, which are cheap
+and keep the keys of the map caches stable; `lowering`, which `raising`
+reads; `generic_koszul_delta`, which `koszul` asks for again for every
+sample; and the Pieri rule `column_shift`.  Tensor spaces and the
+other maps are built on each call and freed with their last user.
 
 Basis conventions, fixed so matrices are reproducible bit for bit:
 
@@ -100,12 +105,7 @@ class RepSpace:
 
     @classmethod
     def tensor(cls, factors) -> "RepSpace":
-        return cls._tensor_cached(tuple(factors))
-
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def _tensor_cached(cls, factors) -> "RepSpace":
-        return cls("tensor", factors=factors)
+        return cls("tensor", factors=tuple(factors))
 
     @classmethod
     @functools.lru_cache(maxsize=None)
@@ -371,7 +371,6 @@ def lowering(space: RepSpace) -> RepMap:
     return _build(space, space, lambda lab: _op_terms(space, lab), "L")
 
 
-@functools.lru_cache(maxsize=None)
 def raising(space: RepSpace) -> RepMap:
     """R = F L F^-1: the Weyl flip F exchanges x and 1, so it conjugates
     the lowering operator into the raising one."""
@@ -383,7 +382,6 @@ def raising(space: RepSpace) -> RepMap:
 # The equivariant maps
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def wahl_mu1(a: int) -> RepMap:
     """Gaussian-Wahl map on wedge squares: x^i ^ x^j -> (i-j) x^{i+j-1}.
 
@@ -397,7 +395,6 @@ def wahl_mu1(a: int) -> RepMap:
                   f"wahl_mu1({a})")
 
 
-@functools.lru_cache(maxsize=None)
 def delta1(a: int) -> RepMap:
     """Dual Gaussian-Wahl map D^{2a-2} U -> Wedge^2 D^a U.
 
@@ -418,7 +415,6 @@ def delta1(a: int) -> RepMap:
                   image, f"delta1({a})")
 
 
-@functools.lru_cache(maxsize=None)
 def koszul_k(i: int, d: int) -> RepMap:
     """Koszul contraction Wedge^i Sym^d U -> Wedge^{i-1} Sym^d U (x) Sym^d U.
 
@@ -435,7 +431,6 @@ def koszul_k(i: int, d: int) -> RepMap:
                   f"koszul_k({i},{d})")
 
 
-@functools.lru_cache(maxsize=None)
 def nu(d: int, i: int) -> RepMap:
     """Wedge^i Sym^{d+i-1} U (x) D^i U -> Wedge^i Sym^{d+i} U.
 
@@ -467,7 +462,6 @@ def generic_koszul_delta(n: int, i: int, q: int) -> RepMap:
                   f"koszul_delta({n},{i},{q})")
 
 
-@functools.lru_cache(maxsize=None)
 def sympow_mul(d: int, inner: RepSpace) -> RepMap:
     """Multiplication Sym^d(inner) (x) inner -> Sym^{d+1}(inner), the
     monomial insertion map."""

@@ -40,7 +40,6 @@ from .reps import RepMap, RepSpace, _build, column_shift, contract, insert_part
 # delta2 and the Betti rows
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def delta2_map(g: int, i: int) -> RepMap:
     """The composite of the dual Gaussian-Wahl inclusion with the Koszul
     differential:
@@ -77,10 +76,12 @@ def delta2(g: int, i: int) -> ExactMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _delta2_rank(g: int, i: int, f: FieldSpec) -> int:
-    """rank of delta2_map(g, i) over f, shared by row 1 at i and row 2
-    at i - 1 of the degree-g table."""
-    return delta2_map(g, i).rank(f)
+def _delta2_dims(g: int, i: int, f: FieldSpec):
+    """(source dim, rank over f) of delta2_map(g, i): row 1 at i reads
+    the kernel dimension and row 2 at i - 1 the rank, so one table
+    builds each map once, and the map is freed once it is ranked."""
+    m = delta2_map(g, i)
+    return m.source.dim, m.rank(f)
 
 
 def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
@@ -104,13 +105,14 @@ def weyman_dim(a: int, q: int, f: FieldSpec) -> int:
                          "(the dual Gaussian-Wahl map is not injective)")
     n = a + 1
     cycles = n * comb(n + q, q + 1) - comb(n + q + 1, q + 2)
-    return cycles - _delta2_rank(a + q + 1, a - 1, f)
+    return cycles - _delta2_dims(a + q + 1, a - 1, f)[1]
 
 
 def k_i1(g: int, i: int, f: FieldSpec) -> int:
     """dim K_{i,1} of the tangent developable: the kernel of delta2.
     Valid in arbitrary characteristic."""
-    return delta2_map(g, i).source.dim - _delta2_rank(g, i, f)
+    dim, r = _delta2_dims(g, i, f)
+    return dim - r
 
 
 def k_i2(g: int, i: int, f: FieldSpec) -> int:
@@ -232,7 +234,6 @@ def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
     return mult @ (outer.kron(ExactMatrix.identity(g + 1)) @ inner)
 
 
-@functools.lru_cache(maxsize=None)
 def complex_F(g: int) -> GradedComplex:
     """The resolution of the parametrizing ring: F_0 = S + Sym^{g-2}U(-1),
     F_i = D^{2i}U (x) Wedge^{i+1} Sym^{g-2}U (-i-1).  Only the linear
@@ -306,7 +307,6 @@ def _j_diff(g: int, i: int) -> ExactMatrix:
     return _build(_j_gens(g, i), tgt, image, f"J({g},{i})").matrix
 
 
-@functools.lru_cache(maxsize=None)
 def _k_gens(g: int, i: int) -> RepSpace:
     return RepSpace.wedge(i, RepSpace.sym(g))
 
