@@ -889,7 +889,7 @@ def subspace_intersection_dim(a, b, f: FieldSpec) -> int:
 
 
 def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
-                mirrored: bool = False) -> int:
+                flips=None) -> int:
     """Rank of a weight-graded matrix, one small block per weight class.
 
     Entries must connect each column-weight class to a single
@@ -897,11 +897,15 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     map in this package and is verified, not assumed: an ungraded
     matrix or a weight vector of the wrong length raises ValueError.
 
-    `mirrored` asserts that the block of column class w and that of
-    top - w have equal rank, where top is the sum of the least and the
-    largest column weight.  Only a passed certificate may set it
-    (`reps.RepMap.mirrored`): then only the classes with 2w <= top are
-    ranked, and each with 2w < top counts twice.
+    `flips` = ((perm, sign) of the rows, (perm, sign) of the columns),
+    signed permutations as in `reps.RepSpace.flip`, lets class w with
+    2w < top (top: least plus largest column weight) stand for its
+    partner top - w.  Its entries (r, c, v) are sent to (perm_t[r],
+    perm_s[c], sign_t[r] sign_s[c] v); if the images, in column-major
+    order, equal the partner's entries or their negatives, the partner
+    block is a signed row and column permutation of block w, so the two
+    have the same rank over every field, and block w is ranked once and
+    counted twice.  Otherwise, and without `flips`, every class is ranked.
     """
     rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
     if rw.size != m.rows or cw.size != m.cols:
@@ -918,11 +922,30 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
         raise ValueError("matrix is not weight-graded")
     if np.unique(er[first]).size != first.size:
         raise ValueError("two column classes hit one row class")
-    # mirrored: a class below the middle counts twice, one above not at all
-    count = (1 + np.sign(int(cw.min() + cw.max()) - 2 * ec[first]) if mirrored
-             else np.ones(first.size, dtype=np.int64))
+    count = [1] * first.size
+    if flips is not None:
+        (tp, ts), (sp, ss) = flips = [[np.asarray(a, dtype=np.int64) for a in x] for x in flips]
+        for (perm, sign), n in zip(flips, m.shape):
+            if not (np.array_equal(np.sort(perm), np.arange(n))
+                    and np.array_equal(np.abs(sign), np.ones(n))):
+                raise ValueError("flips must be signed permutations of the rows and columns")
+        # compare in object dtype where -(-2^63) would overflow int64
+        sval = val.astype(object) if val.dtype != object and _max_abs(val) >= _I64 else val
+        top, wk = int(cw.min() + cw.max()), ec[first].tolist()
+        at = {w: k for k, w in enumerate(wk)}
+        for k, w in enumerate(wk):
+            j = at.get(top - w)
+            if 2 * w >= top or j is None:
+                continue
+            s, e, ps, pe = first[k], end[k], first[j], end[j]
+            r, c = tp[row[s:e]], sp[col[s:e]]
+            o = np.argsort(c * m.rows + r)
+            v, pv = (sval[s:e] * ts[row[s:e]] * ss[col[s:e]])[o], sval[ps:pe]
+            if (np.array_equal(r[o], row[ps:pe]) and np.array_equal(c[o], col[ps:pe])
+                    and (np.array_equal(v, pv) or np.array_equal(-v, pv))):
+                count[k], count[j] = 2, 0
     total = 0
-    for s, e, k in zip(first.tolist(), end.tolist(), count.tolist()):
+    for s, e, k in zip(first.tolist(), end.tolist(), count):
         if not k:
             continue
         rs, cs = np.flatnonzero(rw == er[s]), np.flatnonzero(cw == ec[s])

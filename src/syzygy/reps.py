@@ -45,8 +45,9 @@ permutation, `RepSpace.flip`, and sends weight w to top - w:
 An equivariant map M commutes with the flip up to one global sign,
 F_tgt M = +-M F_src.  Then weight block w and block top - w of M are
 signed permutations of each other and have equal rank over every
-field; `RepMap.rank` checks this identity exactly (`RepMap.mirrored`)
-before it ranks only half the blocks.
+field.  `RepMap.rank` hands both flips to `exactla.graded_rank`, which
+checks this identity exactly one pair of blocks at a time and ranks
+one block of each pair that passes.
 
 Every map factory, here and in `hermite` and `tangent`, is one call of
 `_build(source, target, image, name)`: `image(label)` yields the
@@ -211,7 +212,7 @@ class RepSpace:
 class RepMap:
     """A named linear map between RepSpaces, carried by an ExactMatrix."""
 
-    __slots__ = ("source", "target", "matrix", "name", "_mirrored")
+    __slots__ = ("source", "target", "matrix", "name")
 
     def __init__(self, source: RepSpace, target: RepSpace,
                  matrix: ExactMatrix, name: str):
@@ -222,38 +223,13 @@ class RepMap:
         self.target = target
         self.matrix = matrix
         self.name = name
-        self._mirrored = None
-
-    @property
-    def mirrored(self) -> bool:
-        """Do weight blocks w and top - w of this map have equal rank over
-        every field?  Certified once per map, at the cost of sorting its
-        entries, by two exact checks: the source flip sends weight w to
-        top - w (top the sum of its least and largest weight), and
-        F_tgt M F_src^-1 = +-M.  Then the columns of weight top - w are,
-        up to signs, the flipped columns of weight w with their rows
-        permuted, so the two column blocks have equal rank."""
-        if self._mirrored is None:
-            m = self.matrix
-            self._mirrored = False
-            if _reflects(self.source):
-                flipped = m.permuted(self.target.flip, self.source.flip)
-                self._mirrored = flipped == m or flipped == m.scaled(-1)
-        return self._mirrored
 
     def rank(self, f: FieldSpec) -> int:
-        return graded_rank(self.matrix, f, self.target.weights,
-                           self.source.weights, mirrored=self.mirrored)
+        return graded_rank(self.matrix, f, self.target.weights, self.source.weights,
+                           flips=(self.target.flip, self.source.flip))
 
     def __repr__(self):
         return f"RepMap({self.name}: {self.source!r} -> {self.target!r})"
-
-
-def _reflects(space: RepSpace) -> bool:
-    """Does the flip of `space` send weight w to top - w, where top is
-    the sum of its least and largest weight?"""
-    w = np.array(space.weights, dtype=np.int64)
-    return not w.size or np.array_equal(w[space.flip[0]], w.min() + w.max() - w)
 
 
 def _build(source, target, image, name) -> RepMap:

@@ -138,3 +138,13 @@ def test_selfcheck_chain_suite_compares_with_zero(monkeypatch, entries, fails):
             chain()
     else:
         chain()
+
+
+def test_selfcheck_chain_suite_builds_each_delta2_once(built):
+    """The chain suite checks integer identities once, over Q: each
+    delta2 map of its Hermite squares is built once, not once per field."""
+    from syzygy import cli
+
+    dict(cli._selfcheck_suites(5))["chain-maps"]()
+    assert sorted(n for n in built if n.startswith("delta2(")) == sorted(
+        f"delta2({g},{i})" for g in range(3, 6) for i in range(g - 1))
