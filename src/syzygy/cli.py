@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         label = "resource guard" if e.code == EXIT_GUARD else "error"
         sys.stderr.write(f"{label}: {e}\n")
         return e.code
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:     # overflow: an integer flag past ssize_t
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INVALID
 

@@ -13,11 +13,16 @@ The matrix is built by iterated Pieri: e_mu = e_{mu_1} ... e_{mu_d},
 largest part first, starting from s_() = x^{i-1} ^ ... ^ 1, and each
 factor e_j acts on a wedge label by `reps.column_shift`.  Labels are
 only ever produced by `reps`.
+
+`square_holds` checks nu o (id (x) psi_d) = psi_{d+1} o multiplication
+and the top Hermite square of `tangent`, one divided-power part at a time.
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from .exactla import ExactMatrix, FieldSpec
 from .reps import RepMap, RepSpace, _build, column_shift, nu, sympow_mul
@@ -54,43 +59,38 @@ def psi_map(d: int, i: int) -> RepMap:
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
-    """Does nu o (psi_d (x) id) equal psi_{d+1} o multiplication, over f?
-
-    This is the square that propagates equivariance from degree d to
-    degree d+1.  Both `nu(d, i)` and `sympow_mul(d, D^i)` have a tensor
-    source whose D^i factor varies fastest (the `reps` tensor order), so
-    the source column (label, j) is label * (i+1) + j.  Split by j, psi_d
-    (x) id sends the columns of part j to the rows of part j, and the
-    square is i+1 exact identities, one per divided-power part j:
-
-        N_j psi_d = psi_{d+1} M_j,
-
-    N_j the columns of nu and M_j the columns of multiplication of part
-    j (M_j is the 0/1 selection mu -> insert_part(mu, j)).  The two
-    composites are equal exactly when every column block is, so no
-    Kronecker product and no full composite is formed.
-    """
-    return _square_holds(nu(d, i).matrix, psi_map(d, i).matrix,
-                         psi_map(d + 1, i).matrix,
-                         sympow_mul(d, RepSpace.div(i)).matrix, f)
+    """Does nu o (id (x) psi_d) equal psi_{d+1} o multiplication, over f?
+    The square carries equivariance from degree d to d+1."""
+    return square_holds(nu(d, i).matrix, psi_map(d, i).matrix,
+                        psi_map(d + 1, i).matrix,
+                        sympow_mul(d, RepSpace.div(i)).matrix, f)
 
 
-def _square_holds(nu_m: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
-                  mul: ExactMatrix, f: FieldSpec) -> bool:
-    """The blocked comparison of `psi_compat_check` on given matrices:
-    N_j psi = psi_next M_j over f for every part j, with the i+1 parts
-    read off the column counts (nu_m has i+1 columns per row of psi)."""
-    parts = nu_m.cols // psi.rows
-    return all((n_j @ psi).equals_mod(psi_next @ m_j, f)
-               for n_j, m_j in zip(_column_blocks(nu_m, parts),
-                                   _column_blocks(mul, parts)))
+def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
+                 b: ExactMatrix, f: FieldSpec) -> bool:
+    """Does a (I (x) psi) = (I' (x) psi_next) b hold over f, identity factors
+    first?  Column part t reads a_t psi = (I' (x) psi_next) b_t, a_t and b_t
+    runs of columns; with the row parts of each side set side by side
+    (`_fold`) that is one product per side, and no Kronecker product."""
+    w, v = psi.rows, psi.cols
+    parts = b.rows // psi_next.cols
+    return all(_fold(_columns(a, t * w, w) @ psi, parts)
+               .equals_mod(psi_next @ _fold(_columns(b, t * v, v), parts), f)
+               for t in range(b.cols // v))
 
 
-def _column_blocks(m: ExactMatrix, parts: int):
-    """The column blocks c = k * parts + j of m, for j = 0..parts-1, each
-    with its columns k in order (so still column-major canonical)."""
-    part = m.col % parts
-    for j in range(parts):
-        keep = part == j
-        yield ExactMatrix._of(m.rows, m.cols // parts, m.row[keep],
-                              m.col[keep] // parts, m.val[keep])
+def _columns(m: ExactMatrix, start: int, width: int) -> ExactMatrix:
+    """Columns start..start+width-1 of m, a run of its coordinates."""
+    lo, hi = np.searchsorted(m.col, (start, start + width))
+    return ExactMatrix._of(m.rows, width, m.row[lo:hi], m.col[lo:hi] - start, m.val[lo:hi])
+
+
+def _fold(m: ExactMatrix, parts: int) -> ExactMatrix:
+    """m with its `parts` runs of h rows side by side: entry (s * h + y, c)
+    moves to (y, s * m.cols + c); a stable sort by s keeps it canonical."""
+    if parts == 1:
+        return m
+    s, y = np.divmod(m.row, m.rows // parts)
+    order = np.argsort(s, kind="stable")
+    return ExactMatrix._of(m.rows // parts, parts * m.cols, y[order],
+                           (s * m.cols + m.col)[order], m.val[order])

@@ -5,11 +5,12 @@ symmetric powers Sym^d U with monomial basis x^0..x^d, divided powers
 D^d U with basis x^(0)..x^(d), and wedge / tensor / symmetric-power
 constructions of those.  Every map is an integer ExactMatrix (field
 reduction happens at rank time).  Only what a job reads again is
-memoized: the Sym, Div, Wedge, SymPower and Free spaces, which are cheap
-and keep the keys of the map caches stable; `lowering`, which `raising`
-reads; `generic_koszul_delta`, which `koszul` asks for again for every
-sample; and the Pieri rule `column_shift`.  Tensor spaces and the
-other maps are built on each call and freed with their last user.
+memoized: the Sym, Div, Wedge and Free spaces, which are cheap and keep
+the keys of the map caches stable; `lowering`, which `raising` reads;
+`generic_koszul_delta`, which `koszul` asks for again for every sample;
+`nu` and `sympow_mul`, p and delta1 of the chain suite and the Hermite
+squares; and the Pieri rule `column_shift`.  Tensor and SymPower spaces and the other maps are
+built on each call and freed with their last user.
 
 Basis conventions, fixed so matrices are reproducible bit for bit:
 
@@ -56,8 +57,8 @@ labels add up, and zero sums are dropped by ExactMatrix; the realized
 differentials of `tangent` are products of such maps.  Only this module
 knows the SymPower label format; other modules insert a part with
 `insert_part`, shift wedge columns with `column_shift` (the Pieri rule,
-which builds `nu`, the maps p and q of `tangent` and the reciprocity
-matrix of `hermite`) and contract wedge labels with `contract`.
+which builds `nu`, that is p, the map q of `tangent` and the
+reciprocity matrix of `hermite`) and contract wedge labels with `contract`.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class RepSpace:
         self.factors = factors
         self.n = n
         self._basis = self._make_basis()
-        self._index = {lab: k for k, lab in enumerate(self._basis)}
+        self._index = None
         self._weights = None
         self._flip = None
 
@@ -109,7 +110,6 @@ class RepSpace:
         return cls("tensor", factors=tuple(factors))
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
     def sym_power(cls, d: int, inner: "RepSpace") -> "RepSpace":
         return cls("sympow", d=d, inner=inner)
 
@@ -149,8 +149,15 @@ class RepSpace:
     def dim(self) -> int:
         return len(self._basis)
 
+    @property
+    def positions(self):
+        """{label: basis position}, built on first use (map sources need none)."""
+        if self._index is None:
+            self._index = {lab: k for k, lab in enumerate(self._basis)}
+        return self._index
+
     def index(self, label) -> int:
-        return self._index[label]
+        return self.positions[label]
 
     @property
     def weights(self):
@@ -190,7 +197,7 @@ class RepSpace:
                     pad = (0,) * self.d
                     flipped = (tuple(top - x for x in reversed(lab + pad[len(lab):])
                                      if x != top) for lab in self._basis)
-                perm = np.fromiter(map(self._index.__getitem__, flipped), dtype=np.int64,
+                perm = np.fromiter(map(self.positions.__getitem__, flipped), dtype=np.int64,
                                    count=self.dim)
                 odd = self.kind == "wedge" and self.d * (self.d - 1) // 2 % 2
                 sign = np.full(self.dim, -1 if odd else 1, dtype=np.int64)
@@ -236,7 +243,7 @@ def _build(source, target, image, name) -> RepMap:
     """Assemble a RepMap column by column: `image(label)` yields the
     (target label, coeff) pairs of one source basis label; repeated
     target labels add up, and ExactMatrix drops the zero sums."""
-    index = target._index
+    index = target.positions
     rows, cols, vals = [], [], []
     for c, slab in enumerate(source.basis):
         for tlab, v in image(slab):
@@ -407,17 +414,18 @@ def koszul_k(i: int, d: int) -> RepMap:
                   f"koszul_k({i},{d})")
 
 
+@functools.lru_cache(maxsize=None)
 def nu(d: int, i: int) -> RepMap:
-    """Wedge^i Sym^{d+i-1} U (x) D^i U -> Wedge^i Sym^{d+i} U.
+    """D^i U (x) Wedge^i Sym^{d+i-1} U -> Wedge^i Sym^{d+i} U.
 
-    nu(s_l (x) x^(j)) = sum over j-subsets I of the wedge slots of
+    nu(x^(j) (x) s_l) = sum over j-subsets I of the wedge slots of
     s_{l + 1_I}, the Pieri rule `column_shift`; a shift whose exponents
     collide (l + 1_I not a partition) evaluates to zero.
     """
-    src = RepSpace.tensor([RepSpace.wedge(i, RepSpace.sym(d + i - 1)),
-                           RepSpace.div(i)])
+    src = RepSpace.tensor([RepSpace.div(i),
+                           RepSpace.wedge(i, RepSpace.sym(d + i - 1))])
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i))
-    return _build(src, tgt, lambda lab: ((new, 1) for new in column_shift(*lab)),
+    return _build(src, tgt, lambda lab: ((new, 1) for new in column_shift(lab[1], lab[0])),
                   f"nu({d},{i})")
 
 
@@ -438,9 +446,10 @@ def generic_koszul_delta(n: int, i: int, q: int) -> RepMap:
                   f"koszul_delta({n},{i},{q})")
 
 
+@functools.lru_cache(maxsize=None)
 def sympow_mul(d: int, inner: RepSpace) -> RepMap:
-    """Multiplication Sym^d(inner) (x) inner -> Sym^{d+1}(inner), the
+    """Multiplication inner (x) Sym^d(inner) -> Sym^{d+1}(inner), the
     monomial insertion map."""
-    src = RepSpace.tensor([RepSpace.sym_power(d, inner), inner])
+    src = RepSpace.tensor([inner, RepSpace.sym_power(d, inner)])
     return _build(src, RepSpace.sym_power(d + 1, inner),
-                  lambda lab: ((insert_part(*lab), 1),), f"sympow_mul({d})")
+                  lambda lab: ((insert_part(lab[1], lab[0]), 1),), f"sympow_mul({d})")

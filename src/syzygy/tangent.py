@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .exactla import ExactMatrix, FieldSpec
-from .hermite import psi_map
-from .reps import RepMap, RepSpace, _build, column_shift, contract, insert_part
+from .hermite import psi_compat_check, psi_map, square_holds
+from .reps import RepMap, RepSpace, _build, column_shift, contract, insert_part, nu, sympow_mul
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +216,12 @@ class GradedComplex:
         return sum(s.space.dim for s in self.terms[i])
 
 
-@functools.lru_cache(maxsize=None)
-def _mult_left(inner: RepSpace, k: int) -> RepMap:
-    """Multiplication inner (x) Sym^k(inner) -> Sym^{k+1}(inner):
-    reps.sympow_mul(k, inner) with its tensor factors swapped."""
-    src = RepSpace.tensor([inner, RepSpace.sym_power(k, inner)])
-    return _build(src, RepSpace.sym_power(k + 1, inner),
-                  lambda lab: ((insert_part(lab[1], lab[0]), 1),), f"mult_left({k})")
-
-
 def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
                         gens_out: RepSpace, g: int) -> ExactMatrix:
     """(outer (x) id) o inner with the two Sym^g U factors multiplied
     into S_2: gens_src -> gens_out (x) S_2.  Zero iff the two
     differentials compose to zero as S-module maps."""
-    mult = ExactMatrix.identity(gens_out.dim).kron(_mult_left(RepSpace.sym(g), 1).matrix)
+    mult = ExactMatrix.identity(gens_out.dim).kron(sympow_mul(1, RepSpace.sym(g)).matrix)
     return mult @ (outer.kron(ExactMatrix.identity(g + 1)) @ inner)
 
 
@@ -307,27 +298,17 @@ def _j_diff(g: int, i: int) -> ExactMatrix:
     return _build(_j_gens(g, i), tgt, image, f"J({g},{i})").matrix
 
 
-def _k_gens(g: int, i: int) -> RepSpace:
-    return RepSpace.wedge(i, RepSpace.sym(g))
-
-
 # ---------------------------------------------------------------------------
-# The chain maps p and q
+# The chain maps p and q and the Hermite conjugation square
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def map_p_map(g: int, i: int) -> RepMap:
     """p_i : D^i U (x) Wedge^i Sym^{g-1} U -> Wedge^i Sym^g U, the
-    column-shift map: (x^(t), s_l) -> sum over t-subsets I of s_{l+1_I}.
-    For i >= 1 it is reps.nu(g - i, i) with its tensor factors swapped."""
+    column-shift map reps.nu(g - i, i): (x^(t), s_l) -> sum over
+    t-subsets I of s_{l+1_I}.  p_0 is 1 -> 1 on one-dimensional spaces."""
     if not (0 <= i <= g + 1):
         raise ValueError(f"need 0 <= i <= g+1, got i={i}")
-
-    def image(lab):
-        t, exps = lab if i else (0, ())     # S_0 -> Wedge^0, both 1-dimensional
-        return ((new, 1) for new in column_shift(exps, t))
-
-    return _build(_j_gens(g, i), _k_gens(g, i), image, f"p({g},{i})")
+    return nu(g - i, i)
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,16 +333,6 @@ def map_q_map(g: int, i: int) -> RepMap:
     return _build(src, _j_gens(g, i + 1), image, f"q({g},{i})")
 
 
-# ---------------------------------------------------------------------------
-# Hermite conjugation square
-# ---------------------------------------------------------------------------
-
-def _delta1_tangent(g: int, i: int) -> RepMap:
-    """The multiplication map D^{i+1}U (x) Sym^{g-1-i}(D^{i+1}U) ->
-    Sym^{g-i}(D^{i+1}U), the last leg of the Weyman 3-term complex."""
-    return _mult_left(RepSpace.div(i + 1), g - 1 - i)
-
-
 def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:
     """Do both squares conjugating (delta2, delta1) into (q_i, p_{i+1})
     through Hermite reciprocity commute over f?
@@ -371,22 +342,12 @@ def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:
         D^{i+1}U (x) Sym^{g-1-i}(D^{i+1}U) --id(x)psi--> D^{i+1}U (x) W^{i+1}Sym^{g-1}U
               |delta1 (multiplication)                       |p_{i+1}
         Sym^{g-i}(D^{i+1}U)       --------psi------->    W^{i+1}Sym^{g}U
+
+    The top square is `hermite.square_holds` (q_0 lives on the plain
+    Sym^{g-2}U summand); the bottom one is `psi_compat_check(g-1-i, i+1)`.
     """
     if not (0 <= i <= g - 2):
         raise ValueError(f"need 0 <= i <= g-2, got i={i}, g={g}")
-    psi_top = psi_map(g - 2 - i, i + 1)
-    psi_mid = psi_map(g - 1 - i, i + 1)
-    psi_bot = psi_map(g - i, i + 1)
-    d2 = delta2_map(g, i)
-    d1 = _delta1_tangent(g, i)
-    q = map_q_map(g, i)
-    p = map_p_map(g, i + 1)
-    # D^{2i}U is one-dimensional for i=0, where q_0 lives on the plain
-    # Sym^{g-2}U summand; the Kronecker layout matches in both cases.
-    id_left = ExactMatrix.identity(RepSpace.div(2 * i).dim)
-    id_mid = ExactMatrix.identity(RepSpace.div(i + 1).dim)
-    top_right = q.matrix @ id_left.kron(psi_top.matrix)
-    top_left = id_mid.kron(psi_mid.matrix) @ d2.matrix
-    bot_right = p.matrix @ id_mid.kron(psi_mid.matrix)
-    bot_left = psi_bot.matrix @ d1.matrix
-    return top_right.equals_mod(top_left, f) and bot_right.equals_mod(bot_left, f)
+    return (square_holds(map_q_map(g, i).matrix, psi_map(g - 2 - i, i + 1).matrix,
+                         psi_map(g - 1 - i, i + 1).matrix, delta2_map(g, i).matrix, f)
+            and psi_compat_check(g - 1 - i, i + 1, f))

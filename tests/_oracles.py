@@ -18,7 +18,7 @@ from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
 from syzygy.reps import RepMap, RepSpace, _build, delta1, koszul_k, nu, sympow_mul
-from syzygy.tangent import GradedComplex, Summand, _k_gens, _mult_left
+from syzygy.tangent import GradedComplex, Summand, delta2_map, map_p_map, map_q_map
 
 
 # -- symbolic polynomials in z_1..z_k as {exponent tuple: coeff} --------------
@@ -452,7 +452,7 @@ def compose(*maps) -> RepMap:
 
 
 def psi_compat_composite(d: int, i: int, f: FieldSpec, psi_next=None) -> bool:
-    """The Hermite compatibility square nu o (psi_d (x) id) = psi_{d+1} o
+    """The Hermite compatibility square nu o (id (x) psi_d) = psi_{d+1} o
     multiplication over f, by its two full composites: the reference for
     the blocked `hermite.psi_compat_check`.  `psi_next` replaces the
     matrix of psi_{d+1} when given."""
@@ -460,9 +460,30 @@ def psi_compat_composite(d: int, i: int, f: FieldSpec, psi_next=None) -> bool:
     nxt = psi_map(d + 1, i)
     if psi_next is not None:
         nxt = RepMap(nxt.source, nxt.target, psi_next, nxt.name)
-    lhs = compose(nu(d, i), tensor_map([psi_map(d, i), div_i], "psi(x)id"))
+    lhs = compose(nu(d, i), tensor_map([div_i, psi_map(d, i)], "id(x)psi"))
     rhs = compose(nxt, sympow_mul(d, div_i))
     return lhs.matrix.equals_mod(rhs.matrix, f)
+
+
+def hermite_square_composite(g: int, i: int, f: FieldSpec, q=None) -> bool:
+    """Both squares of `tangent.hermite_square_check` over f, by their
+    full composites through id (x) psi as Kronecker products: the
+    reference for the blocked check.  `q` replaces the matrix of q_i
+    when given."""
+    psi_top = psi_map(g - 2 - i, i + 1)
+    psi_mid = psi_map(g - 1 - i, i + 1)
+    psi_bot = psi_map(g - i, i + 1)
+    d1 = sympow_mul(g - 1 - i, RepSpace.div(i + 1))
+    q = map_q_map(g, i).matrix if q is None else q
+    # D^{2i}U is one-dimensional for i=0, where q_0 lives on the plain
+    # Sym^{g-2}U summand; the Kronecker layout matches in both cases.
+    id_left = ExactMatrix.identity(RepSpace.div(2 * i).dim)
+    id_mid = ExactMatrix.identity(RepSpace.div(i + 1).dim)
+    top_right = q @ id_left.kron(psi_top.matrix)
+    top_left = id_mid.kron(psi_mid.matrix) @ delta2_map(g, i).matrix
+    bot_right = map_p_map(g, i + 1).matrix @ id_mid.kron(psi_mid.matrix)
+    bot_left = psi_bot.matrix @ d1.matrix
+    return top_right.equals_mod(top_left, f) and bot_right.equals_mod(bot_left, f)
 
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
@@ -521,14 +542,14 @@ def realize_block(block: ExactMatrix, src_gens: RepSpace, tgt_gens: RepSpace,
     """Realize gens -> gens' (x) Sym^g U at S-degree k of the source:
     the map gens (x) S_k -> gens' (x) S_{k+1}, that is block (x) id on
     S_k followed by multiplying Sym^g U into S_k."""
-    mult = ExactMatrix.identity(tgt_gens.dim).kron(_mult_left(RepSpace.sym(g), k).matrix)
+    mult = ExactMatrix.identity(tgt_gens.dim).kron(sympow_mul(k, RepSpace.sym(g)).matrix)
     return mult @ block.kron(ExactMatrix.identity(_smono(g, k).dim))
 
 
 def complex_K(g: int) -> GradedComplex:
     """The Koszul complex on Sym^g U resolving the residue field, in the
     generator-level layout of `tangent.GradedComplex`."""
-    terms = [[Summand(_k_gens(g, i), i)] for i in range(g + 2)]
+    terms = [[Summand(RepSpace.wedge(i, RepSpace.sym(g)), i)] for i in range(g + 2)]
     # koszul_k already targets Tensor([Wedge^{i-1}, Sym^g]), the
     # gens (x) Sym^g U layout used by every block here
     diffs = [None] + [{(0, 0): koszul_k(i, g).matrix} for i in range(1, g + 2)]

@@ -21,8 +21,10 @@ from syzygy.tangent import betti_table, weyman_dim
 KEPT_CACHES = {
     # cheap spaces, which keep the keys of the map caches stable
     "reps.RepSpace.sym", "reps.RepSpace.div", "reps.RepSpace.wedge",
-    "reps.RepSpace.sym_power", "reps.RepSpace.free",
+    "reps.RepSpace.free",
     "reps.column_shift",             # the Pieri rule of every psi column
+    "reps.nu",                       # p of the selfcheck chain and Hermite squares
+    "reps.sympow_mul",               # the selfcheck chain and Hermite squares
     "reps.lowering",                 # read again by `raising`
     "reps.generic_koszul_delta",     # koszul, again for every sample
     "hermite._psi_column",           # each column extends its prefix
@@ -30,9 +32,8 @@ KEPT_CACHES = {
     "koszul._chow_kernel",           # chow, once per sample
     "oracle._ring",                  # oracle_kij, once per (i, j)
     "tangent._delta2_dims",          # row 2 reads the ranks of row 1
-    "tangent._mult_left",            # the selfcheck chain and Hermite squares
     "tangent.complex_J", "tangent._j_gens",
-    "tangent.map_p_map", "tangent.map_q_map",
+    "tangent.map_q_map",
 }
 
 _CACHE_DECORATOR = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|@cache\b")
@@ -86,8 +87,7 @@ def test_betti_table_frees_every_delta2_map():
         tracemalloc.stop()
     assert bt.duality_ok
     assert not _live_delta2_maps(12)
-    # what stays: the cached ranks, the SymPower spaces and modules
-    # imported on first use
+    # what stays: the cached ranks and modules imported on first use
     assert held < 4 * 2**20, held
 
 

@@ -226,3 +226,13 @@ def test_negative_m_rejected(capsys):
                              "--char", "3", "--format", "json")
         assert code == 2
         assert out == "" and err.startswith("error: need 0 <= --m <= "), err
+
+
+def test_integer_flag_past_ssize_t_rejected(capsys):
+    # each value overflows a C ssize_t where the package first uses it;
+    # a value that still fits would allocate instead, so none is tried here
+    for argv in (("weyman", "--a", "3", "--q", "99999999999999999999"),
+                 ("hermite", "--d", "99999999999999999999", "--i", "1")):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err

@@ -160,15 +160,15 @@ def test_koszul_square_zero_after_symmetrization():
 
 
 def test_nu_examples():
-    n = nu(1, 2)       # Wedge^2 Sym^2 (x) D^2 -> Wedge^2 Sym^3
+    n = nu(1, 2)       # D^2 (x) Wedge^2 Sym^2 -> Wedge^2 Sym^3
     src = n.source
     tgt = n.target
-    col = n.matrix.column(src.index(((1, 0), 1)))    # s_(0,0) (x) x^(1)
+    col = n.matrix.column(src.index((1, (1, 0))))    # x^(1) (x) s_(0,0)
     nz = {tgt.basis[i]: v for i, v in enumerate(col) if v}
     assert nz == {(2, 0): 1}                         # only s_(1,0) survives
-    col = n.matrix.column(src.index(((1, 0), 0)))
+    col = n.matrix.column(src.index((0, (1, 0))))
     assert {tgt.basis[i]: v for i, v in enumerate(col) if v} == {(1, 0): 1}
-    col = n.matrix.column(src.index(((1, 0), 2)))
+    col = n.matrix.column(src.index((2, (1, 0))))
     assert {tgt.basis[i]: v for i, v in enumerate(col) if v} == {(2, 1): 1}
 
 
@@ -228,7 +228,7 @@ def test_equivariance_all_maps():
 def test_sympow_mul():
     sm = sympow_mul(2, RepSpace.div(2))
     src = sm.source
-    col = sm.matrix.column(src.index(((2, 1), 1)))
+    col = sm.matrix.column(src.index((1, (2, 1))))
     nz = {sm.target.basis[i]: v for i, v in enumerate(col) if v}
     assert nz == {(2, 1, 1): 1}
 
@@ -254,7 +254,10 @@ def test_column_shift_matches_subset_loop(parts, j):
 
 # sha256 of (shape, sorted (row, col, value) triples) of every matrix of
 # each factory over the ranges below, recorded from the per-factory
-# matrix assembly that the image-based `_build` replaced
+# matrix assembly that the image-based `_build` replaced.  The nu and
+# sympow_mul digests were derived from those matrices with each source
+# column (a, b) moved to (b, a), when their tensor factors were swapped;
+# "delta1_tangent" is the multiplication delta1 of the Hermite square.
 _SPACES = (RepSpace.sym(3), RepSpace.div(4), RepSpace.wedge(2, RepSpace.sym(4)),
            RepSpace.wedge(3, RepSpace.div(5)),
            RepSpace.tensor([RepSpace.div(2), RepSpace.sym(3)]),
@@ -287,7 +290,7 @@ _FACTORIES = {
                           for g in _G for i in range(g + 2)],
     "map_q_map": lambda: [tangent.map_q_map(g, i).matrix
                           for g in _G for i in range(g - 1)],
-    "delta1_tangent": lambda: [tangent._delta1_tangent(g, i).matrix
+    "delta1_tangent": lambda: [sympow_mul(g - 1 - i, RepSpace.div(i + 1)).matrix
                                for g in _G for i in range(g - 1)],
     "complex_F": lambda: [m for g in _G
                           for d in tangent.complex_F(g).differentials[1:]
@@ -307,9 +310,9 @@ _DIGESTS = {
     "delta1": "54d167d9c78b7d2955d00f70d159ac2db289d41634503a4a702bef577337d9db",
     "comul2": "29d441277ea587db051be76d10258a1c6269480b5aef6ba276469a34a83fd0bc",
     "koszul_k": "6883b6c586a4e9453ad3daa64fc3c5e54a5a02d24d25eb6df69d3f5c88730fdd",
-    "nu": "e15358c8353bdd3bbb22fb553c5a91ed774a2f26a0c90e1e6cc768c7bbb6abe0",
+    "nu": "004b597f6a3cf5a6a7077c0b9a5ba5abd74c0b617245a4a7569859ccae2068e4",
     "generic_koszul_delta": "18552b67f47c42d9180b43b39fcc2e56e3f3c98dfba552434472a6da7d5f07f9",
-    "sympow_mul": "efd50f1e69b7fd8d822b43fd0d1d29fd7e1faf992554a947611db547f6eb88af",
+    "sympow_mul": "b62d820f05a871bf5850971f181c2ca86a438da06c5c6ad9c70499556be72178",
     "psi_map": "6c26433ccaaac18e5e03dc2e765b3ff8d1ce022ba45377702d8541828e467c53",
     "delta2_map": "f51accc6a81bd2c888fb4c8ebce675ce9afec347a77920ec21578eaf46f00171",
     "map_p_map": "32a2dd9ee33c8b335190d853bd3aa1442399f0bee3f9d965a9b351ea80b57439",

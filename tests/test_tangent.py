@@ -4,8 +4,8 @@ import pytest
 
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
 from syzygy.koszul import w_dim
-from syzygy.reps import RepSpace, koszul_k, nu, sympow_mul
-from syzygy.tangent import (_delta1_tangent, _j_gens, betti_table, complex_F,
+from syzygy.reps import koszul_k
+from syzygy.tangent import (_j_gens, betti_table, complex_F,
                             complex_J, compose_symmetrized, delta2_map,
                             hermite_square_check, k_i1, k_i2, map_p_map,
                             map_q_map, weyman_dim)
@@ -304,28 +304,3 @@ def test_complex_K_is_exact_in_positive_degrees():
                                 K.differentials[i][(0, 0)],
                                 K.terms[i - 2][0].space, g)
         assert z.is_zero()
-
-
-def _swapped_entries(m):
-    """Entries of a map on a two-factor tensor source, keyed by target
-    label and the source label with its factors swapped."""
-    return {(m.target.basis[r], m.source.basis[c][::-1]): v
-            for (r, c), v in m.matrix.items()}
-
-
-def _entries(m):
-    return {(m.target.basis[r], m.source.basis[c]): v
-            for (r, c), v in m.matrix.items()}
-
-
-@pytest.mark.parametrize("g", range(3, 10))
-def test_p_and_delta1_are_nu_and_sympow_mul_swapped(g):
-    for i in range(1, g + 2):
-        p = map_p_map(g, i)
-        assert p.target is nu(g - i, i).target
-        assert _swapped_entries(p) == _entries(nu(g - i, i)), (g, i)
-    for i in range(g - 1):
-        d1 = _delta1_tangent(g, i)
-        mul = sympow_mul(g - 1 - i, RepSpace.div(i + 1))
-        assert d1.target is mul.target
-        assert _swapped_entries(d1) == _entries(mul), (g, i)
