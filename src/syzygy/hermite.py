@@ -10,9 +10,11 @@ Being an integer change of basis it is invertible over every field,
 which is the whole point.
 
 The matrix is built by iterated Pieri: e_mu = e_{mu_1} ... e_{mu_d},
-largest part first, starting from s_() = x^{i-1} ^ ... ^ 1, and each
-factor e_j acts on a wedge label by `reps.column_shift`.  Labels are
-only ever produced by `reps`.
+starting from s_() = x^{i-1} ^ ... ^ 1.  A monomial of Sym^d(D^i U) is a
+monomial mu of Sym^{d-1}(D^i U) times its smallest part x_j (j = 0
+included, e_0 = 1), so psi_d[:, mu x_j] = nu(d-1, i)_j psi_{d-1}[:, mu],
+nu_j the columns of `reps.nu` at x^(j), the Pieri rule s_l -> s_l e_j:
+psi_d is one ExactMatrix product per part j, for all its columns at once.
 
 `square_holds` checks nu o (id (x) psi_d) = psi_{d+1} o multiplication
 and the top Hermite square of `tangent`, one divided-power part at a time.
@@ -25,37 +27,32 @@ import functools
 import numpy as np
 
 from .exactla import ExactMatrix, FieldSpec
-from .reps import RepMap, RepSpace, _build, column_shift, nu, sympow_mul
-
-
-@functools.lru_cache(maxsize=None)
-def _psi_column(mu, i: int):
-    """The column of the source monomial mu, the Schur expansion of e_mu
-    as {wedge label: coeff}: the column of mu[:-1] with its last part
-    applied by the Pieri rule `column_shift`.  Every prefix of a label
-    is a label, so each column costs one Pieri step past its cached
-    prefix."""
-    if not mu:
-        return {RepSpace.wedge(i, RepSpace.sym(i - 1)).basis[0]: 1}
-    out = {}
-    for exps, c in _psi_column(mu[:-1], i).items():
-        for new in column_shift(exps, mu[-1]):
-            out[new] = out.get(new, 0) + c
-    return out
+from .reps import RepMap, RepSpace, _build, nu, sympow_mul
 
 
 @functools.lru_cache(maxsize=None)
 def psi_map(d: int, i: int) -> RepMap:
     """The integer matrix of the reciprocity map, one column per source
-    monomial, built from iterated Pieri expansion (never by solving
-    equations)."""
+    monomial, built from iterated Pieri products (never by solving
+    equations): column block j of psi_d is nu(d-1, i)_j times the
+    columns of psi_{d-1} at the monomials without their last part."""
     if d < 0 or i < 0:
         raise ValueError(f"psi needs d, i >= 0, got d={d}, i={i}")
     src = RepSpace.sym_power(d, RepSpace.div(i))
     tgt = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
     if src.dim != tgt.dim:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
-    return _build(src, tgt, lambda mu: _psi_column(mu, i).items(), f"psi({d},{i})")
+    if d == 0:
+        return _build(src, tgt, [(0, 0, 1)], f"psi(0,{i})")
+    prev, pieri = psi_map(d - 1, i), nu(d - 1, i).matrix
+    lab, w = src.labels, prev.target.dim
+    heads = prev.source.find(lab[:, :-1])
+    parts = []
+    for j in range(i + 1):
+        cols = np.flatnonzero(lab[:, -1] == j)
+        m = _columns(pieri, np.arange(j * w, (j + 1) * w)) @ _columns(prev.matrix, heads[cols])
+        parts.append((m.row, cols[m.col], m.val))
+    return _build(src, tgt, parts, f"psi({d},{i})")
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
@@ -74,15 +71,19 @@ def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
     (`_fold`) that is one product per side, and no Kronecker product."""
     w, v = psi.rows, psi.cols
     parts = b.rows // psi_next.cols
-    return all(_fold(_columns(a, t * w, w) @ psi, parts)
-               .equals_mod(psi_next @ _fold(_columns(b, t * v, v), parts), f)
+    return all(_fold(_columns(a, np.arange(t * w, (t + 1) * w)) @ psi, parts)
+               .equals_mod(psi_next @ _fold(_columns(b, np.arange(t * v, (t + 1) * v)),
+                                            parts), f)
                for t in range(b.cols // v))
 
 
-def _columns(m: ExactMatrix, start: int, width: int) -> ExactMatrix:
-    """Columns start..start+width-1 of m, a run of its coordinates."""
-    lo, hi = np.searchsorted(m.col, (start, start + width))
-    return ExactMatrix._of(m.rows, width, m.row[lo:hi], m.col[lo:hi] - start, m.val[lo:hi])
+def _columns(m: ExactMatrix, cols) -> ExactMatrix:
+    """The columns `cols` (increasing) of m, each a run of its coordinates."""
+    lo, hi = np.searchsorted(m.col, cols), np.searchsorted(m.col, cols, side="right")
+    n = hi - lo
+    take = np.arange(int(n.sum())) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return ExactMatrix._of(m.rows, len(cols), m.row[take],
+                           np.repeat(np.arange(len(cols)), n), m.val[take])
 
 
 def _fold(m: ExactMatrix, parts: int) -> ExactMatrix:

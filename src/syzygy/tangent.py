@@ -31,9 +31,11 @@ import functools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .exactla import ExactMatrix, FieldSpec
 from .hermite import psi_compat_check, psi_map, square_holds
-from .reps import RepMap, RepSpace, _build, column_shift, contract, insert_part, nu, sympow_mul
+from .reps import RepMap, RepSpace, _build, _insertions, _pieri, contraction, nu, sympow_mul
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +51,22 @@ def delta2_map(g: int, i: int) -> RepMap:
     with 0 <= t', t'' <= i+1, inside the polynomial algebra on the
     divided powers x^(0), ..., x^(i+1).
     """
+    src, tgt = _delta2_spaces(g, i)
+    mono, bigger = src.factors[1], tgt.factors[1]
+    grown, cols = _insertions(mono, bigger), np.arange(mono.dim)
+    return _build(src, tgt, [(tp * bigger.dim + grown[ts], t * mono.dim + cols, tp - ts)
+                             for t in range(2 * i + 1) for tp, ts in _wahl_splits(t, i)],
+                  f"delta2({g},{i})")
+
+
+def _delta2_spaces(g: int, i: int):
+    """(source, target) of delta2_map(g, i), checked before anything is
+    built: a space past int64 positions raises OverflowError."""
     if not (0 <= i <= g - 2):
         raise ValueError(f"need 0 <= i <= g-2, got i={i}, g={g}")
     inner = RepSpace.div(i + 1)
-    src = RepSpace.tensor([RepSpace.div(2 * i),
-                           RepSpace.sym_power(g - 2 - i, inner)])
-    tgt = RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)])
-    return _build(src, tgt, lambda lab: (((tp, insert_part(lab[1], ts)), tp - ts)
-                                         for tp, ts in _wahl_splits(lab[0], i)),
-                  f"delta2({g},{i})")
+    return (RepSpace.tensor([RepSpace.div(2 * i), RepSpace.sym_power(g - 2 - i, inner)]),
+            RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)]))
 
 
 def _wahl_splits(t: int, i: int):
@@ -161,6 +170,7 @@ def betti_table(g: int, f: FieldSpec) -> BettiTable:
     """
     if g < 3:
         raise ValueError("need g >= 3")
+    _delta2_spaces(g, 1)            # before the g - 1 rows are allocated
     rows = g - 1
     entries = [[0] * 4 for _ in range(rows)]
     methods = [["shape"] * 4 for _ in range(rows)]
@@ -244,16 +254,9 @@ def complex_F(g: int) -> GradedComplex:
         # comul2 on the divided-power leg, the Koszul contraction on the
         # wedge leg; for i = 1 the target is the Sym^{g-2}U (-1) summand
         tgt = terms[0][1].space if i == 1 else terms[i - 1][0].space
-
-        def image(lab):
-            t, exps = lab
-            for u in range(max(0, t - 2 * i + 2), min(2, t) + 1):
-                for rest, e, sign in contract(exps):
-                    tlab = rest[0] if i == 1 else (t - u, rest)
-                    yield (tlab, e + u), sign * comb(2, u)
-
-        block = _build(terms[i][0].space, RepSpace.tensor([tgt, RepSpace.sym(g)]),
-                       image, f"F({g},{i})").matrix
+        src = terms[i][0].space
+        block = _build(src, RepSpace.tensor([tgt, RepSpace.sym(g)]),
+                       contraction(src.factors[1], g, 2 * i, 2), f"F({g},{i})").matrix
         diffs.append({(1 if i == 1 else 0, 0): block})
     return GradedComplex(g, terms, diffs)
 
@@ -288,14 +291,8 @@ def _j_gens(g: int, i: int) -> RepSpace:
 def _j_diff(g: int, i: int) -> ExactMatrix:
     """Comultiplication D^i U -> D^{i-1} U (x) U on the divided-power leg
     and the Koszul contraction on the wedge leg, into gens (x) Sym^g U."""
-    def image(lab):
-        t, exps = lab
-        for u in range(max(0, t - i + 1), min(1, t) + 1):
-            for rest, e, sign in contract(exps):
-                yield (() if i == 1 else (t - u, rest), e + u), sign
-
-    tgt = RepSpace.tensor([_j_gens(g, i - 1), RepSpace.sym(g)])
-    return _build(_j_gens(g, i), tgt, image, f"J({g},{i})").matrix
+    src, tgt = _j_gens(g, i), RepSpace.tensor([_j_gens(g, i - 1), RepSpace.sym(g)])
+    return _build(src, tgt, contraction(src.factors[1], g, i, 1), f"J({g},{i})").matrix
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +315,15 @@ def map_q_map(g: int, i: int) -> RepMap:
     coproduct followed by the column-shift map on the second leg."""
     if not (0 <= i <= g - 2):
         raise ValueError(f"need 0 <= i <= g-2, got i={i}, g={g}")
-    if i == 0:
-        src = RepSpace.sym(g - 2)      # the shifted summand of F_0
-    else:
-        src = RepSpace.tensor([RepSpace.div(2 * i),
-                               RepSpace.wedge(i + 1, RepSpace.sym(g - 2))])
-
-    def image(lab):
-        t, exps = (0, (lab,)) if i == 0 else lab
-        for tp, ts in _wahl_splits(t, i):
-            for new in column_shift(exps, ts):
-                yield (tp, new), tp - ts
-
-    return _build(src, _j_gens(g, i + 1), image, f"q({g},{i})")
+    wedge = RepSpace.wedge(i + 1, RepSpace.sym(g - 2))
+    # q_0 lives on Sym^{g-2}U, the shifted summand of F_0: the same positions
+    src = RepSpace.sym(g - 2) if i == 0 else RepSpace.tensor([RepSpace.div(2 * i), wedge])
+    tgt = _j_gens(g, i + 1)
+    j, pos, col = _pieri(wedge, tgt.factors[1])
+    return _build(src, tgt, [(tp * tgt.factors[1].dim + pos[j == ts],
+                              t * wedge.dim + col[j == ts], tp - ts)
+                             for t in range(2 * i + 1) for tp, ts in _wahl_splits(t, i)],
+                  f"q({g},{i})")
 
 
 def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:

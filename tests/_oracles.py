@@ -1,24 +1,27 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Up to the last section nothing here shares code paths with the package:
-polynomials are plain exponent-dicts, Schur polynomials come from the
-dual Jacobi-Trudi determinant (a different rule than the Pieri
-iteration under test), and ranks come from minor expansion.  The last
+Up to the last two sections nothing here shares code paths with the
+package: polynomials are plain exponent-dicts, Schur polynomials come
+from the dual Jacobi-Trudi determinant (a different rule than the Pieri
+iteration under test), and ranks come from minor expansion.  The next
 section holds per-point and presentation references built from package
 primitives, which no code in the package calls, and the maps, complexes
-and matrix helpers that only the tests use.
+and matrix helpers that only the tests use.  The last one assembles maps
+one basis tuple at a time through the label helpers that the package's
+array builders replaced, as their reference.
 """
 
 import functools
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
-from syzygy.reps import RepMap, RepSpace, _build, delta1, koszul_k, nu, sympow_mul
-from syzygy.tangent import GradedComplex, Summand, delta2_map, map_p_map, map_q_map
+from syzygy.reps import RepMap, RepSpace, delta1, koszul_k, nu, sympow_mul
+from syzygy.tangent import (GradedComplex, Summand, _wahl_splits, delta2_map, map_p_map,
+                            map_q_map)
 
 
 # -- symbolic polynomials in z_1..z_k as {exponent tuple: coeff} --------------
@@ -501,21 +504,21 @@ def to_dense(m: ExactMatrix):
 def d_to_sym(d: int):
     """D^d U -> Sym^d U, x^(e) -> C(d, e) x^e.  Isomorphism iff no
     binomial C(d, e) vanishes in the field."""
-    return _build(RepSpace.div(d), RepSpace.sym(d),
+    return label_build(RepSpace.div(d), RepSpace.sym(d),
                   lambda e: ((e, comb(d, e)),), f"d_to_sym({d})")
 
 
 def mul(a: int, b: int):
     """Multiplication Sym^a U (x) Sym^b U -> Sym^{a+b} U."""
     src = RepSpace.tensor([RepSpace.sym(a), RepSpace.sym(b)])
-    return _build(src, RepSpace.sym(a + b), lambda ij: ((ij[0] + ij[1], 1),),
+    return label_build(src, RepSpace.sym(a + b), lambda ij: ((ij[0] + ij[1], 1),),
                   f"mul({a},{b})")
 
 
 def comul(a: int, b: int):
     """Co-multiplication D^{a+b} U -> D^a U (x) D^b U."""
     tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.div(b)])
-    return _build(RepSpace.div(a + b), tgt,
+    return label_build(RepSpace.div(a + b), tgt,
                   lambda t: (((i, t - i), 1)
                              for i in range(max(0, t - b), min(a, t) + 1)),
                   f"comul({a},{b})")
@@ -526,7 +529,7 @@ def comul2(a: int):
     the divided-to-symmetric square; the middle coefficient C(2,1)=2
     dies in characteristic 2."""
     tgt = RepSpace.tensor([RepSpace.div(a), RepSpace.sym(2)])
-    return _build(RepSpace.div(a + 2), tgt,
+    return label_build(RepSpace.div(a + 2), tgt,
                   lambda t: (((t - u, u), comb(2, u))
                              for u in range(3) if 0 <= t - u <= a),
                   f"comul2({a})")
@@ -554,3 +557,180 @@ def complex_K(g: int) -> GradedComplex:
     # gens (x) Sym^g U layout used by every block here
     diffs = [None] + [{(0, 0): koszul_k(i, g).matrix} for i in range(1, g + 2)]
     return GradedComplex(g, terms, diffs)
+
+
+# -- label-level builders: the tuple reference for the array builders ---------
+#
+# Each map below is assembled one source label at a time from Python
+# tuples (`RepSpace.basis`), through the label helpers that the package's
+# array builders replaced.  The differential tests compare the two.
+
+def label_build(source, target, image, name) -> RepMap:
+    """Assemble a RepMap column by column: `image(label)` yields the
+    (target label, coeff) pairs of one source basis label; repeated
+    target labels add up, and ExactMatrix drops the zero sums."""
+    index = {lab: k for k, lab in enumerate(target.basis)}
+    rows, cols, vals = [], [], []
+    for c, slab in enumerate(source.basis):
+        for tlab, v in image(slab):
+            rows.append(index[tlab])
+            cols.append(c)
+            vals.append(v)
+    return RepMap(source, target, ExactMatrix(target.dim, source.dim, (rows, cols, vals)), name)
+
+
+def basis_reference(space: RepSpace):
+    """The basis tuples of a space in the order of the module docstring
+    of `reps`, enumerated by itertools."""
+    if space.kind in ("sym", "div", "free"):
+        return tuple(range(space.dim))
+    if space.kind == "tensor":
+        return tuple(product(*map(basis_reference, space.factors)))
+    top = space.inner.dim - 1
+    if space.kind == "wedge":
+        if space.inner.kind == "free":
+            return tuple(combinations(range(top + 1), space.d))
+        return tuple(combinations(range(top, -1, -1), space.d))[::-1]
+    monos = combinations_with_replacement(range(top, -1, -1), space.d)
+    return tuple(tuple(v for v in mu if v) for mu in monos)[::-1]
+
+
+def insert_part(mu, v):
+    """Insert the part v into the stripped SymPower label mu (weakly
+    decreasing, no zeros): the label of the monomial mu * x_v."""
+    if not v:
+        return mu
+    k = len(mu)
+    while k and mu[k - 1] < v:
+        k -= 1
+    return mu[:k] + (v,) + mu[k:]
+
+
+@functools.lru_cache(maxsize=None)
+def column_shift(exps, j):
+    """The Pieri rule s_l * e_j in wedge labels: the labels exps + 1_I
+    over the j-subsets I of the slots, in subset order.  Only the
+    vertical strips are enumerated: slot k may move only if slot k - 1
+    moves or exps[k - 1] > exps[k] + 1."""
+    i = len(exps)
+    new, out = list(exps), []
+
+    def grow(start, need):
+        if not need:
+            out.append(tuple(new))
+            return
+        for k in range(start, i - need + 1):
+            if k == start or exps[k - 1] > exps[k] + 1:
+                new[k] += 1
+                grow(k + 1, need - 1)
+                new[k] -= 1
+
+    grow(0, j)
+    return tuple(out)
+
+
+def contract(exps):
+    """The signed Koszul contraction of a wedge label: (rest, part, sign)
+    for each slot k, dropping part = exps[k] with sign (-1)^k."""
+    for k in range(len(exps)):
+        yield exps[:k] + exps[k + 1:], exps[k], -1 if k % 2 else 1
+
+
+def _op_terms(space: RepSpace, label):
+    """Terms of L applied to one basis label, as (label, coeff) pairs."""
+    k = space.kind
+    if k == "sym":
+        return [(label - 1, label)] if label >= 1 else []
+    if k == "div":
+        e, d = label, space.d
+        return [(e - 1, d - e + 1)] if e >= 1 else []
+    if k == "tensor":
+        out = []
+        for pos, (sp, lab) in enumerate(zip(space.factors, label)):
+            for nl, c in _op_terms(sp, lab):
+                out.append((label[:pos] + (nl,) + label[pos + 1:], c))
+        return out
+    if k == "wedge":
+        out = []
+        present = set(label)
+        for pos, e in enumerate(label):
+            for nl, c in _op_terms(space.inner, e):
+                if nl not in present:
+                    out.append((label[:pos] + (nl,) + label[pos + 1:], c))
+        return out
+    if k == "sympow":
+        out = []
+        padded = label + (0,) * (space.d - len(label))
+        seen = set()
+        for pos, e in enumerate(padded):
+            if e in seen:
+                continue
+            seen.add(e)
+            rest = label[:pos] + label[pos + 1:]   # drop one x_e; zeros are implicit
+            for nl, c in _op_terms(space.inner, e):
+                out.append((insert_part(rest, nl), padded.count(e) * c))
+        return out
+    raise ValueError(f"no sl2 action on {space!r}")
+
+
+def lowering_reference(space: RepSpace) -> RepMap:
+    return label_build(space, space, lambda lab: _op_terms(space, lab), "L")
+
+
+def nu_reference(d: int, i: int) -> RepMap:
+    src = RepSpace.tensor([RepSpace.div(i), RepSpace.wedge(i, RepSpace.sym(d + i - 1))])
+    return label_build(src, RepSpace.wedge(i, RepSpace.sym(d + i)),
+                       lambda lab: ((new, 1) for new in column_shift(lab[1], lab[0])),
+                       f"nu({d},{i})")
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_column(mu, i: int):
+    """The Schur expansion of e_mu as {wedge label: coeff}: the column of
+    mu[:-1] with its last part applied by the Pieri rule `column_shift`."""
+    if not mu:
+        return {tuple(range(i - 1, -1, -1)): 1}
+    out = {}
+    for exps, c in _psi_column(mu[:-1], i).items():
+        for new in column_shift(exps, mu[-1]):
+            out[new] = out.get(new, 0) + c
+    return out
+
+
+def psi_reference(d: int, i: int) -> RepMap:
+    return label_build(RepSpace.sym_power(d, RepSpace.div(i)),
+                       RepSpace.wedge(i, RepSpace.sym(d + i - 1)),
+                       lambda mu: _psi_column(mu, i).items(), f"psi({d},{i})")
+
+
+def delta2_reference(g: int, i: int) -> RepMap:
+    inner = RepSpace.div(i + 1)
+    src = RepSpace.tensor([RepSpace.div(2 * i), RepSpace.sym_power(g - 2 - i, inner)])
+    tgt = RepSpace.tensor([inner, RepSpace.sym_power(g - 1 - i, inner)])
+    return label_build(src, tgt, lambda lab: (((tp, insert_part(lab[1], ts)), tp - ts)
+                                              for tp, ts in _wahl_splits(lab[0], i)),
+                       f"delta2({g},{i})")
+
+
+def map_q_reference(g: int, i: int) -> RepMap:
+    src = RepSpace.sym(g - 2) if i == 0 else RepSpace.tensor(
+        [RepSpace.div(2 * i), RepSpace.wedge(i + 1, RepSpace.sym(g - 2))])
+    tgt = RepSpace.tensor([RepSpace.div(i + 1), RepSpace.wedge(i + 1, RepSpace.sym(g - 1))])
+
+    def image(lab):
+        t, exps = (0, (lab,)) if i == 0 else lab
+        for tp, ts in _wahl_splits(t, i):
+            for new in column_shift(exps, ts):
+                yield (tp, new), tp - ts
+
+    return label_build(src, tgt, image, f"q({g},{i})")
+
+
+def generic_koszul_delta_reference(n: int, i: int, q: int) -> RepMap:
+    V = RepSpace.free(n)
+    src = RepSpace.tensor([RepSpace.wedge(i, V), RepSpace.sym_power(q, V)])
+    tgt = RepSpace.free(0) if i == 0 else RepSpace.tensor(
+        [RepSpace.wedge(i - 1, V), RepSpace.sym_power(q + 1, V)])
+    return label_build(src, tgt, lambda lab: (((rest, insert_part(lab[1], v)), sign)
+                                              for rest, v, sign in contract(lab[0])),
+                       f"koszul_delta({n},{i},{q})")

@@ -22,13 +22,11 @@ KEPT_CACHES = {
     # cheap spaces, which keep the keys of the map caches stable
     "reps.RepSpace.sym", "reps.RepSpace.div", "reps.RepSpace.wedge",
     "reps.RepSpace.free",
-    "reps.column_shift",             # the Pieri rule of every psi column
-    "reps.nu",                       # p of the selfcheck chain and Hermite squares
+    "reps.nu",                       # every psi, p of the chain and Hermite squares
     "reps.sympow_mul",               # the selfcheck chain and Hermite squares
     "reps.lowering",                 # read again by `raising`
     "reps.generic_koszul_delta",     # koszul, again for every sample
-    "hermite._psi_column",           # each column extends its prefix
-    "hermite.psi_map",               # hermite and the selfcheck squares
+    "hermite.psi_map",               # psi_{d+1}, hermite and the selfcheck squares
     "koszul._chow_kernel",           # chow, once per sample
     "oracle._ring",                  # oracle_kij, once per (i, j)
     "tangent._delta2_dims",          # row 2 reads the ranks of row 1

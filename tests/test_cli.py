@@ -229,10 +229,12 @@ def test_negative_m_rejected(capsys):
 
 
 def test_integer_flag_past_ssize_t_rejected(capsys):
-    # each value overflows a C ssize_t where the package first uses it;
-    # a value that still fits would allocate instead, so none is tried here
+    # each value gives a space past int64 positions (or overflows a C
+    # ssize_t) before anything is allocated; a value that still fits would
+    # allocate instead, so none is tried here
     for argv in (("weyman", "--a", "3", "--q", "99999999999999999999"),
-                 ("hermite", "--d", "99999999999999999999", "--i", "1")):
+                 ("hermite", "--d", "99999999999999999999", "--i", "1"),
+                 ("betti", "--g", "99999999999999999999", "--override-guard")):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err

@@ -2,10 +2,11 @@
 
 A wedge label exps of Wedge^i Sym^{d+i-1} U is the partition l with
 l_k = exps_k - (i-1-k); a monomial label of Sym^d(D^i U) is a partition
-with parts at most i.  The Pieri rule is `reps.column_shift`, the
+with parts at most i.  The Pieri rule is `column_shift`, the
 expansion of e_mu in Schur polynomials is the column of mu in
 `hermite.psi_map`, and the hat of a partition (drop the j-th part, add
-one to the parts before it) is `reps.contract`.
+one to the parts before it) is `contract`; both label helpers live in
+`_oracles` as the reference of the array builders of `reps`.
 """
 
 import random
@@ -13,9 +14,9 @@ from itertools import combinations
 from math import comb
 
 from syzygy.hermite import psi_map
-from syzygy.reps import RepSpace, column_shift, contract
+from syzygy.reps import RepSpace
 
-from _oracles import e_mu, schur_dual_jacobi_trudi
+from _oracles import column_shift, contract, e_mu, schur_dual_jacobi_trudi
 
 
 def _partition(exps):
