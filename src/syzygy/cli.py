@@ -255,7 +255,7 @@ def cmd_hermite(args) -> int:
              + ("PASS" if ok else "FAIL")]
     if d == 0 and i >= 1:
         img = " ^ ".join(f"x^{e}" if e > 1 else ("x" if e == 1 else "1")
-                         for e in pm.target.basis[0])
+                         for e in pm.target.labels[0].tolist())
         lines.append(f"  1 -> {img}")
     csv_rows = [("d", "i", "char", "pass"), (d, i, f.characteristic, ok)]
     _emit(payload, args.format, lines, csv_rows)

@@ -277,11 +277,13 @@ def _build(source, target, parts, name) -> RepMap:
     """Assemble a RepMap from coordinate arrays: `parts` lists (target
     position, source position, coeff) triples, each broadcast to one
     shape; repeated positions add up, and ExactMatrix drops the zero
-    sums."""
+    sums.  Coefficients past int64 (object arrays, as a product of
+    ExactMatrix values may be) stay Python ints."""
     coords = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
     for part in parts:
-        for acc, x in zip(coords, np.broadcast_arrays(*part)):
-            acc.append(np.asarray(x, dtype=np.int64).ravel())
+        for k, (acc, x) in enumerate(zip(coords, np.broadcast_arrays(*part))):
+            keep = k == 2 and x.dtype == object
+            acc.append((x if keep else x.astype(np.int64, copy=False)).ravel())
     return RepMap(source, target, ExactMatrix(target.dim, source.dim,
                                               tuple(map(np.concatenate, coords))), name)
 

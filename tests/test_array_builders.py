@@ -1,18 +1,28 @@
 """The array builders of `reps`, `hermite` and `tangent` against the
 label-level references of `tests/_oracles.py`, which assemble the same
 maps one basis tuple at a time, past the ranges that
-`test_reps.test_builders_match_recorded_matrices` pins by digest; and
+`test_reps.test_builders_match_recorded_matrices` pins by digest; the
+label arithmetic helpers (`_insertions`, `_pieri`, `_contract`) against
+their tuple forms on random labels; a psi with entries past int64; and
 the positions that `RepSpace.find` computes from label rows."""
+
+import functools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syzygy.exactla import GF
 from syzygy.hermite import psi_map
-from syzygy.reps import RepSpace, generic_koszul_delta, lowering, nu
+from syzygy.reps import (RepSpace, _contract, _insertions, _pieri, generic_koszul_delta,
+                         lowering, nu)
 from syzygy.tangent import delta2_map, map_q_map
 
-from _oracles import (basis_reference, delta2_reference, generic_koszul_delta_reference,
-                      lowering_reference, map_q_reference, nu_reference, psi_reference)
+from _oracles import (basis_reference, column_shift_reference, contract, delta2_reference,
+                      generic_koszul_delta_reference, insert_part, lowering_reference,
+                      map_q_reference, nu_reference, psi_reference)
 
 
 def _same(m, ref):
@@ -39,6 +49,64 @@ def test_generic_koszul_delta_matches_the_label_reference(n):
     for i in range(n + 1):
         for q in range(4):
             _same(generic_koszul_delta(n, i, q), generic_koszul_delta_reference(n, i, q))
+
+
+def test_psi_keeps_entries_past_int64():
+    """Column mu = (1^80) of psi(80, 2) is e_1^80 = sum_k f^(80-k,k) s_(80-k,k),
+    the two-row tableau counts; f^(40,40) = C_40 is about 2.6e21."""
+    m = psi_map(80, 2)
+    col = dict(zip(m.target.basis, m.matrix.column(int(m.source.find(np.ones((1, 80),
+                                                                              dtype=np.int64))[0]))))
+    expect = {(81 - k, k): comb(80, k) - (comb(80, k - 1) if k else 0) for k in range(41)}
+    assert {lab: v for lab, v in col.items() if v} == expect
+    assert expect[(41, 40)] == comb(80, 40) // 41 > 2**63
+    assert m.rank(GF(2)) == m.source.dim == 3321
+
+
+@functools.lru_cache(maxsize=None)
+def _insertion_table(d: int):
+    space, bigger = RepSpace.sym_power(d, RepSpace.div(7)), RepSpace.sym_power(d + 1, RepSpace.div(7))
+    return space, bigger, _insertions(space, bigger)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 7), max_size=5), st.integers(0, 7))
+def test_insertions_match_insert_part(parts, v):
+    mu = tuple(sorted(parts, reverse=True))
+    space, bigger, table = _insertion_table(len(mu))
+    col = space.find(np.array(mu, dtype=np.int64).reshape(1, len(mu)))[0]
+    assert bigger.basis[table[v, col]] == insert_part(mu, v)
+
+
+@functools.lru_cache(maxsize=None)
+def _pieri_table(i: int, m: int):
+    space = RepSpace.wedge(i, RepSpace.sym(m))
+    j, pos, src = _pieri(space, RepSpace.wedge(i, RepSpace.sym(m + 1)))
+    return space, j, pos, src
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 9), max_size=6), st.integers(0, 2), st.integers(0, 6))
+def test_pieri_matches_the_subset_loop(parts, extra, j):
+    exps = tuple(sorted(parts, reverse=True))
+    m = (exps[0] if exps else 0) + extra
+    space, js, pos, src = _pieri_table(len(exps), m)
+    col = space.find(np.array(exps, dtype=np.int64).reshape(1, len(exps)))[0]
+    bigger = RepSpace.wedge(len(exps), RepSpace.sym(m + 1))
+    got = sorted(bigger.basis[p] for p in pos[(src == col) & (js == j)])
+    assert got == sorted(column_shift_reference(exps, j))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 9), max_size=6))
+def test_contract_matches_the_tuple_contraction(parts):
+    exps = tuple(sorted(parts, reverse=True))
+    space = RepSpace.wedge(len(exps), RepSpace.sym(9))
+    col = space.find(np.array(exps, dtype=np.int64).reshape(1, len(exps)))[0]
+    smaller = RepSpace.wedge(len(exps) - 1, RepSpace.sym(9)) if exps else None
+    got = [(smaller.basis[where[col]], int(part[col]), sign)
+           for where, part, sign in _contract(space)]
+    assert got == list(contract(exps))
 
 
 _LOWERED = (RepSpace.sym(0), RepSpace.sym(5), RepSpace.div(0), RepSpace.div(6),
