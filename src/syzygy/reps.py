@@ -185,7 +185,7 @@ class RepSpace:
 
     @property
     def basis(self):
-        """The labels as Python values, for tests and printing: ints for
+        """The labels as Python values, read by the tests: ints for
         Sym, Div and Free, tuples with zeros stripped for SymPower,
         tuples for Wedge, tuples of factor labels for Tensor."""
         if self._basis is None:
