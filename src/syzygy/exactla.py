@@ -13,7 +13,12 @@ Besides the matrix it holds a few blocks and one row slab.  Larger
 primes take the pivot count of `_rref_gf`, the int64 reduced row
 echelon form that yields every kernel basis: over GF(p) directly, over
 Q lifted by CRT and rational reconstruction.  Apart from the oracle's
-independent echelon, these two are the package's only eliminators.
+independent echelon, these two are the package's only dense
+eliminators.  Ahead of them a GF(p) rank of a large sparse matrix takes
+cheap pivots first (`_markowitz`): in rounds of whole-array operations,
+a set of low-fill pivots that span a diagonal block D, and the exact
+Schur complement mod p in place of the rest.  So the rank is the pivot
+count plus the dense rank of the core that the rounds leave.
 Over Q the matrix, with denominators cleared, is made dense once and
 ranked modulo descending primes.  Each rank carries one of three
 certificates (see `rank`): full rank mod a prime, an exact kernel, or
@@ -62,6 +67,10 @@ _F32_MIN_WIDTH = 3 * _GF_BLOCK
 # (4 MB in float64, 2 MB in float32), well below the large matrices: the
 # 2100x2940 W_4 block (49 MB in float64) takes 2^19 no slower than 2^23.
 _SLAB_CELLS = 2**19
+# The sparse front end of the GF(p) rank (`_markowitz`) pivots on an
+# entry only if its Markowitz cost, the count of products its
+# elimination adds, is at most this.
+_MARKOWITZ_MAX = 64
 # int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
 # expands at most about _MATMUL_SLAB partial products (512 KB per int64
 # array).  Process peaks of the hermite jobs (d, i) = (6, 7), (5, 7),
@@ -570,11 +579,117 @@ def _rank_gf_f64(a: np.ndarray, p: int) -> int:
     return r
 
 
+def _inverse(d: np.ndarray, p: int) -> np.ndarray:
+    """d^(p-2) mod p, the inverses of int64 residues in [1, p): every
+    square and product of two residues below 2^31 stays below 2^62."""
+    out, e = np.ones_like(d), p - 2
+    while e:
+        if e & 1:
+            out = out * d % p
+        d, e = d * d % p, e >> 1
+    return out
+
+
+def _round_pivots(r: np.ndarray, c: np.ndarray, rows: int, cols: int):
+    """The pivots of one round of `_markowitz` on the live entries at
+    (r, c), in column-major order: (their rows, their columns, the live
+    min dimension).
+
+    Each column offers the entry of least Markowitz cost (a - 1)(b - 1),
+    a and b being the live counts of its row and column (the least row
+    first on a tie), if that cost is at most _MARKOWITZ_MAX; key = cost n
+    + column orders the offers strictly.  Offer i is accepted if its key
+    is the least among the offers whose column meets row r_i, and at most
+    the least among the offers whose row meets column c_i.  Accepted
+    offers i != j with an entry at (r_i, c_j) would need key_i < key_j
+    (the first rule at i) and key_j <= key_i (the second at j), so no
+    pivot row meets another pivot column: the pivots span a diagonal
+    block."""
+    top = np.iinfo(np.int64).max
+    per_row = np.bincount(r, minlength=rows)
+    first = np.flatnonzero(np.diff(c, prepend=-1))         # the live columns
+    best = np.minimum.reduceat(per_row[r] * rows + r, first)
+    cost = (best // rows - 1) * (np.diff(first, append=c.size) - 1)
+    ok = cost <= _MARKOWITZ_MAX
+    pr, pc = best[ok] % rows, c[first][ok]
+    key = cost[ok] * cols + pc
+    offer, in_row, at_row, at_col = (np.full(size, top) for size in (cols, rows, rows, cols))
+    offer[pc] = key
+    np.minimum.at(in_row, r, offer[c])
+    np.minimum.at(at_row, pr, key)
+    at_col[c[first]] = np.minimum.reduceat(at_row[r], first)
+    accept = (in_row[pr] == key) & (at_col[pc] >= key)
+    return pr[accept], pc[accept], min(np.count_nonzero(per_row), first.size)
+
+
+def _markowitz(m, p: int):
+    """Sparse pivots ahead of the dense engine: (k, core), with rank mod p
+    of m equal to k + that of core, an ExactMatrix of residues; (0, m)
+    where no round is taken.
+
+    It runs only on inputs it can win on: min(m, n) >= 2 _GF_BLOCK and at
+    most one entry in 16 nonzero.  Each round takes the live entries,
+    residues in [1, p) in column-major order, and the k pivots of
+    `_round_pivots`.  Those span a diagonal block D, so
+    rank [[D, E], [C, B]] = k + rank (B - C D^-1 E) exactly over GF(p),
+    and the Schur complement replaces the live entries: one product per
+    pair of entries in a pivot's column and row (at most _MARKOWITZ_MAX
+    per pivot), summed by one sort.  A round that would pivot fewer than
+    1/16 of the live min dimension is not taken, and ends the loop."""
+    rows, cols = m.shape
+    dense = isinstance(m, np.ndarray)
+    nnz = np.count_nonzero(m) if dense else m.nnz
+    if min(rows, cols) < 2 * _GF_BLOCK or 16 * nnz > rows * cols:
+        return 0, m
+    if dense:
+        c, r = np.nonzero(m.T)
+        v = m[r, c]
+    else:
+        _integral(m.val)
+        r, c, v = m.row, m.col, m.val
+    v = (v % p).astype(np.int64, copy=False)
+    k = 0
+    while True:
+        r, c, v = r[v != 0], c[v != 0], v[v != 0]
+        if not v.size:
+            break
+        pr, pc, live = _round_pivots(r, c, rows, cols)
+        if 16 * pr.size < live:
+            break
+        k += pr.size
+        ir, ic = np.full(rows, -1), np.full(cols, -1)
+        ir[pr] = ic[pc] = np.arange(pr.size)
+        ir, ic = ir[r], ic[c]
+        in_r, in_c = ir >= 0, ic >= 0
+        d = np.empty(pr.size, dtype=np.int64)
+        d[ic[in_r & in_c]] = v[in_r & in_c]                     # D, diagonal
+        rest, lower, right = ~(in_r | in_c), in_c & ~in_r, in_r & ~in_c
+        piv = ic[lower]
+        x = v[lower] * (p - _inverse(d, p))[piv] % p            # -C D^-1
+        order = np.argsort(ir[right], kind="stable")            # E by pivot
+        start = np.searchsorted(ir[right][order], np.arange(pr.size + 1))
+        ec, ey = c[right][order], v[right][order]
+        n = start[piv + 1] - start[piv]
+        ends = np.cumsum(n)
+        a = np.repeat(np.arange(piv.size), n)
+        b = np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(start[piv] - ends + n, n)
+        r, c, v = _canonical(rows, np.concatenate((r[rest], r[lower][a])),
+                             np.concatenate((c[rest], ec[b])),
+                             np.concatenate((v[rest], x[a] * ey[b] % p)))
+        v %= p
+    if not k:
+        return 0, m
+    (live_r, r), (live_c, c) = (np.unique(ix, return_inverse=True) for ix in (r, c))
+    return k, ExactMatrix._of(live_r.size, live_c.size, r, c, v)
+
+
 def _rank_gf(m, p: int) -> int:
-    """Rank mod p of an ExactMatrix or of a dense integer array."""
+    """Rank mod p of an ExactMatrix or of a dense integer array: the
+    pivots of `_markowitz`, plus the dense rank of the core it leaves."""
+    k, m = _markowitz(m, p)
     if _f64_admits(p):
-        return _rank_gf_f64(_gf_array(m, p, _carrier(p)), p)
-    return len(_rref_gf(_gf_array(m, p), p)[1])
+        return k + _rank_gf_f64(_gf_array(m, p, _carrier(p)), p)
+    return k + len(_rref_gf(_gf_array(m, p), p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -763,25 +878,27 @@ def _char0(block: np.ndarray, h2):
     `kernel_basis` (h2 None) on a dense integer block.  Returns the rank,
     or (pivots, free columns, num, den) of the RREF kernel (see `_lift`).
 
-    `rank` ranks the block mod each prime q by `_rank_gf` and returns at
-    full rank.  Otherwise a rank r_q at least the best so far takes
-    `_rref_gf` mod q, as every prime of `kernel_basis` does: a larger one
-    drops the earlier residues, an equal one joins the primes with its
-    pivot columns, and `_lift` tries their kernel.  `rank` lifts no block
-    with an entry past int64, whose lift would run on Python ints from
-    the start, so the Hadamard stop alone decides it."""
+    `rank` ranks the block mod q by `_rank_gf` and returns at full rank.
+    Otherwise a rank r_q at least the best so far takes `_rref_gf` mod q,
+    as every prime of `kernel_basis` does: a larger one drops the earlier
+    residues, an equal one joins the primes with its pivot columns, and
+    `_lift` tries their kernel.  After one deficient prime the RREF alone
+    ranks, and returns at full rank.  `rank` lifts no block with an entry
+    past int64, whose lift would run on Python ints from the start: it
+    takes `_rank_gf` at every prime, and the Hadamard stop decides it."""
     m, n = block.shape
     lift = h2 is None or block.dtype != object
-    best, modulus, runs = 0, 1, {}
+    best, modulus, runs, later = 0, 1, {}, False
     for q in _char0_primes():
         modulus *= q
-        if h2 is not None:
+        if h2 is not None and not later:
             r = _rank_gf(block, q)
-            if r == min(m, n):
-                return r
-        if lift and (h2 is None or r >= best):
+        if lift and (h2 is None or later or min(m, n) > r >= best):
             A, pivots = _rref_gf(_gf_array(block, q), q)
             r = len(pivots)
+        if h2 is not None and r == min(m, n):
+            return r
+        later = lift
         if r > best:
             best, runs = r, {}
         if lift and r == best:
@@ -818,6 +935,15 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
       be a nonzero multiple of the product of the primes used, which is
       larger than H: impossible.  No matrix takes more primes than this
       fallback alone would.
+
+    Over GF(p), and mod the primes that `_char0` ranks by `_rank_gf`, a
+    matrix with min(m, n) >= 64 and at most one entry in 16 nonzero
+    first goes through `_markowitz`.  Its pivots are nonzero mod p and
+    span a diagonal block D: no pivot row has an entry in another pivot
+    column.  Permuted to [[D, E], [C, B]], the matrix has rank
+    |D| + rank(B - C D^-1 E) over GF(p), and the rounds pass that Schur
+    complement on exactly, so the rank is their pivot count plus the
+    dense rank of the core they leave.
     """
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return 0

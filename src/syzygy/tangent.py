@@ -170,13 +170,14 @@ def betti_table(g: int, f: FieldSpec) -> BettiTable:
     """
     if g < 3:
         raise ValueError("need g >= 3")
-    _delta2_spaces(g, 1)            # before the g - 1 rows are allocated
+    p = f.characteristic
+    for i in range(1, 2 if p == 2 else g - 1):  # each delta2 (char 2: the first),
+        _delta2_spaces(g, i)                    # before the g - 1 rows are allocated
     rows = g - 1
     entries = [[0] * 4 for _ in range(rows)]
     methods = [["shape"] * 4 for _ in range(rows)]
     entries[0][0] = 1
     methods[0][0] = "corner"
-    p = f.characteristic
     if p == 2:
         for i in range(1, g - 1):
             entries[i][1] = i * comb(g - 1, i + 1)

@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import syzygy
 from syzygy.cli import main
 
 
@@ -238,3 +243,22 @@ def test_integer_flag_past_ssize_t_rejected(capsys):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_betti_past_int64_exits_before_allocating():
+    # the first delta2 source of g = 10^9 still fits int64 (dim ~1.5e18),
+    # the second does not; the table's g - 1 rows would need ~100 GB, so
+    # under a 1 GB address-space cap, set in the child alone, an
+    # allocation before the check of every delta2 is a MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(syzygy.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-m", "syzygy.cli", "betti", "--g", "1000000000",
+                           "--override-guard", "--format", "json"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr.startswith("error: "), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr

@@ -119,16 +119,20 @@ def _primes_descending_from(p, count):
     return out
 
 
-def _rank_gf_spy(monkeypatch):
-    """Record the prime of every `_rank_gf` call."""
+def _prime_spy(monkeypatch, calls=None):
+    """Record the primes that the char-0 loop ranks with, through
+    `_rank_gf` or `_rref_gf`, each once in order of first use; `calls`,
+    if given, receives every (engine, prime)."""
     primes = []
-    real = exactla._rank_gf
+    for name in ("_rank_gf", "_rref_gf"):
+        def spy(a, p, name=name, real=getattr(exactla, name)):
+            if calls is not None:
+                calls.append((name, p))
+            if p not in primes:
+                primes.append(p)
+            return real(a, p)
 
-    def spy(m, p):
-        primes.append(p)
-        return real(m, p)
-
-    monkeypatch.setattr(exactla, "_rank_gf", spy)
+        monkeypatch.setattr(exactla, name, spy)
     return primes
 
 
@@ -140,9 +144,13 @@ def test_char0_rank_survives_three_bad_primes(monkeypatch):
     assert rank_by_minors(data) == 3
     assert [rank(ExactMatrix.from_rows(data), GF(p)) for p in (p1, p2, p3, p4)] \
         == [2, 2, 2, 3]
-    primes = _rank_gf_spy(monkeypatch)
+    calls = []
+    primes = _prime_spy(monkeypatch, calls)
     assert rank(ExactMatrix.from_rows(data), QQ) == 3
     assert primes == [p1, p2, p3, p4]
+    # the first deficient prime takes both eliminations, the later ones
+    # the RREF alone, and the fourth returns at its full rank
+    assert calls == [("_rank_gf", p1)] + [("_rref_gf", q) for q in primes]
 
 
 def test_char0_rank_deficient_stops_at_hadamard_bound(monkeypatch):
@@ -160,7 +168,7 @@ def test_char0_rank_deficient_stops_at_hadamard_bound(monkeypatch):
     h2 = min(prod(sum(v * v for v in vec) for vec in vecs)
              for vecs in (data, list(zip(*data))))
     assert prod(seq[:10]) ** 2 <= h2 < prod(seq[:11]) ** 2
-    primes = _rank_gf_spy(monkeypatch)
+    primes = _prime_spy(monkeypatch)
     assert rank(m, QQ) == 2
     assert primes == seq[:11]
 
@@ -180,7 +188,7 @@ def test_char0_rank_builds_its_dense_block_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(exactla, "_dense", spy)
-    primes = _rank_gf_spy(monkeypatch)
+    primes = _prime_spy(monkeypatch)
     assert rank(ExactMatrix.from_rows(data), QQ) == 2
     assert dense == [(4, 4)] and primes == seq[:11]
 
@@ -269,7 +277,7 @@ def test_char0_rank_certified_by_a_kernel_of_several_primes(monkeypatch):
     row = [seq[0], 1, 5, 7]
     data = [row, [(2**36 + 1) * v for v in row], [(2**36 + 3) * v for v in row]]
     assert rank_by_minors(data) == 1 and _hadamard_primes(data, seq) == 6
-    primes = _rank_gf_spy(monkeypatch)
+    primes = _prime_spy(monkeypatch)
     assert rank(ExactMatrix.from_rows(data), QQ) == 1
     assert primes == seq[:4]
 
@@ -284,7 +292,7 @@ def test_char0_rank_falls_back_to_hadamard_when_no_kernel_lifts(monkeypatch):
     y = [rng.randrange(2**59, 2**60) for _ in range(3)]
     data = [x, y, [a - b for a, b in zip(x, y)]]
     assert rank_by_minors(data) == 2
-    primes = _rank_gf_spy(monkeypatch)
+    primes = _prime_spy(monkeypatch)
     assert rank(ExactMatrix.from_rows(data), QQ) == 2
     assert primes == seq[:_hadamard_primes(data, seq)]
 
