@@ -15,7 +15,7 @@ from math import comb
 
 from . import __version__, koszul, oracle
 from .exactla import ExactMatrix, FieldSpec, rank
-from .hermite import psi_compat_check, psi_map
+from .hermite import psi_compat_check, psi_map, square_holds
 from .koszul import (NONTRIVIAL, TRIVIAL, chow_member, hilbert_bound,
                      random_koszul_input, resonance_trivial)
 from .reps import lowering, raising
@@ -244,8 +244,8 @@ def cmd_hermite(args) -> int:
     if i >= 1 and d >= 1:
         L1, L2 = lowering(pm.source), lowering(pm.target)
         R1, R2 = raising(pm.source), raising(pm.target)
-        okL = (pm.matrix @ L1.matrix).equals_mod(L2.matrix @ pm.matrix, f)
-        okR = (pm.matrix @ R1.matrix).equals_mod(R2.matrix @ pm.matrix, f)
+        okL = square_holds(L2.matrix, pm.matrix, pm.matrix, L1.matrix, f)
+        okR = square_holds(R2.matrix, pm.matrix, pm.matrix, R1.matrix, f)
     ok_compat = psi_compat_check(d, i, f)
     ok = ok_dim and okL and okR and ok_compat
     payload = {"d": d, "i": i, "char": f.characteristic,

@@ -179,7 +179,7 @@ class ExactMatrix:
     `entries` is a {(row, col): value} mapping or a (rows, cols, values)
     triple whose repeated coordinates add up."""
 
-    __slots__ = ("rows", "cols", "row", "col", "val")
+    __slots__ = ("rows", "cols", "row", "col", "val", "_starts", "_bound")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -201,6 +201,7 @@ class ExactMatrix:
         v = _values(v) if v.dtype == object else v
         r.flags.writeable = c.flags.writeable = v.flags.writeable = False
         self.rows, self.cols, self.row, self.col, self.val = int(rows), int(cols), r, c, v
+        self._starts = self._bound = None
         return self
 
     @classmethod
@@ -236,6 +237,21 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each column's run of coordinates begins, then nnz: cols + 1
+        offsets, found once per matrix (a product reads them each time)."""
+        if self._starts is None:
+            self._starts = np.searchsorted(self.col, np.arange(self.cols + 1))
+        return self._starts
+
+    @property
+    def bound(self) -> int:
+        """The largest entry magnitude, `_max_abs` of `val`, found once."""
+        if self._bound is None:
+            self._bound = _max_abs(self.val)
+        return self._bound
+
     def entry(self, r: int, c: int):
         lo, hi = np.searchsorted(self.col, (c, c + 1))
         k = lo + int(np.searchsorted(self.row[lo:hi], r))
@@ -263,11 +279,9 @@ class ExactMatrix:
         `_MATMUL_SLAB` at a time, and summed by one sort per slab."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        va, vb = self.val, other.val
-        astart = np.searchsorted(self.col, np.arange(self.cols + 1))
-        bstart = np.searchsorted(other.col, np.arange(other.cols + 1))
+        va, vb, astart, bstart = self.val, other.val, self.starts, other.starts
         # a product entry sums at most (longest column of other) terms
-        if _max_abs(va) * _max_abs(vb) * int(np.diff(bstart).max(initial=0)) >= _I64:
+        if self.bound * other.bound * int(np.diff(bstart).max(initial=0)) >= _I64:
             va, vb = va.astype(object), vb.astype(object)
         count = astart[other.row + 1] - astart[other.row]
         ends = np.cumsum(count)

@@ -35,6 +35,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .exactla import ExactMatrix, FieldSpec, graded_rank
 
@@ -137,6 +138,7 @@ class ParamRing:
         self._polys = _z_polys(self.g, self.field.characteristic, self.chart)
         self._blocks = {}      # n -> {weight -> _Block}, filled by `_build`
         self._products = {}    # (n, w, local, c) -> `multiply`
+        self._ranks = {}       # (i, n) -> `_map_rank`
 
     def _coords(self, n: int, w: int):
         """Ambient coordinates of z-weight w in degree n: (beta, delta)
@@ -284,12 +286,17 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet") -> int:
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
     ring = _ring(g, f, chart)
-    out = _wedge_mult_matrix(ring, i, j)
-    into = _wedge_mult_matrix(ring, i + 1, j - 1) if j >= 1 else \
-        ExactMatrix(out.cols, 0)
-    # z_c shifts weight by c, so both maps are weight-graded
-    rank_out = graded_rank(out, ring.field, _wedge_weights(ring, i - 1, j + 1),
-                           _wedge_weights(ring, i, j))
-    rank_in = graded_rank(into, ring.field, _wedge_weights(ring, i, j),
-                          _wedge_weights(ring, i + 1, j - 1)) if into.cols else 0
-    return (out.cols - rank_out) - rank_in
+    rank_in = _map_rank(ring, i + 1, j - 1) if j >= 1 else 0
+    return comb(g + 1, i) * ring.dim(j) - _map_rank(ring, i, j) - rank_in
+
+
+def _map_rank(ring: ParamRing, i: int, n: int) -> int:
+    """The rank of `_wedge_mult_matrix(ring, i, n)`, kept on the ring:
+    K_{i,n} reads it as its outgoing map and K_{i-1,n+1} as its incoming
+    one.  z_c shifts weight by c, so the map is weight-graded."""
+    key = (i, n)
+    if key not in ring._ranks:
+        ring._ranks[key] = graded_rank(_wedge_mult_matrix(ring, i, n), ring.field,
+                                       _wedge_weights(ring, i - 1, n + 1),
+                                       _wedge_weights(ring, i, n))
+    return ring._ranks[key]

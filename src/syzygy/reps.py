@@ -58,14 +58,15 @@ field.  `RepMap.rank` hands both flips to `exactla.graded_rank`, which
 checks this identity exactly one pair of blocks at a time and ranks
 one block of each pair that passes.
 
-Every map factory, here and in `hermite` and `tangent`, is one call of
+Every map factory here and in `tangent` is one call of
 `_build(source, target, parts, name)` on coordinate arrays computed for
-all source labels at once; no label tuple is formed.  Only this module
-reads label rows.  Other modules take their entries from `_insertions`
-(a part inserted into a monomial), `_pieri` (the Pieri rule, which
-builds `nu`, that is p, the map q of `tangent` and, through `nu`, the
-reciprocity matrix of `hermite`) and `contraction` (the Koszul
-contraction of wedge rows).
+all source labels at once; no label tuple is formed.  The reciprocity
+matrix of `hermite` is merged from products of `nu`, which are
+canonical already, with no sort.  Only this module reads label rows.
+Other modules take their entries from `_insertions` (a part inserted
+into a monomial), `_pieri` (the Pieri rule, which builds `nu`, that is
+p, the map q of `tangent` and, through `nu`, the reciprocity matrix of
+`hermite`) and `contraction` (the Koszul contraction of wedge rows).
 """
 
 from __future__ import annotations

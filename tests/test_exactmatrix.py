@@ -107,6 +107,21 @@ def test_operations_match_reference(case, a):
                 assert x.equals_mod(y, FieldSpec(p)) == want
 
 
+@_SETTINGS
+@given(_products())
+def test_kept_column_starts_and_bound(case):
+    # a product reads both operands' column starts and largest magnitude,
+    # found once per matrix and kept for the next product
+    (m1, d1), (m2, d2), _ = case
+    for m, d in ((m1, d1), (m2, d2)):
+        counts = [sum(c == k for _, c in d.entries) for k in range(d.cols)]
+        assert m.starts.tolist() == [sum(counts[:k]) for k in range(d.cols + 1)]
+        assert m.bound == max((abs(v) for v in d.entries.values()), default=0)
+    _same(m1 @ m2, d1 @ d2)
+    assert m1.starts is m1.starts
+    _same(m1 @ m2, d1 @ d2)
+
+
 def test_shape_errors_match_reference():
     a, b = zeros(2, 3), zeros(2, 2)
     with pytest.raises(ValueError):

@@ -44,6 +44,19 @@ def test_dimension_symmetry():
             assert pm.source.dim == pm.target.dim == comb(d + i, i)
 
 
+def test_psi_is_canonical():
+    # psi is merged from its Pieri parts without a sort: it must equal,
+    # coordinate for coordinate and in dtype, what the constructor's
+    # sort, sum and zero filter make of its arrays; psi(80, 2) has
+    # entries past int64, so its values stay Python ints
+    cases = [(d, total - d) for total in range(13) for d in range(total + 1)]
+    for d, i in cases + [(80, 2)]:
+        m = psi_map(d, i).matrix
+        ref = ExactMatrix(m.rows, m.cols, (m.row, m.col, m.val))
+        assert m == ref and m.val.dtype == ref.val.dtype, (d, i)
+    assert psi_map(80, 2).matrix.val.dtype == object
+
+
 @pytest.mark.parametrize("f", FIELDS)
 def test_bijective_and_equivariant(f):
     for total in range(0, 9):

@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from syzygy.exactla import GF, QQ
+from syzygy import oracle
+from syzygy.exactla import GF, QQ, graded_rank
 from syzygy.oracle import oracle_kij, ring_dim
 from syzygy.tangent import betti_table, k_i1, k_i2
 
@@ -52,6 +53,20 @@ def test_oracle_kij_g5():
     assert oracle_kij(5, 2, 1, QQ) == 0
     assert oracle_kij(5, 1, 2, QQ) == 0
     assert oracle_kij(5, 1, 1, GF(2)) == 6    # Eagon-Northcott: 1 * C(4,2)
+
+
+def test_oracle_ranks_each_map_once(monkeypatch):
+    # Wedge^{i+1} W (x) R_{j-1} -> Wedge^i W (x) R_j is the map into K_{i,j}
+    # and the map out of K_{i+1,j-1}: `betti-oracle --g 7` reads 20 ranks
+    # of 16 distinct maps, and each is ranked once
+    calls = []
+    monkeypatch.setattr(oracle, "graded_rank",
+                        lambda m, *a: calls.append(m.shape) or graded_rank(m, *a))
+    oracle._ring.cache_clear()
+    kij = {(i, j): oracle_kij(7, i, j, QQ) for i in range(1, 6) for j in (1, 2)}
+    assert kij == {(1, 1): 10, (1, 2): 0, (2, 1): 16, (2, 2): 0, (3, 1): 0,
+                   (3, 2): 16, (4, 1): 0, (4, 2): 10, (5, 1): 0, (5, 2): 0}
+    assert len(calls) == 16
 
 
 def test_oracle_matches_delta2_row():
