@@ -2,7 +2,7 @@
 output, plus a self-check suite over the package invariants.
 
 Exit codes: 0 ok, 1 invariant failure, 2 invalid input, 3 resource
-guard breached.  Identical invocations produce byte-identical output;
+guard breached or out of memory.  Identical invocations produce byte-identical output;
 all randomness is driven by --seed.
 """
 
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as e:     # overflow: an integer flag past ssize_t
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INVALID
+    except MemoryError:
+        sys.stderr.write("error: out of memory; the job needs more than this process may have\n")
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

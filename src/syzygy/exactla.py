@@ -3,27 +3,29 @@
 This is the rank/kernel engine used by every other module; all
 computations are exact.  Every prime that `_f64_admits` (up to ~2^23)
 ranks in floating point (`_rank_gf_f64`), with the bulk of the work in
-matrix products and delayed reduction: column blocks of up to 256 are
-factored on small copies, and the rest of the matrix takes one product
-per block.  Entries are integers whose magnitude the engine bounds as
-it goes, reduced mod p only where a pivot is searched or used and in
-bulk when the bound could reach its carrier's limit: 2^22 in float32,
-which carries the primes up to 199 (`_carrier`), and 2^51 in float64.
-Besides the matrix it holds a few blocks and one row slab.  Larger
-primes take the pivot count of `_rref_gf`, the int64 reduced row
-echelon form that yields every kernel basis: over GF(p) directly, over
-Q lifted by CRT and rational reconstruction.  Apart from the oracle's
-independent echelon, these two are the package's only dense
-eliminators.  Ahead of them a GF(p) rank of a large sparse matrix takes
-cheap pivots first (`_markowitz`): in rounds of whole-array operations,
-a set of low-fill pivots that span a diagonal block D, and the exact
-Schur complement mod p in place of the rest.  So the rank is the pivot
-count plus the dense rank of the core that the rounds leave.
-Over Q the matrix, with denominators cleared, is made dense once and
-ranked modulo descending primes.  Each rank carries one of three
-certificates (see `rank`): full rank mod a prime, an exact kernel, or
-the Hadamard bound.  Floats are used only as exact carriers of
-integers: below 2^24 in float32 and below 2^53 in float64.
+matrix products and delayed reduction, left-looking: the short side is
+taken as rows, and column blocks of up to 256 are read from the source
+one at a time, updated by one product per earlier block and factored.
+Entries are integers whose magnitude the engine bounds as it goes,
+reduced mod p only where a pivot is searched or used and in bulk when
+the bound could reach its carrier's limit: 2^22 in float32, which
+carries the primes up to 199 (`_carrier`), and 2^51 in float64.  It
+holds the earlier blocks' multipliers (at most min(m, n)^2 / 2 cells),
+one block and one row slab, never the dense matrix, and stops once the
+rank fills the short side.  Larger primes take the pivot count of
+`_rref_gf`, the int64 reduced row echelon form that yields every kernel
+basis: over GF(p) directly, over Q lifted by CRT and rational
+reconstruction.  Apart from the oracle's independent echelon, these two
+are the package's only dense eliminators.  Ahead of them a GF(p) rank
+of a large sparse matrix takes cheap pivots first (`_markowitz`): in
+rounds of whole-array operations, a set of low-fill pivots that span a
+diagonal block D, and the exact Schur complement mod p in place of the
+rest.  So the rank is the pivot count plus the rank of the core that
+the rounds leave.  Over Q the matrix, with denominators cleared, is
+made dense once and ranked modulo descending primes.  Each rank carries
+one of three certificates (see `rank`): full rank mod a prime, an exact
+kernel, or the Hadamard bound.  Floats are used only as exact carriers
+of integers: below 2^24 in float32 and below 2^53 in float64.
 
 `ExactMatrix` is immutable and stores three coordinate arrays, `row`
 and `col` (int64) and `val`, sorted column-major.  `val` is int64 when
@@ -55,17 +57,19 @@ _GF_BLOCK = 32
 _F64_SAFE = 2**51
 _F32_SAFE = 2**22
 # float32 carries a prime only if it allows blocks of at least this many
-# columns.  Ranking the captured blocks of koszul-resonance n = 7 in
-# each carrier (2 CPUs, OpenBLAS), float32 ties float64 at W = 96
-# (p = 197, 199) but loses at W = 64 (p = 211: 0.38 s against 0.33 s;
-# 251: 0.40 against 0.32) and at W = 32 (293, 359: 0.6 against 0.3):
-# narrow blocks take more passes over the trailing matrix and a bulk
-# reduction before nearly every block.
+# columns.  Ranking the ~1440x2200 W_4 cores of koszul-resonance n = 7
+# in each carrier (2 CPUs, OpenBLAS, best of 5), float32 ties float64 at
+# W = 96 (p = 197: 0.21 s against 0.18 s; 199: 0.16 against 0.18) but
+# loses at W = 64 (211: 0.22 against 0.18; 251: 0.20 against 0.18) and
+# at W = 32 (293, 359: 0.37 against 0.16-0.19): narrow blocks take more
+# replays each, and a bulk reduction before nearly every one.
 _F32_MIN_WIDTH = 3 * _GF_BLOCK
-# Row slabs of the GF(p) engine's trailing product and bulk reduction,
-# and of the scatter into its dense array, hold at most this many cells
-# (4 MB in float64, 2 MB in float32), well below the large matrices: the
-# 2100x2940 W_4 block (49 MB in float64) takes 2^19 no slower than 2^23.
+# Row slabs of the GF(p) engine's replayed products and bulk reductions,
+# and of the scatter of a sparse source into a block, hold at most this
+# many cells (4 MB in float64, 2 MB in float32).  The W_4 core of
+# koszul-resonance n = 7 (1443x2212) and the W_5 core at n = 8
+# (8691x14988) rank as fast with 2^19 as with 2^23, which holds a whole
+# block (0.13-0.14 s against 0.12-0.17 s; 10.8-11.5 s against 10.3-10.5 s).
 _SLAB_CELLS = 2**19
 # The sparse front end of the GF(p) rank (`_markowitz`) pivots on an
 # entry only if its Markowitz cost, the count of products its
@@ -401,22 +405,29 @@ def _dense(m: ExactMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
-    """Dense residues mod p in [0, p) of an ExactMatrix, scattered
-    straight into `dtype` (the `_carrier` of p for the float engine,
-    int64 for the RREF) _SLAB_CELLS entries at a time, or of a dense
-    integer array (int64 or object) of `rank`.  An int64 array is reduced
-    straight into the result, with no int64 copy; numpy will not cast an
-    object result to float, so an object array takes one."""
-    if isinstance(m, np.ndarray):
-        if m.dtype == object:
-            return np.remainder(m, p).astype(dtype, copy=False)
-        return np.remainder(m, p, out=np.empty(m.shape, dtype=dtype))
-    a = np.zeros(m.shape, dtype=dtype)
-    _integral(m.val)
-    for s in range(0, m.nnz, _SLAB_CELLS):
-        e = s + _SLAB_CELLS
-        a[m.row[s:e], m.col[s:e]] = m.val[s:e] % p
-    return a
+    """Dense residues mod p in [0, p) of an ExactMatrix or of a dense
+    integer array (int64 or object), in `dtype`: `_gf_columns` of all
+    its columns."""
+    return _gf_columns(m, 0, m.shape[1], p, np.zeros(m.shape, dtype=dtype))
+
+
+def _gf_columns(m, c0: int, c1: int, p: int, out: np.ndarray) -> np.ndarray:
+    """`out`, zeros on entry, with the residues mod p in [0, p) of
+    columns c0..c1-1 of m written in: an ExactMatrix's entries from
+    starts[c0] to starts[c1], _SLAB_CELLS at a time, or a dense array's,
+    reduced straight into `out` (an object array by way of a copy: numpy
+    will not cast an object result to float)."""
+    if isinstance(m, np.ndarray) and m.dtype == object:
+        out[...] = np.remainder(m[:, c0:c1], p)
+    elif isinstance(m, np.ndarray):
+        np.remainder(m[:, c0:c1], p, out=out)
+    else:
+        s, e = m.starts[c0], m.starts[c1]
+        _integral(m.val[s:e])
+        for i in range(s, e, _SLAB_CELLS):
+            j = min(i + _SLAB_CELLS, e)
+            out[m.row[i:j], m.col[i:j] - c0] = m.val[i:j] % p
+    return out
 
 
 def _f64_fits(bound: int, width: int, p: int, safe: int = _F64_SAFE) -> bool:
@@ -512,84 +523,97 @@ def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
     return piv
 
 
-def _rank_gf_f64(a: np.ndarray, p: int) -> int:
-    """Two-level blocked elimination mod p in float32 or float64, with
-    delayed reduction.  `a` holds reduced residues mod p (magnitude
-    <= p-1).  A float32 `a` runs in float32 if p <= 199 (`_carrier`),
-    with the bound safe = _F32_SAFE = 2^22; every other `a` runs in
-    float64, with safe = _F64_SAFE = 2^51.  Every temporary takes that
-    dtype.  A float64 `a`, or a float32 one at p <= 199, is eliminated
-    in place; any other is converted once, so a float32 `a` at a prime
-    outside `_carrier`'s float32 range is never ranked inexactly.
+def _rank_gf_f64(src, p: int) -> int:
+    """Rank mod p of an ExactMatrix or a dense integer or float array, by
+    left-looking blocked elimination with delayed reduction in
+    `_carrier(p)`, whatever the source's dtype: float32 for p <= 199,
+    below safe = _F32_SAFE = 2^22, and float64 above, below
+    safe = _F64_SAFE = 2^51.  Every temporary takes that dtype, so a
+    float32 source at a prime outside float32's range is never ranked
+    inexactly.  The source is only read.
 
     W is the widest multiple of _GF_BLOCK up to 256 that `_f64_fits`
     admits below safe: in float64 256 for p below ~2.9e6 and 32 near
     2^23, in float32 256 for p <= 127, 224 at 131, 128 at 163-181 and 96
-    at 197-199.  Sums of products stay below safe, so below 2^24
-    in float32, and every sgemm/dgemm is exact.  A matrix no wider
-    than W is eliminated in place by `_pivot_rows`, along its shorter
-    side.  Otherwise the columns are cut into equal blocks of width at
-    most W.  The un-eliminated rows of a block are copied into a
-    column-major C with W more columns, where `_pivot_rows` finds k
-    pivot rows and leaves on each other row the coefficients Y with
-    row + Y (pivot rows) = its eliminated form.  So the trailing
-    columns need no triangular solve: the non-pivot rows move into the
-    places of the pivot rows below the first k (no other row moves) and
-    take one product Y T of inner width k, T being the pivot
-    rows' trailing entries as before the block.
+    at 197-199.  Sums of products stay below safe, so below 2^24 in
+    float32, and every sgemm/dgemm is exact.  A matrix no wider than W
+    is read whole and eliminated by `_pivot_rows` along its shorter
+    side.  Otherwise the short side is taken as rows and the columns are
+    cut into equal blocks of width at most W, each read (`_gf_columns`)
+    into a row-major array only when its turn comes.  Its rows r.. are
+    copied for the search into a column-major C with W more columns.
 
-    Invariant: every entry of the un-eliminated rows, in C and in the
-    trailing columns, is an integer of magnitude <= `bound` < safe
-    (tracked, not measured).  Multipliers, pivot rows, Y and T are
-    reduced (`_reduce_f64`), to magnitude <= p-1, so each pivot moves an
-    entry by at most (p-1)^2: in C, in Y and in Y T alike, a block with
-    k pivots raises the bound by at most k (p-1)^2.  Columns are reduced
-    just before their search, and the trailing block in bulk when the
-    next block could break `_f64_fits`, after ~safe / (p-1)^2 pivots:
-    in float64 2^27 at p = 2^12, never for small primes; in float32 about
-    400 at p = 101 and 107 at p = 199.  The product and the bulk
-    reduction run in row slabs (`_row_slabs`).  Besides the matrix the
-    engine holds C and T with T's reduction, about 2 W (m + n) cells,
-    and then Y, T and one slab of _SLAB_CELLS cells.
+    A block first replays, in order, each earlier block j with k > 0
+    pivots from row r_j: T = its rows at block j's pivots, reduced; the
+    non-pivot rows among rows r_j..r_j+k-1 move into the places of the
+    pivot rows below those (no other row moves); and rows r_j + k.. take
+    the product Y_j T of inner width k.  Y_j are the coefficients, with
+    row + Y (pivot rows) = its eliminated form, that `_pivot_rows` left
+    in the extra columns of block j's C, reduced.  So rows r.. of the
+    block are eliminated by every earlier pivot, and `_pivot_rows` finds
+    its own.  Once the rank equals the row count the engine stops.
+
+    Invariant: every entry of the block's rows from r_j (r in the search)
+    is an integer of magnitude <= `bound` < safe (tracked, not measured).
+    A block is read as residues; T and Y are reduced (`_reduce_f64`), to
+    magnitude <= p-1, so a replay or a search over k pivots or columns
+    raises the bound by at most k (p-1)^2.  `_f64_fits` is checked
+    before each replay and before the search, and those rows are
+    reduced in bulk where it fails: in float64 after ~2^27 pivots at
+    p = 2^12, never for small primes, before every replay near 2^23; in
+    float32 after about 400 pivots at p = 101 and 107 at p = 199.
+    Products and bulk reductions run in row slabs (`_row_slabs`).  The
+    engine holds the Y, at most min(m, n)^2 / 2 cells, one block and its
+    C, T and one slab; never the whole matrix.
     """
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    f32 = a.dtype == np.float32 and _carrier(p) == np.float32
-    A = np.asarray(a, dtype=np.float32 if f32 else np.float64)
-    safe = _F32_SAFE if f32 else _F64_SAFE
+    m, n = src.shape
+    dtype = _carrier(p)
+    safe = _F32_SAFE if dtype == np.float32 else _F64_SAFE
     width = max(w for w in range(_GF_BLOCK, 257, _GF_BLOCK) if _f64_fits(p - 1, w, p, safe))
-    if n <= width:
-        return len(_pivot_rows(A.T, m, p) if m <= n else _pivot_rows(A, n, p))
+    if n <= width:                          # an empty matrix too
+        a = _gf_array(src, p, dtype)
+        return len(_pivot_rows(a.T, m, p) if m <= n else _pivot_rows(a, n, p))
+    if m > n:
+        src, m, n = src.T if isinstance(src, np.ndarray) else src.transpose(), n, m
     width = -(-n // -(-n // width))
-    bound, r, c0 = p - 1, 0, 0
-    while c0 < n and r < m:
+    done, r = [], 0                         # (r_j, pivots, row moves, Y_j) per block
+    for c0 in range(0, n, width):
         c1 = min(c0 + width, n)
-        if not _f64_fits(bound, c1 - c0, p, safe):
-            for i, j in _row_slabs(r, m, n - c0):
-                _reduce_f64(A[i:j, c0:], p)
-            bound = p - 1
-        w, mm = c1 - c0, m - r
-        C = np.zeros((mm, w + min(w, mm) * (c1 < n)), dtype=A.dtype, order="F")
-        C[:, :w] = A[r:, c0:c1]
+        w, bound = c1 - c0, p - 1
+        X = _gf_columns(src, c0, c1, p, np.zeros((m, w), dtype=dtype))
+        for rj, piv, (frm, to), Y in done:
+            k = piv.size
+            if not _f64_fits(bound, k, p, safe):
+                for i, j in _row_slabs(rj, m, w):
+                    _reduce_f64(X[i:j], p)
+                bound = p - 1
+            T = X[rj + piv]
+            _reduce_f64(T, p)
+            X[rj + to] = X[rj + frm]
+            for i, j in _row_slabs(rj + k, m, w):
+                X[i:j] += Y[i - rj - k:j - rj - k] @ T
+            bound += k * (p - 1) * (p - 1)
+        if not _f64_fits(bound, w, p, safe):
+            for i, j in _row_slabs(r, m, w):
+                _reduce_f64(X[i:j], p)
+        C = np.zeros((m - r, w + min(w, m - r) * (c1 < n)), dtype=dtype, order="F")
+        C[:, :w] = X[r:]
+        del X                               # before the search's temporaries
         piv = np.array(_pivot_rows(C, w, p), dtype=np.int64)
         k = piv.size
-        if k and c1 < n:
-            T = A[r + piv, c1:]
-            _reduce_f64(T, p)
-            src = np.setdiff1d(np.arange(k), piv)   # non-pivot rows among the first k
-            dst = piv[piv >= k]
-            A[r + dst, c1:] = A[r + src, c1:]
-            orig = np.arange(k, mm)                 # the row of C now at r + k + i
-            orig[dst - k] = src
+        if k and c1 < n and r + k < m:
+            frm = np.ones(k, dtype=bool)
+            frm[piv[piv < k]] = False
+            frm, to = np.flatnonzero(frm), piv[piv >= k]    # non-pivot rows among the first k
+            orig = np.arange(k, m - r)      # the row of C now at r + k + i
+            orig[to - k] = frm
             Y = C[orig, w:w + k]
-            del C                                   # before the slabs' temporaries
             _reduce_f64(Y, p)
-            for i, j in _row_slabs(r + k, m, n - c1):
-                A[i:j, c1:] += Y[i - r - k:j - r - k] @ T
-            bound += k * (p - 1) * (p - 1)
+            done.append((r, piv, (frm, to), Y))
+        del C                               # before the next block
         r += k
-        c0 = c1
+        if r == m:
+            break
     return r
 
 
@@ -702,7 +726,7 @@ def _rank_gf(m, p: int) -> int:
     pivots of `_markowitz`, plus the dense rank of the core it leaves."""
     k, m = _markowitz(m, p)
     if _f64_admits(p):
-        return k + _rank_gf_f64(_gf_array(m, p, _carrier(p)), p)
+        return k + _rank_gf_f64(m, p)
     return k + len(_rref_gf(_gf_array(m, p), p)[1])
 
 
@@ -916,7 +940,9 @@ def _char0(block: np.ndarray, h2):
         if r > best:
             best, runs = r, {}
         if lift and r == best:
-            free = np.setdiff1d(np.arange(n), pivots)
+            free = np.ones(n, dtype=bool)
+            free[pivots] = False
+            free = np.flatnonzero(free)
             run = runs.setdefault(tuple(pivots), [])
             run.append((q, A[:r][:, free]))
             kernel = _lift(block, run, pivots, free)
@@ -1060,7 +1086,8 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     end = np.append(first[1:], ec.size)
     if np.any(er != np.repeat(er[first], end - first)):
         raise ValueError("matrix is not weight-graded")
-    if np.unique(er[first]).size != first.size:
+    hit = np.sort(er[first])
+    if (hit[1:] == hit[:-1]).any():
         raise ValueError("two column classes hit one row class")
     count = [1] * first.size
     if flips is not None:

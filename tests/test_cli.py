@@ -262,3 +262,22 @@ def test_betti_past_int64_exits_before_allocating():
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and done.stderr.startswith("error: "), done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+def test_out_of_memory_exits_with_the_guard_code():
+    # over GF(2) only delta2(g, 1) is checked before the table's g - 1
+    # rows are allocated; under a 1 GB address-space cap, set in the
+    # child alone, that list is a MemoryError, which ends in one error
+    # line and exit 3, with no traceback
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(syzygy.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-m", "syzygy.cli", "betti", "--g", "1000000000",
+                           "--char", "2", "--override-guard"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == "", done.stderr
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1

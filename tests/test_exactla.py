@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -12,7 +13,7 @@ from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
                             kernel_basis, rank, subspace_intersection_dim)
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
-                            _is_prime, _rank_gf_f64, _reduce_f64, _rref_gf)
+                            _is_prime, _pivot_rows, _rank_gf_f64, _reduce_f64, _rref_gf)
 from syzygy.exactla import _F32_SAFE, _carrier
 
 from _oracles import (kernel_from_rref, nonzero_minor_exists, rank_by_minors,
@@ -595,21 +596,23 @@ def test_gf_f64_pivot_rows_are_reduced_before_the_product():
     assert _rank_gf_f64(a.astype(np.float64), p) == len(_rref_gf(a.copy(), p)[1]) == 2 * k
 
 
-def test_gf_f64_bulk_reduction_before_every_block_at_largest_prime(monkeypatch):
+def test_gf_f64_bulk_reduction_before_every_replay_at_largest_prime(monkeypatch):
     # at the largest prime one block of 32 pivots fills the bound, so
-    # each later block b starts by reducing the (m - 32 b) x (n - 32 b)
-    # rows and columns left
+    # block b reduces its rows from 32 j in bulk before it replays block
+    # j, for each 1 <= j < b, and its rows from 32 b before its own
+    # search; the rank is full after block 6, and block 7 is never read
     p, B = _P_MAX_F64, _GF_BLOCK
-    shapes = []
+    bulk = Counter()
 
     def spy(x, q):
-        shapes.append(x.shape)
+        if x.ndim == 2 and x.base is not None:      # a view of the block, not a copy
+            bulk[x.shape] += 1
         _reduce_f64(x, q)
 
     monkeypatch.setattr(exactla, "_reduce_f64", spy)
     a = np.random.default_rng(73).integers(0, p, (200, 8 * B))
     assert _rank_gf_f64(a.astype(np.float64), p) == 200        # random: full rank
-    assert all((200 - B * b, 8 * B - B * b) in shapes for b in range(1, 7))
+    assert bulk == Counter({(200 - B * j, B): 7 - j for j in range(1, 7)})
 
 
 def test_gf_f64_temporaries_stay_below_the_matrix():
@@ -741,8 +744,8 @@ def test_gf_f32_blocks_match_the_echelon_forms(case):
 
     def spy(x, q):
         dtypes.append(x.dtype)
-        if x.ndim == 2 and np.shares_memory(x, b):
-            bulk.append(x.shape)            # not a copy: a bulk reduction
+        if x.ndim == 2 and x.base is not None:
+            bulk.append(x.shape)            # a view of the block, not a copy: a bulk reduction
         _reduce_f64(x, q)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -754,25 +757,44 @@ def test_gf_f32_blocks_match_the_echelon_forms(case):
         assert got == len(rref_mod_p(a.tolist(), p)[1])
     assert dtypes and all(d == np.float32 for d in dtypes)
     if p == 199:
-        # 11 pivots since the last bulk reduction fill the bound, so the
-        # next block starts by reducing the rows and columns left
-        since = 0
-        for c0 in range(width, n, width):
-            done = sum(c < c0 for c in pivots)
-            since += sum(c0 - width <= c < c0 for c in pivots)
-            if since >= 11 and done < m:
-                assert (m - done, n - c0) in bulk
-                since = 0
+        # the engine takes the short side as rows and cuts the long one
+        # into blocks; 11 pivots since the last bulk reduction leave no
+        # room for a search over 96 columns, and 107 none at all, so a
+        # block reduces its rows from r_j in bulk before it replays block
+        # j where the bound requires, and its rows from r before its search
+        e = a if m <= n else a.T
+        em, en = e.shape
+        ew = -(-en // -(-en // width))
+        per_block = np.bincount(np.array(_rref_gf(e.copy(), p)[1], dtype=np.int64) // ew,
+                                minlength=-(-en // ew)).tolist()
+        want, done, r = [], [], 0
+        for b, k in enumerate(per_block):
+            w = min(ew, en - b * ew)
+            since = 0
+            for rj, kj in done:
+                if not _f64_fits(198 + since * 198**2, kj, p, _F32_SAFE):
+                    want.append((em - rj, w))
+                    since = 0
+                since += kj
+            if not _f64_fits(198 + since * 198**2, w, p, _F32_SAFE):
+                want.append((em - r, w))
+            if k and b + 1 < len(per_block) and r + k < em:
+                done.append((r, k))
+            r += k
+            if r == em:
+                break
+        assert bulk == want
 
 
 def test_rank_hands_the_engine_its_carrier(monkeypatch):
+    # the engine eliminates in the carrier of p, whatever its source
     dtypes = []
 
-    def spy(a, q):
-        dtypes.append((q, a.dtype))
-        return _rank_gf_f64(a, q)
+    def spy(C, w, q):
+        dtypes.append((q, C.dtype))
+        return _pivot_rows(C, w, q)
 
-    monkeypatch.setattr(exactla, "_rank_gf_f64", spy)
+    monkeypatch.setattr(exactla, "_pivot_rows", spy)
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     for p in (5, 199, 211, 359, 367):
         assert rank(m, GF(p)) == 3
