@@ -5,24 +5,23 @@ basis from elementary symmetric polynomials to Schur polynomials inside
 the filtered ring of symmetric polynomials in i variables: the source
 monomial x^(mu_1)...x^(mu_d) plays the role of e_mu, the target wedge
 x^{l_1+i-1} ^ ... ^ x^{l_i} the role of s_l, and the matrix is the
-(integer, determinant +-1) transition matrix between the two bases.
-Being an integer change of basis it is invertible over every field,
-which is the whole point.
+integer transition matrix between the two bases.  As e_mu = s_{mu'} +
+(lexicographically earlier s_l), it is unitriangular up to the column
+order, so det psi = +-1 and psi is invertible over every field, which
+is the whole point; `unitriangular` certifies this in O(nnz), with no rank.
 
 The matrix is built by iterated Pieri: e_mu = e_{mu_1} ... e_{mu_d},
 starting from s_() = x^{i-1} ^ ... ^ 1.  A monomial of Sym^d(D^i U) is a
 monomial mu of Sym^{d-1}(D^i U) times its smallest part x_j (j = 0
 included, e_0 = 1), so psi_d[:, mu x_j] = nu(d-1, i)_j psi_{d-1}[:, mu],
-nu_j the columns of `reps.nu` at x^(j), the Pieri rule s_l -> s_l e_j:
-psi_d is one ExactMatrix product per part j, for all its columns at once.
-Each product is canonical and the parts hold disjoint columns, so
-`_merge` moves every column whole into place, with no sort.
+nu_j the columns of `reps.nu` at x^(j), the Pieri rule s_l -> s_l e_j
+(`_psi_columns`).  psi_d is one such product per part j, and `_merge`
+moves the columns of each whole into place, with no sort.
 
-`square_holds` checks every square of reciprocity: nu o (id (x) psi_d) =
-psi_{d+1} o multiplication, the top Hermite square of `tangent`, and the
-sl2 equivariance L psi = psi L and R psi = psi R, the case of one part.
-It compares one divided-power part at a time, cut into column runs of
-bounded size.
+`psi_compat_check` checks nu o (id (x) psi_d) = psi_{d+1} o mult one
+run of weights at a time.  `square_holds` checks the top Hermite square
+of `tangent` and the sl2 equivariance L psi = psi L, R psi = psi R, one
+divided-power part at a time, in column runs of bounded size.
 """
 
 from __future__ import annotations
@@ -32,15 +31,12 @@ import functools
 import numpy as np
 
 from .exactla import _MATMUL_SLAB, ExactMatrix, FieldSpec
-from .reps import RepMap, RepSpace, nu, sympow_mul
+from .reps import RepMap, RepSpace, _pieri, nu, sympow_mul
 
-# A square compares its two products one run of psi's columns at a time,
-# each run expanding at most this many partial products over both sides;
-# a part that expands fewer stays whole.  One product slab: the process
-# peak of `hermite --d 6 --i 7` is 48 MB with it and 54 MB with whole
-# parts, and its compatibility square took 0.12-0.13 s against 0.14-0.17 s
-# in process (smaller sorts), that of (7, 8) 1.9-2.0 s against 1.9-2.1 s.
-# A bound of 2^16 on each side alone was slower on (6, 7).
+# A square compares one run of columns at a time, each expanding at most
+# about this many partial products (at least one column, or one weight in
+# `psi_compat_check`).  Weight runs took the process peak of the hermite
+# job (d, i) = (6, 7) from 47 to 39 MB, and that of (7, 8) from 165 to 74 MB.
 _SQUARE_SLAB = _MATMUL_SLAB
 
 
@@ -48,8 +44,7 @@ _SQUARE_SLAB = _MATMUL_SLAB
 def psi_map(d: int, i: int) -> RepMap:
     """The integer matrix of the reciprocity map, one column per source
     monomial, built from iterated Pieri products (never by solving
-    equations): column block j of psi_d is nu(d-1, i)_j times the
-    columns of psi_{d-1} at the monomials without their last part."""
+    equations), one `_psi_columns` product per last part."""
     if d < 0 or i < 0:
         raise ValueError(f"psi needs d, i >= 0, got d={d}, i={i}")
     src = RepSpace.sym_power(d, RepSpace.div(i))
@@ -58,23 +53,75 @@ def psi_map(d: int, i: int) -> RepMap:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
     if d == 0:
         return RepMap(src, tgt, ExactMatrix.identity(1), f"psi(0,{i})")
-    prev, pieri = psi_map(d - 1, i), nu(d - 1, i).matrix
-    lab, w = src.labels, prev.target.dim
-    heads = prev.source.find(lab[:, :-1])
-    parts = []
-    for j in range(i + 1):
-        cols = np.flatnonzero(lab[:, -1] == j)
-        parts.append((cols, _column_run(pieri, j * w, (j + 1) * w)
-                      @ _columns(prev.matrix, heads[cols])))
+    prev, pieri, lab = psi_map(d - 1, i), nu(d - 1, i).matrix, src.labels
+    parts = [(cols, _psi_columns(pieri, prev, lab[cols]))
+             for cols in (np.flatnonzero(lab[:, -1] == j) for j in range(i + 1))]
     return RepMap(src, tgt, _merge(tgt.dim, src.dim, parts), f"psi({d},{i})")
+
+
+def _psi_columns(pieri: ExactMatrix, prev: RepMap, lab) -> ExactMatrix:
+    """The columns of psi_d at the monomials `lab` (label rows), from
+    prev = psi_{d-1} and the columns of nu(d-1, i) read, `pieri`: column
+    mu x_j, j its last (smallest) part, is nu_j psi_{d-1}[:, mu]."""
+    return pieri @ _stacked(prev.matrix, prev.source.find(lab[:, :-1]), lab[:, -1], pieri.cols)
+
+
+def unitriangular(pm: RepMap) -> bool:
+    """Is pm (psi(d, i)) invertible over Z by its leading terms?  Each
+    column mu must end in a 1 at the wedge row (mu'_1 + i - 1, ...,
+    mu'_i) of the conjugate partition (mu'_k = #parts >= k), distinct
+    rows as conjugation is injective; a column's other entries come
+    before its last, so pm with column mu moved there is unitriangular."""
+    i, m = pm.source.inner.d, pm.matrix
+    conj = (pm.source.labels[:, :, None] > np.arange(i)).sum(axis=1)
+    lead, last = pm.target.find(conj + np.arange(i - 1, -1, -1)), m.starts[1:] - 1
+    return bool(np.diff(m.starts).all() and np.array_equal(m.row[last], lead)
+                and (m.val[last] == 1).all())
 
 
 def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
     """Does nu o (id (x) psi_d) equal psi_{d+1} o multiplication, over f?
-    The square carries equivariance from degree d to d+1."""
-    return square_holds(nu(d, i).matrix, psi_map(d, i).matrix,
-                        psi_map(d + 1, i).matrix,
-                        sympow_mul(d, RepSpace.div(i)).matrix, f)
+    The square carries equivariance from degree d to d+1.  psi_d adds
+    c = i(i-1)/2 to the weight and nu adds j on x^(j), so its columns
+    (j, mu) of weight w = j + |mu| read only the j-strips (`_pieri`) of
+    the wedge rows of weight w + c - j, and the columns of psi_{d+1} at
+    weight w (`_psi_columns`).  Strips are kept by weight until used; a
+    run of weights is compared one part j at a time."""
+    prev, tgt = psi_map(d, i), RepSpace.wedge(i, RepSpace.sym(d + i))
+    wedge, src, m, c, top = prev.target, prev.source, prev.matrix, i * (i - 1) // 2, i * (d + 1)
+    # the monomial mu x_j of the square's column (j, mu), and its weight
+    nxt, grown = RepSpace.sym_power(d + 1, src.inner), sympow_mul(d, src.inner).matrix.row
+    weight = (np.arange(i + 1)[:, None] + src.weights).ravel()
+    # an entry of nu in column (j, k) expands one product per entry of psi_d
+    # in row k; a psi_d that is not graded is compared as one run
+    per_row = np.bincount(m.row, minlength=wedge.dim)
+    graded = np.array_equal(wedge.weights[m.row], src.weights[m.col] + c)
+
+    def holds(run, w0, w1):
+        key = np.sort(np.concatenate(run))          # column * tgt.dim + row
+        pieri = ExactMatrix._of(tgt.dim, (i + 1) * wedge.dim, key % tgt.dim, key // tgt.dim,
+                                np.ones(key.size, dtype=np.int64))
+        sq = np.flatnonzero((weight >= w0) & (weight < w1))
+        j, mu = np.divmod(sq, src.dim)
+        mono, at = np.unique(grown[sq], return_inverse=True)
+        right = _psi_columns(pieri, prev, nxt.labels[mono])
+        return all((pieri @ _stacked(m, mu[j == t], j[j == t], pieri.cols)).equals_mod(
+            _columns(right, at[j == t]), f) for t in range(i + 1))
+
+    strips, run, spent, w0 = [[] for _ in range(top + i + 1)], [], 0, 0
+    for w in range(top + 1):
+        j, pos, k = _pieri(wedge, tgt, np.flatnonzero(wedge.weights == w + c))
+        for t in range(i + 1):
+            strips[w + t].append(((t * wedge.dim + k) * tgt.dim + pos)[j == t])
+        new, strips[w] = np.concatenate(strips[w]), None
+        cost = int(per_row[new // tgt.dim % wedge.dim].sum())
+        if run and spent + cost > _SQUARE_SLAB and graded:
+            if not holds(run, w0, w):
+                return False
+            run, spent, w0 = [], 0, w
+        run.append(new)
+        spent += cost
+    return holds(run, w0, top + 1)
 
 
 def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
@@ -122,6 +169,12 @@ def _columns(m: ExactMatrix, cols) -> ExactMatrix:
     take = np.arange(int(n.sum())) + np.repeat(lo - (np.cumsum(n) - n), n)
     return ExactMatrix._of(m.rows, len(cols), m.row[take],
                            np.repeat(np.arange(len(cols)), n), m.val[take])
+
+
+def _stacked(m: ExactMatrix, cols, parts, rows: int) -> ExactMatrix:
+    """(I (x) m) at the columns (parts[k], cols[k]), with `rows` rows."""
+    g = _columns(m, cols)
+    return ExactMatrix._of(rows, len(cols), g.row + parts[g.col] * m.rows, g.col, g.val)
 
 
 def _merge(rows: int, cols: int, parts) -> ExactMatrix:

@@ -24,8 +24,7 @@ on first use, one row per basis vector, in lexicographic order:
   Wedge(i, Free(n)): the strictly increasing rows of i indices.
 * SymPower(d, inner): a monomial as the weakly decreasing row of its d
   inner labels 0..top (top = inner dim - 1), zeros included; mu lists
-  the exponents of the divided-power variables.  `basis` strips the
-  zeros, which keeps the order, since every other part is >= 1.
+  the exponents of the divided-power variables.
 * Tensor: no array; the mixed-radix number of the factors' positions,
   first factor slowest (itertools.product order).
 
@@ -62,7 +61,7 @@ Every map factory here and in `tangent` is one call of
 `_build(source, target, parts, name)` on coordinate arrays computed for
 all source labels at once; no label tuple is formed.  The reciprocity
 matrix of `hermite` is merged from products of `nu`, which are
-canonical already, with no sort.  Only this module reads label rows.
+canonical already, with no sort; `hermite` reads monomial rows only.
 Other modules take their entries from `_insertions` (a part inserted
 into a monomial), `_pieri` (the Pieri rule, which builds `nu`, that is
 p, the map q of `tangent` and, through `nu`, the reciprocity matrix of
@@ -72,7 +71,7 @@ p, the map q of `tangent` and, through `nu`, the reciprocity matrix of
 from __future__ import annotations
 
 import functools
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, prod
 
 import numpy as np
@@ -84,7 +83,7 @@ class RepSpace:
     """An sl2 representation with an ordered, labelled basis."""
 
     __slots__ = ("kind", "d", "inner", "factors", "n", "dim", "_labels", "_ranks",
-                 "_basis", "_weights", "_flip")
+                 "_weights", "_flip")
 
     def __init__(self, kind, d=None, inner=None, factors=None, n=None):
         self.kind, self.d, self.inner, self.factors, self.n = kind, d, inner, factors, n
@@ -103,7 +102,7 @@ class RepSpace:
         if dim >= _I64:
             raise OverflowError(f"{self!r} has {dim} basis vectors, past int64 positions")
         self.dim = dim
-        self._labels = self._ranks = self._basis = self._weights = self._flip = None
+        self._labels = self._ranks = self._weights = self._flip = None
 
     # -- constructors
 
@@ -183,26 +182,6 @@ class RepSpace:
                              for s in range(k)]
             self._ranks = np.array(terms, dtype=np.int64).reshape(k, top + 1)
         return self._ranks
-
-    @property
-    def basis(self):
-        """The labels as Python values, read by the tests: ints for
-        Sym, Div and Free, tuples with zeros stripped for SymPower,
-        tuples for Wedge, tuples of factor labels for Tensor."""
-        if self._basis is None:
-            if self.kind == "tensor":
-                self._basis = tuple(product(*[sp.basis for sp in self.factors]))
-            elif self.kind in ("sym", "div", "free"):
-                self._basis = tuple(range(self.dim))
-            else:
-                strip = self.kind == "sympow"
-                self._basis = tuple(tuple(x for x in row if x or not strip)
-                                    for row in self.labels.tolist())
-        return self._basis
-
-    def index(self, label) -> int:
-        """Basis position of one label as `basis` lists it (a linear search)."""
-        return self.basis.index(label)
 
     @property
     def weights(self) -> np.ndarray:
@@ -304,17 +283,18 @@ def _insertions(space: RepSpace, bigger: RepSpace) -> np.ndarray:
     return out
 
 
-def _pieri(space: RepSpace, bigger: RepSpace):
+def _pieri(space: RepSpace, bigger: RepSpace, rows=None):
     """The Pieri rule s_l e_j = sum over j-subsets I of the slots of
-    s_{l + 1_I}, on all rows of `space` = Wedge(i, Sym(m)): arrays (j,
-    position in `bigger` = Wedge(i, Sym(m+1)), source position), one per
-    vertical strip, that is, per I with exps + 1_I strictly decreasing:
-    slot k moves only if slot k - 1 moves or exps[k - 1] > exps[k] + 1.
-    The strips grow slot by slot, summing their target ranks."""
+    s_{l + 1_I}, on the rows `rows` (all if None) of `space` = Wedge(i,
+    Sym(m)): arrays (j, position in `bigger` = Wedge(i, Sym(m+1)), source
+    position), one per vertical strip, that is, per I with exps + 1_I
+    strictly decreasing: slot k moves only if slot k - 1 moves or
+    exps[k - 1] > exps[k] + 1.  The strips grow slot by slot, summing
+    their target ranks."""
     lab, tab = space.labels, bigger.ranks
-    src = np.arange(space.dim)
-    j = pos = np.zeros(space.dim, dtype=np.int64)
-    moved = np.ones(space.dim, dtype=bool)         # slot 0 may always move
+    src = np.arange(space.dim) if rows is None else rows
+    j = pos = np.zeros(src.size, dtype=np.int64)
+    moved = np.ones(src.size, dtype=bool)          # slot 0 may always move
     for k in range(space.d):
         e = lab[src, k]
         up = np.flatnonzero(moved | (lab[src, k - 1] > e + 1))

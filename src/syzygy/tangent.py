@@ -198,7 +198,7 @@ def betti_table(g: int, f: FieldSpec) -> BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# The complexes F and J at generator level
+# The complex J at generator level (and F, in the tests' oracles)
 # ---------------------------------------------------------------------------
 #
 # A linear complex of free S-modules (S the polynomial ring on the
@@ -223,9 +223,6 @@ class GradedComplex:
     terms: list            # list of list[Summand], index = homological degree
     differentials: list    # differentials[i]: dict[(tj, sj)] -> ExactMatrix
 
-    def term_dim(self, i: int) -> int:
-        return sum(s.space.dim for s in self.terms[i])
-
 
 def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
                         gens_out: RepSpace, g: int) -> ExactMatrix:
@@ -234,32 +231,6 @@ def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
     differentials compose to zero as S-module maps."""
     mult = ExactMatrix.identity(gens_out.dim).kron(sympow_mul(1, RepSpace.sym(g)).matrix)
     return mult @ (outer.kron(ExactMatrix.identity(g + 1)) @ inner)
-
-
-def complex_F(g: int) -> GradedComplex:
-    """The resolution of the parametrizing ring: F_0 = S + Sym^{g-2}U(-1),
-    F_i = D^{2i}U (x) Wedge^{i+1} Sym^{g-2}U (-i-1).  Only the linear
-    part of the first differential is represented; the quadratic part
-    into the S summand is deliberately absent.
-    """
-    if g < 3:
-        raise ValueError("need g >= 3")
-    terms = [[Summand(RepSpace.sym_power(0, RepSpace.sym(g)), 0),
-              Summand(RepSpace.sym(g - 2), 1)]]
-    for i in range(1, g - 1):
-        terms.append([Summand(RepSpace.tensor(
-            [RepSpace.div(2 * i), RepSpace.wedge(i + 1, RepSpace.sym(g - 2))]),
-            i + 1)])
-    diffs = [None]
-    for i in range(1, g - 1):
-        # comul2 on the divided-power leg, the Koszul contraction on the
-        # wedge leg; for i = 1 the target is the Sym^{g-2}U (-1) summand
-        tgt = terms[0][1].space if i == 1 else terms[i - 1][0].space
-        src = terms[i][0].space
-        block = _build(src, RepSpace.tensor([tgt, RepSpace.sym(g)]),
-                       contraction(src.factors[1], g, 2 * i, 2), f"F({g},{i})").matrix
-        diffs.append({(1 if i == 1 else 0, 0): block})
-    return GradedComplex(g, terms, diffs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from math import comb
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
-from syzygy.reps import RepMap, RepSpace, delta1, koszul_k, nu, sympow_mul
+from syzygy.reps import RepMap, RepSpace, _build, contraction, delta1, koszul_k, nu, sympow_mul
 from syzygy.tangent import (GradedComplex, Summand, _wahl_splits, delta2_map, map_p_map,
                             map_q_map)
 
@@ -408,7 +408,7 @@ def weyman_input(a: int, f: FieldSpec) -> KoszulInput:
         raise ValueError("Weyman modules are undefined in characteristic 2 "
                          "(the dual Gaussian-Wahl map is not injective)")
     d1 = delta1(a)
-    pairs = d1.target.basis                                  # (i, j), i > j
+    pairs = basis(d1.target)                                 # (i, j), i > j
     n = a + 1
     pos = {pq: r for r, pq in enumerate(wedge2_pairs(n))}    # (p, q), p < q
     # x^(i) ^ x^(j) with i > j is -(v_j ^ v_i) in the standard order
@@ -452,6 +452,37 @@ def compose(*maps) -> RepMap:
     tgt = maps[0].target
     name = "o".join(m.name for m in maps)
     return RepMap(src, tgt, mat, name)
+
+
+def complex_F(g: int) -> GradedComplex:
+    """The resolution of the parametrizing ring: F_0 = S + Sym^{g-2}U(-1),
+    F_i = D^{2i}U (x) Wedge^{i+1} Sym^{g-2}U (-i-1).  Only the linear
+    part of the first differential is represented; the quadratic part
+    into the S summand is deliberately absent.
+    """
+    if g < 3:
+        raise ValueError("need g >= 3")
+    terms = [[Summand(RepSpace.sym_power(0, RepSpace.sym(g)), 0),
+              Summand(RepSpace.sym(g - 2), 1)]]
+    for i in range(1, g - 1):
+        terms.append([Summand(RepSpace.tensor(
+            [RepSpace.div(2 * i), RepSpace.wedge(i + 1, RepSpace.sym(g - 2))]),
+            i + 1)])
+    diffs = [None]
+    for i in range(1, g - 1):
+        # comul2 on the divided-power leg, the Koszul contraction on the
+        # wedge leg; for i = 1 the target is the Sym^{g-2}U (-1) summand
+        tgt = terms[0][1].space if i == 1 else terms[i - 1][0].space
+        src = terms[i][0].space
+        block = _build(src, RepSpace.tensor([tgt, RepSpace.sym(g)]),
+                       contraction(src.factors[1], g, 2 * i, 2), f"F({g},{i})").matrix
+        diffs.append({(1 if i == 1 else 0, 0): block})
+    return GradedComplex(g, terms, diffs)
+
+
+def term_dim(cx: GradedComplex, i: int) -> int:
+    """The rank of the free module in homological degree i of cx."""
+    return sum(s.space.dim for s in cx.terms[i])
 
 
 def psi_compat_composite(d: int, i: int, f: FieldSpec, psi_next=None) -> bool:
@@ -562,21 +593,40 @@ def complex_K(g: int) -> GradedComplex:
 # -- label-level builders: the tuple reference for the array builders ---------
 #
 # Each map below is assembled one source label at a time from Python
-# tuples (`RepSpace.basis`), through the label helpers that the package's
+# tuples (`basis`), through the label helpers that the package's
 # array builders replaced.  The differential tests compare the two.
 
 def label_build(source, target, image, name) -> RepMap:
     """Assemble a RepMap column by column: `image(label)` yields the
     (target label, coeff) pairs of one source basis label; repeated
     target labels add up, and ExactMatrix drops the zero sums."""
-    index = {lab: k for k, lab in enumerate(target.basis)}
+    index = {lab: k for k, lab in enumerate(basis(target))}
     rows, cols, vals = [], [], []
-    for c, slab in enumerate(source.basis):
+    for c, slab in enumerate(basis(source)):
         for tlab, v in image(slab):
             rows.append(index[tlab])
             cols.append(c)
             vals.append(v)
     return RepMap(source, target, ExactMatrix(target.dim, source.dim, (rows, cols, vals)), name)
+
+
+@functools.lru_cache(maxsize=None)
+def basis(space: RepSpace):
+    """The labels of `space` as Python values, in basis order: ints for
+    Sym, Div and Free, tuples with zeros stripped for SymPower (which
+    keeps the order, every other part being >= 1), tuples for Wedge,
+    tuples of factor labels for Tensor."""
+    if space.kind == "tensor":
+        return tuple(product(*map(basis, space.factors)))
+    if space.kind in ("sym", "div", "free"):
+        return tuple(range(space.dim))
+    strip = space.kind == "sympow"
+    return tuple(tuple(x for x in row if x or not strip) for row in space.labels.tolist())
+
+
+def index(space: RepSpace, label) -> int:
+    """Basis position of one label as `basis` lists it (a linear search)."""
+    return basis(space).index(label)
 
 
 def basis_reference(space: RepSpace):

@@ -152,7 +152,7 @@ def test_criterion_7_chain_map_suite():
     """dJ o dJ = 0, the p/q commuting squares, p_{i+1} o q_i = 0, and
     ker(q_i) = ker(delta2) through the reciprocity conjugation, for
     g <= 8 over char 0, 2, 3, 5."""
-    from syzygy.tangent import complex_F
+    from _oracles import complex_F
     fields = (QQ, GF(2), GF(3), GF(5))
     for g in range(3, 9):
         J = complex_J(g)

@@ -26,7 +26,7 @@ KEPT_CACHES = {
     "reps.sympow_mul",               # the selfcheck chain and Hermite squares
     "reps.lowering",                 # read again by `raising`
     "reps.generic_koszul_delta",     # koszul, again for every sample
-    "hermite.psi_map",               # psi_{d+1}, hermite and the selfcheck squares
+    "hermite.psi_map",               # psi_{d-1} of psi_d, hermite and the selfcheck squares
     "koszul._chow_kernel",           # chow, once per sample
     "oracle._ring",                  # oracle_kij, once per (i, j)
     "tangent._delta2_dims",          # row 2 reads the ranks of row 1

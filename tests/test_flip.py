@@ -13,7 +13,7 @@ from syzygy.hermite import psi_map
 from syzygy.reps import RepMap, RepSpace, generic_koszul_delta, lowering
 from syzygy.tangent import delta2_map
 
-from _oracles import weyl_image
+from _oracles import basis, weyl_image
 
 _SPACES = (RepSpace.sym(4), RepSpace.div(0), RepSpace.free(5), RepSpace.sym(-1),
            RepSpace.wedge(2, RepSpace.sym(4)), RepSpace.wedge(3, RepSpace.div(5)),
@@ -42,8 +42,8 @@ def test_flip_is_the_weyl_element():
         perm, sign = space.flip
         assert perm.dtype == sign.dtype == np.int64
         assert sorted(perm.tolist()) == list(range(space.dim))
-        for k, lab in enumerate(space.basis):
-            assert (space.basis[perm[k]], sign[k]) == _image(space, lab), (space, lab)
+        for k, lab in enumerate(basis(space)):
+            assert (basis(space)[perm[k]], sign[k]) == _image(space, lab), (space, lab)
         w = np.array(space.weights, dtype=np.int64)
         if w.size:
             assert np.array_equal(w[perm], w.min() + w.max() - w)

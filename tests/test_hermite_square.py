@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from syzygy import hermite
+from syzygy import hermite, reps
 from syzygy.exactla import GF, QQ, ExactMatrix
 from syzygy.hermite import psi_compat_check, psi_map, square_holds
 from syzygy.reps import RepSpace, lowering, nu, raising, sympow_mul
@@ -173,8 +173,10 @@ def test_psi_and_its_squares_stay_small():
 
 
 def test_small_squares_keep_whole_parts(monkeypatch):
-    # a part within the slab bound is one product per side, as before the
-    # slabs: the squares of `selfcheck --g-max 7` form two per part
+    # a square within the slab bound forms no more products than whole
+    # parts did (two per part): the top square of `selfcheck --g-max 7`
+    # two per part, the compatibility square one run of one product per
+    # part j and one for its psi_{d+1} columns
     calls, matmul = [], ExactMatrix.__matmul__
     monkeypatch.setattr(ExactMatrix, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
@@ -184,4 +186,140 @@ def test_small_squares_keep_whole_parts(monkeypatch):
             del calls[:]
             assert hermite_square_check(g, i, QQ)
             top = delta2_map(g, i).matrix.cols // psi_map(g - 2 - i, i + 1).matrix.cols
-            assert len(calls) == 2 * (top + i + 2), (g, i)
+            assert len(calls) == 2 * top + (i + 2) + 1 <= 2 * (top + i + 2), (g, i)
+
+
+def _one_weight_runs(monkeypatch):
+    """Set the slab bound to 0, so that the compatibility square is
+    compared one weight at a time; returns the number of runs, counted
+    by their psi_{d+1} builds."""
+    runs, real = [], hermite._psi_columns
+    monkeypatch.setattr(hermite, "_SQUARE_SLAB", 0)
+    monkeypatch.setattr(hermite, "_psi_columns",
+                        lambda pieri, prev, lab: runs.append(1) or real(pieri, prev, lab))
+    return runs
+
+
+@pytest.mark.parametrize("f", (QQ, GF(2), GF(3)))
+def test_one_weight_runs_match_the_composites(monkeypatch, f):
+    runs = _one_weight_runs(monkeypatch)
+    for total in range(10):
+        for d in range(total + 1):
+            i = total - d
+            psi_map(d, i)                   # built before the runs are counted
+            del runs[:]
+            assert (psi_compat_check(d, i, f), psi_compat_composite(d, i, f)) \
+                == (True, True), (d, i, f)
+            assert len(runs) == i * (d + 1) + 1, (d, i)        # one per weight
+
+
+@pytest.fixture
+def fresh_maps():
+    """Build psi and nu afresh in the test, and again after it, so that
+    maps built from corrupted builders never outlive it."""
+    psi_map.cache_clear(), nu.cache_clear()
+    yield
+    psi_map.cache_clear(), nu.cache_clear()
+
+
+def _corrupt_psi(monkeypatch, width, label, r, by):
+    """Add `by` at row r of the psi column of `label`, wherever
+    `_psi_columns` builds columns of `width` parts: in psi_map, and in
+    the weight runs of the compatibility square."""
+    real = hermite._psi_columns
+
+    def build(pieri, prev, lab):
+        m = real(pieri, prev, lab)
+        hit = np.flatnonzero((lab == label).all(axis=1)) if lab.shape[1] == width else []
+        return _bumped(m, r, int(hit[0]), by) if len(hit) else m
+
+    monkeypatch.setattr(hermite, "_psi_columns", build)
+
+
+def _corrupt_nu(monkeypatch, d, i, src, j, move):
+    """Drop the Pieri strip of size j from wedge row src in nu(d, i), or
+    move it to another target row of the same weight, wherever `_pieri`
+    builds nu(d, i): in `reps.nu`, and in the weight runs."""
+    real, wedge = reps._pieri, RepSpace.wedge(i, RepSpace.sym(d + i - 1))
+
+    def pieri(space, bigger, rows=None):
+        js, pos, k = real(space, bigger, rows)
+        hit = np.flatnonzero((k == src) & (js == j)) if space is wedge else []
+        if not len(hit):
+            return js, pos, k
+        if not move:
+            keep = np.arange(k.size) != hit[0]
+            return js[keep], pos[keep], k[keep]
+        w = bigger.weights
+        other = np.flatnonzero((w == w[pos[hit[0]]]) & ~np.isin(np.arange(w.size), pos[k == src]))
+        pos = pos.copy()
+        pos[hit[0]] = other[0] if other.size else pos[hit[0]]
+        return js, pos, k
+
+    for module in (reps, hermite):
+        monkeypatch.setattr(module, "_pieri", pieri)
+
+
+COMPAT = [(0, 1), (0, 5), (2, 3), (3, 0), (3, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("runs", ["whole", "one-weight"])
+@pytest.mark.parametrize("d, i", COMPAT)
+def test_corrupted_builders_agree_with_the_composites(monkeypatch, fresh_maps, runs, d, i):
+    if runs == "one-weight":
+        _one_weight_runs(monkeypatch)
+    results = []
+    maps = [("psi+", d + 1, psi_map(d + 1, i))] + ([("psi", d, psi_map(d, i))] if d else [])
+    spots = [(what, width, m, r, c) for what, width, m in maps for r, c in _spots(m.matrix)]
+    for what, width, m, r, c in spots:
+        label = m.source.labels[c]
+        for by in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                _corrupt_psi(mp, width, label, r, by)
+                psi_map.cache_clear()
+                for f in FIELDS:
+                    pair = (psi_compat_check(d, i, f), psi_compat_composite(d, i, f))
+                    assert pair[0] == pair[1], (what, r, c, by, f)
+                    results.append(pair[0])
+                    if what == "psi+":          # a bump is seen exactly where it is nonzero
+                        assert pair[0] == (f.characteristic > 0 and by % f.characteristic == 0)
+            psi_map.cache_clear()
+    wedge = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
+    for src in sorted({0, wedge.dim - 1}):
+        for j in sorted({0, i}):
+            for move in (False, True):
+                with monkeypatch.context() as mp:
+                    _corrupt_nu(mp, d, i, src, j, move)
+                    psi_map.cache_clear(), nu.cache_clear()
+                    for f in FIELDS:
+                        pair = (psi_compat_check(d, i, f), psi_compat_composite(d, i, f))
+                        assert pair[0] == pair[1], ("nu", src, j, move, f)
+                        results.append(pair[0])
+                psi_map.cache_clear(), nu.cache_clear()
+    assert False in results
+
+
+def test_compat_square_builds_neither_nu_nor_psi_next(monkeypatch):
+    calls = []
+    for name in ("nu", "psi_map"):
+        real = getattr(hermite, name)
+        monkeypatch.setattr(hermite, name, lambda d, i, name=name, real=real:
+                            calls.append((name, d, i)) or real(d, i))
+    for d, i in ((0, 3), (2, 2), (3, 4), (5, 1)):
+        del calls[:]
+        assert psi_compat_check(d, i, GF(3))
+        assert ("nu", d, i) not in calls and ("psi_map", d + 1, i) not in calls, calls
+
+
+def test_compat_square_stays_small_without_nu():
+    # nu(6, 7) and psi(7, 7) not cached: whole, with the square's products
+    # over both of them, the check peaked at 10.4 MB; by weight runs 3.8 MB
+    psi_map.cache_clear(), nu.cache_clear()
+    psi_map(6, 7), sympow_mul(6, RepSpace.div(7))
+    tracemalloc.start()
+    try:
+        assert psi_compat_check(6, 7, QQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak / 2**20
