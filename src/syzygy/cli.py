@@ -239,7 +239,7 @@ def cmd_hermite(args) -> int:
     if d < 0 or i < 0:
         raise CliError("need --d, --i >= 0")
     pm = psi_map(d, i)
-    ok_dim = unitriangular(pm) or pm.rank(f) == pm.source.dim
+    ok_dim = unitriangular(pm)                  # det psi = +-1 over Z
     okL = okR = True
     if i >= 1 and d >= 1:
         L1, L2 = lowering(pm.source), lowering(pm.target)
@@ -293,10 +293,8 @@ def _selfcheck_suites(g_max: int):
         for total in range(0, 9):
             for d in range(total + 1):
                 i = total - d
-                pm = psi_map(d, i)
-                for f in () if unitriangular(pm) else (QQ, GF(2), GF(3), GF(5)):
-                    if pm.rank(f) != pm.source.dim:
-                        raise AssertionError(f"psi({d},{i}) singular over {f}")
+                if not unitriangular(psi_map(d, i)):
+                    raise AssertionError(f"psi({d},{i}) fails its certificate")
 
     def chain_suite():
         # integer identities: equal over Q means equal mod every p

@@ -64,14 +64,12 @@ _F32_SAFE = 2**22
 # at W = 32 (293, 359: 0.37 against 0.16-0.19): narrow blocks take more
 # replays each, and a bulk reduction before nearly every one.
 _F32_MIN_WIDTH = 3 * _GF_BLOCK
-# Row slabs of the GF(p) engine's replayed products and bulk reductions
-# hold at most this many cells (4 MB in float64, 2 MB in float32), and a
-# sparse source is scattered into a block an eighth as many entries at a
-# time (whole slabs of int64 temporaries raised a 2000x2400 rank over
-# GF(5) from 10.4 to 16.2 MB).  The W_4 core of koszul-resonance n = 7
-# (1443x2212) and the W_5 core at n = 8 (8691x14988) rank as fast with
-# 2^19 as with 2^23, which holds a whole block (0.13-0.14 s against
-# 0.12-0.17 s; 10.8-11.5 s against 10.3-10.5 s).
+# Row slabs of the GF(p) engine's replayed products and bulk reductions,
+# and of the scatter of a sparse source into a block, hold at most this
+# many cells (4 MB in float64, 2 MB in float32).  The W_4 core of
+# koszul-resonance n = 7 (1443x2212) and the W_5 core at n = 8
+# (8691x14988) rank as fast with 2^19 as with 2^23, which holds a whole
+# block (0.13-0.14 s against 0.12-0.17 s; 10.8-11.5 s against 10.3-10.5 s).
 _SLAB_CELLS = 2**19
 # The sparse front end of the GF(p) rank (`_markowitz`) pivots on an
 # entry only if its Markowitz cost, the count of products its
@@ -416,9 +414,9 @@ def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
 def _gf_columns(m, c0: int, c1: int, p: int, out: np.ndarray) -> np.ndarray:
     """`out`, zeros on entry, with the residues mod p in [0, p) of
     columns c0..c1-1 of m written in: an ExactMatrix's entries from
-    starts[c0] to starts[c1], _SLAB_CELLS // 8 at a time, or a dense
-    array's, reduced straight into `out` (an object array by way of a
-    copy: numpy will not cast an object result to float)."""
+    starts[c0] to starts[c1], _SLAB_CELLS at a time, or a dense array's,
+    reduced straight into `out` (an object array by way of a copy: numpy
+    will not cast an object result to float)."""
     if isinstance(m, np.ndarray) and m.dtype == object:
         out[...] = np.remainder(m[:, c0:c1], p)
     elif isinstance(m, np.ndarray):
@@ -426,8 +424,8 @@ def _gf_columns(m, c0: int, c1: int, p: int, out: np.ndarray) -> np.ndarray:
     else:
         s, e = m.starts[c0], m.starts[c1]
         _integral(m.val[s:e])
-        for i in range(s, e, _SLAB_CELLS // 8):
-            j = min(i + _SLAB_CELLS // 8, e)
+        for i in range(s, e, _SLAB_CELLS):
+            j = min(i + _SLAB_CELLS, e)
             out[m.row[i:j], m.col[i:j] - c0] = m.val[i:j] % p
     return out
 
@@ -777,23 +775,14 @@ def _rref_gf(a: np.ndarray, p: int):
 # Public operations
 # ---------------------------------------------------------------------------
 
-_CHAR0_PRIMES: list = []
-
-
 def _char0_primes():
     """The fixed prime sequence of the char-0 rank: every prime that
-    `_f64_admits`, in descending order from the largest (8,388,593), kept
-    in `_CHAR0_PRIMES` as found: each candidate is tested once."""
-    k, q = 0, isqrt(_F64_SAFE // _GF_BLOCK) + 1
-    while k < len(_CHAR0_PRIMES) or q > 2:
-        if k == len(_CHAR0_PRIMES):         # q is the last prime kept, or the start
-            q -= 1
-            if not (_f64_admits(q) and _is_prime(q)):
-                continue
-            _CHAR0_PRIMES.append(q)
-        q = _CHAR0_PRIMES[k]
-        k += 1
-        yield q
+    `_f64_admits`, in descending order from the largest (8,388,593)."""
+    q = isqrt(_F64_SAFE // _GF_BLOCK) + 1
+    while q > 2:
+        q -= 1
+        if _f64_admits(q) and _is_prime(q):
+            yield q
 
 
 def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> int:

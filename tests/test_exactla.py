@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -193,20 +192,6 @@ def test_char0_rank_builds_its_dense_block_once(monkeypatch):
     primes = _prime_spy(monkeypatch)
     assert rank(ExactMatrix.from_rows(data), QQ) == 2
     assert dense == [(4, 4)] and primes == seq[:11]
-
-
-def test_char0_prime_sequence_is_found_once(monkeypatch):
-    # the sequence is the descending primes from the largest, in order,
-    # and a second char-0 rank of the same matrix tests no candidate
-    seq = _primes_descending_from(_P_MAX_F64, 40)
-    assert list(itertools.islice(exactla._char0_primes(), 40)) == seq
-    p1, p2, p3, _ = seq[:4]
-    m = ExactMatrix.from_rows([[p1 * p2, 0, 1], [0, p3, 1], [0, 0, 1]])
-    assert rank(m, QQ) == 3
-    tested, real = [], exactla._is_prime
-    monkeypatch.setattr(exactla, "_is_prime", lambda n: tested.append(n) or real(n))
-    assert rank(m, QQ) == 3
-    assert not tested
 
 
 @st.composite

@@ -4,8 +4,6 @@ arrays), wide and tall shapes, zero column blocks, full short sides
 reached early and deficient ranks, in float32 and float64; and a spy
 that no column block after the one completing the rank is read."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,23 +120,3 @@ def test_no_block_after_the_full_rank_is_read(monkeypatch):
     b = rng.integers(0, 8_388_593, (40, 300))
     assert _rank_gf_f64(b, 8_388_593) == 40
     assert reads == [(0, 30), (30, 60)]
-
-
-@pytest.mark.parametrize("density", [1.0, 0.7])
-def test_sparse_source_scatters_in_small_slabs(density):
-    # a 2000 x 2400 rank over GF(5) (float32) from an ExactMatrix peaks no
-    # more than 1.5 MB above the same rank from the dense array: scattering
-    # 2^19 entries at a time took 16.2 MB against 10.4 MB
-    rng = np.random.default_rng(1)
-    a = rng.integers(1, 5, (2000, 2400)) * (rng.random((2000, 2400)) < density)
-    m = _sources(a)[0]
-    m.starts                            # found once, outside the trace
-    peaks = []
-    for src in (a, m):
-        tracemalloc.start()
-        try:
-            assert _rank_gf_f64(src, 5) == 2000
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 1.5 * 2**20, [x / 2**20 for x in peaks]

@@ -1,6 +1,6 @@
 """The unitriangular certificate of Hermite reciprocity: it holds on every
-psi the package builds, fails on mutated matrices, and the CLI and the
-selfcheck suite rank psi only when it fails."""
+psi the package builds and fails on mutated matrices; the CLI and the
+selfcheck suite read it and rank no psi."""
 
 import json
 
@@ -62,32 +62,31 @@ def _rank_spy(monkeypatch):
     return calls
 
 
+def _hermite(d, i, char, capsys):
+    code = cli.main(["hermite", "--d", str(d), "--i", str(i), "--char", str(char),
+                     "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("d, i", [(3, 3), (4, 2)])
 @pytest.mark.parametrize("char", [0, 2, 3])
-def test_hermite_ranks_only_without_the_certificate(monkeypatch, capsys, d, i, char):
-    f = GF(char) if char else QQ
+def test_hermite_reads_bijective_from_the_certificate(monkeypatch, capsys, d, i, char):
     calls = _rank_spy(monkeypatch)
-    assert cli.main(["hermite", "--d", str(d), "--i", str(i), "--char", str(char),
-                     "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["bijective"] is True
-    assert calls == []
+    code, out = _hermite(d, i, char, capsys)
+    assert (code, out["bijective"], out["pass"]) == (cli.EXIT_OK, True, True)
     for bad in _mutations(psi_map(d, i)):
-        expect = bad.rank(f) == bad.source.dim
         monkeypatch.setattr(cli, "psi_map", lambda dd, ii, bad=bad: bad)
-        del calls[:]
-        cli.main(["hermite", "--d", str(d), "--i", str(i), "--char", str(char),
-                  "--format", "json"])
-        assert json.loads(capsys.readouterr().out)["bijective"] is expect, bad.name
-        assert calls == [f], bad.name
-    # a leading 2 is invertible over Q and GF(3), singular over GF(2)
-    assert (_mutations(psi_map(d, i))[1].rank(GF(2)) < psi_map(d, i).source.dim)
+        code, out = _hermite(d, i, char, capsys)
+        assert (code, out["bijective"], out["pass"]) == (cli.EXIT_INVARIANT, False, False), bad.name
+    assert calls == []
 
 
-def test_selfcheck_suite_ranks_only_without_the_certificate(monkeypatch):
+def test_selfcheck_suite_fails_without_the_certificate(monkeypatch):
     suite = dict(cli._selfcheck_suites(3))["hermite"]
     calls = _rank_spy(monkeypatch)
     suite()
+    bad = _mutations(psi_map(3, 3))[0]
+    monkeypatch.setattr(cli, "psi_map", lambda d, i: bad if (d, i) == (3, 3) else psi_map(d, i))
+    with pytest.raises(AssertionError, match=r"psi\(3,3\) fails its certificate"):
+        suite()
     assert calls == []
-    monkeypatch.setattr(cli, "unitriangular", lambda pm: False)
-    suite()
-    assert len(calls) == 4 * 45                # four fields for each d + i <= 8
