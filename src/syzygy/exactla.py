@@ -21,11 +21,12 @@ of a large sparse matrix takes cheap pivots first (`_markowitz`): in
 rounds of whole-array operations, a set of low-fill pivots that span a
 diagonal block D, and the exact Schur complement mod p in place of the
 rest.  So the rank is the pivot count plus the rank of the core that
-the rounds leave.  Over Q the matrix, with denominators cleared, is
-made dense once and ranked modulo descending primes.  Each rank carries
-one of three certificates (see `rank`): full rank mod a prime, an exact
-kernel, or the Hadamard bound.  Floats are used only as exact carriers
-of integers: below 2^24 in float32 and below 2^53 in float64.
+the rounds leave.  Over Q the matrix, with denominators cleared, stays
+an `ExactMatrix` and is ranked modulo descending primes.  Each rank
+carries one of three certificates (see `rank`): full rank mod a prime,
+an exact kernel checked by one sparse product, or the Hadamard bound.
+Floats are used only as exact carriers of integers: below 2^24 in
+float32 and below 2^53 in float64.
 
 `ExactMatrix` is immutable and stores three coordinate arrays, `row`
 and `col` (int64) and `val`, sorted column-major.  `val` is int64 when
@@ -143,7 +144,7 @@ def _max_abs(v: np.ndarray) -> int:
 def _values(v) -> np.ndarray:
     """Entry values as int64 when every one is an int that fits int64,
     otherwise as an object array of the values themselves."""
-    a = v if isinstance(v, np.ndarray) else np.array(v)
+    a = np.asarray(v)
     if a.dtype == np.int64 or a.size == 0:
         return a.astype(np.int64, copy=False)
     if a.dtype != object:           # numpy's guess for ints beyond int64
@@ -257,6 +258,8 @@ class ExactMatrix:
         return self._bound
 
     def entry(self, r: int, c: int):
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
         lo, hi = np.searchsorted(self.col, (c, c + 1))
         k = lo + int(np.searchsorted(self.row[lo:hi], r))
         return self.val[k:k + 1].tolist()[0] if k < hi and self.row[k] == r else 0
@@ -266,6 +269,8 @@ class ExactMatrix:
         return list(zip(zip(self.row.tolist(), self.col.tolist()), self.val.tolist()))
 
     def column(self, c: int):
+        if not 0 <= c < self.cols:
+            raise IndexError(f"column {c} outside {self.rows}x{self.cols}")
         lo, hi = np.searchsorted(self.col, (c, c + 1))
         v = [0] * self.rows
         for r, x in zip(self.row[lo:hi].tolist(), self.val[lo:hi].tolist()):
@@ -393,40 +398,25 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _dense(m: ExactMatrix) -> np.ndarray:
-    """m as one dense array of its own dtype; object zeros are the int 0."""
-    a = np.zeros(m.shape, dtype=m.val.dtype)
-    a[m.row, m.col] = m.val
-    return a
-
-
 # ---------------------------------------------------------------------------
 # GF(p) engines
 # ---------------------------------------------------------------------------
 
-def _gf_array(m, p: int, dtype=np.int64) -> np.ndarray:
-    """Dense residues mod p in [0, p) of an ExactMatrix or of a dense
-    integer array (int64 or object), in `dtype`: `_gf_columns` of all
-    its columns."""
-    return _gf_columns(m, 0, m.shape[1], p, np.zeros(m.shape, dtype=dtype))
+def _gf_array(m: ExactMatrix, p: int, dtype=np.int64) -> np.ndarray:
+    """Dense residues mod p in [0, p) of m, in `dtype`: `_gf_columns` of
+    all its columns."""
+    return _gf_columns(m, 0, m.cols, p, np.zeros(m.shape, dtype=dtype))
 
 
-def _gf_columns(m, c0: int, c1: int, p: int, out: np.ndarray) -> np.ndarray:
+def _gf_columns(m: ExactMatrix, c0: int, c1: int, p: int, out: np.ndarray) -> np.ndarray:
     """`out`, zeros on entry, with the residues mod p in [0, p) of
-    columns c0..c1-1 of m written in: an ExactMatrix's entries from
-    starts[c0] to starts[c1], _SLAB_CELLS at a time, or a dense array's,
-    reduced straight into `out` (an object array by way of a copy: numpy
-    will not cast an object result to float)."""
-    if isinstance(m, np.ndarray) and m.dtype == object:
-        out[...] = np.remainder(m[:, c0:c1], p)
-    elif isinstance(m, np.ndarray):
-        np.remainder(m[:, c0:c1], p, out=out)
-    else:
-        s, e = m.starts[c0], m.starts[c1]
-        _integral(m.val[s:e])
-        for i in range(s, e, _SLAB_CELLS):
-            j = min(i + _SLAB_CELLS, e)
-            out[m.row[i:j], m.col[i:j] - c0] = m.val[i:j] % p
+    columns c0..c1-1 of m scattered in: its entries from starts[c0] to
+    starts[c1], _SLAB_CELLS at a time."""
+    s, e = m.starts[c0], m.starts[c1]
+    _integral(m.val[s:e])
+    for i in range(s, e, _SLAB_CELLS):
+        j = min(i + _SLAB_CELLS, e)
+        out[m.row[i:j], m.col[i:j] - c0] = m.val[i:j] % p
     return out
 
 
@@ -523,14 +513,12 @@ def _pivot_rows(C: np.ndarray, w: int, p: int) -> list:
     return piv
 
 
-def _rank_gf_f64(src, p: int) -> int:
-    """Rank mod p of an ExactMatrix or a dense integer or float array, by
-    left-looking blocked elimination with delayed reduction in
-    `_carrier(p)`, whatever the source's dtype: float32 for p <= 199,
-    below safe = _F32_SAFE = 2^22, and float64 above, below
-    safe = _F64_SAFE = 2^51.  Every temporary takes that dtype, so a
-    float32 source at a prime outside float32's range is never ranked
-    inexactly.  The source is only read.
+def _rank_gf_f64(src: ExactMatrix, p: int) -> int:
+    """Rank mod p of src, by left-looking blocked elimination with
+    delayed reduction in `_carrier(p)`: float32 for p <= 199, below
+    safe = _F32_SAFE = 2^22, and float64 above, below
+    safe = _F64_SAFE = 2^51.  Every temporary takes that dtype, and the
+    source is only read, as residues.
 
     W is the widest multiple of _GF_BLOCK up to 256 that `_f64_fits`
     admits below safe: in float64 256 for p below ~2.9e6 and 32 near
@@ -574,7 +562,7 @@ def _rank_gf_f64(src, p: int) -> int:
         a = _gf_array(src, p, dtype)
         return len(_pivot_rows(a.T, m, p) if m <= n else _pivot_rows(a, n, p))
     if m > n:
-        src, m, n = src.T if isinstance(src, np.ndarray) else src.transpose(), n, m
+        src, m, n = src.transpose(), n, m
     width = -(-n // -(-n // width))
     done, r = [], 0                         # (r_j, pivots, row moves, Y_j) per block
     for c0 in range(0, n, width):
@@ -660,7 +648,7 @@ def _round_pivots(r: np.ndarray, c: np.ndarray, rows: int, cols: int):
     return pr[accept], pc[accept], min(np.count_nonzero(per_row), first.size)
 
 
-def _markowitz(m, p: int):
+def _markowitz(m: ExactMatrix, p: int):
     """Sparse pivots ahead of the dense engine: (k, core), with rank mod p
     of m equal to k + that of core, an ExactMatrix of residues; (0, m)
     where no round is taken.
@@ -675,17 +663,10 @@ def _markowitz(m, p: int):
     per pivot), summed by one sort.  A round that would pivot fewer than
     1/16 of the live min dimension is not taken, and ends the loop."""
     rows, cols = m.shape
-    dense = isinstance(m, np.ndarray)
-    nnz = np.count_nonzero(m) if dense else m.nnz
-    if min(rows, cols) < 2 * _GF_BLOCK or 16 * nnz > rows * cols:
+    if min(rows, cols) < 2 * _GF_BLOCK or 16 * m.nnz > rows * cols:
         return 0, m
-    if dense:
-        c, r = np.nonzero(m.T)
-        v = m[r, c]
-    else:
-        _integral(m.val)
-        r, c, v = m.row, m.col, m.val
-    v = (v % p).astype(np.int64, copy=False)
+    _integral(m.val)
+    r, c, v = m.row, m.col, (m.val % p).astype(np.int64, copy=False)
     k = 0
     while True:
         r, c, v = r[v != 0], c[v != 0], v[v != 0]
@@ -721,9 +702,9 @@ def _markowitz(m, p: int):
     return k, ExactMatrix._of(live_r.size, live_c.size, r, c, v)
 
 
-def _rank_gf(m, p: int) -> int:
-    """Rank mod p of an ExactMatrix or of a dense integer array: the
-    pivots of `_markowitz`, plus the dense rank of the core it leaves."""
+def _rank_gf(m: ExactMatrix, p: int) -> int:
+    """Rank mod p of m: the pivots of `_markowitz`, plus the dense rank of
+    the core it leaves (`_rank_gf_f64`, or `_rref_gf` past its primes)."""
     k, m = _markowitz(m, p)
     if _f64_admits(p):
         return k + _rank_gf_f64(m, p)
@@ -874,46 +855,37 @@ def _rational_column(x: np.ndarray, modulus: int, bound: int, den: int):
         den *= b
 
 
-def _annihilates(block: np.ndarray, k: np.ndarray) -> bool:
-    """Is block @ k exactly zero?  No partial sum exceeds
-    B = max|block| max|k| n, so the int64 product is exact if B < 2^63.
-    Otherwise the product is taken mod the primes of `_char0_primes`
-    until theirs exceeds B, in int64: n (q-1)^2 < 2^63 for n < 2^17."""
-    bound = _max_abs(block.ravel()) * _max_abs(k.ravel()) * block.shape[1]
-    if bound < _I64:
-        return not bound or not (block.astype(np.int64) @ k.astype(np.int64)).any()
-    modulus = 1
-    for q in _char0_primes():
-        if (_gf_array(block, q) @ _gf_array(k, q) % q).any():
-            return False
-        modulus *= q
-        if modulus > bound:
-            return True
+def _annihilates(block: ExactMatrix, k: ExactMatrix) -> bool:
+    """Is block @ k exactly zero?  One sparse product, exact because
+    `ExactMatrix.__matmul__` sums in Python ints wherever an int64 sum
+    could reach 2^63."""
+    return (block @ k).is_zero()
 
 
-def _lift(block: np.ndarray, run, pivots, free: np.ndarray):
+def _lift(block: ExactMatrix, run, pivots, free: np.ndarray):
     """The kernel of `block` over Q from `run`, [(q, R)] for the primes
     whose RREF has these pivot columns, R its pivot rows on the free
     columns: (num, den), kernel column j being den[j] e_free[j] minus
     sum_i num[i, j] e_pivots[i].  None unless `_rational` rebuilds it and
-    block annihilates it exactly.  The last column goes first, alone, so
-    a modulus still too small costs one column."""
-    for cols in (slice(-1, None), slice(None)):
+    block annihilates it exactly.  Of two or more columns the last goes
+    first, alone, so a modulus still too small costs one column."""
+    for cols in (slice(-1, None), slice(None)) if free.size > 1 else (slice(None),):
         lifted = _rational(*_crt([(q, R[:, cols]) for q, R in run]))
         if lifted is None:
             return None
         num, den = lifted
-        k = np.zeros((block.shape[1], den.size), dtype=num.dtype)
-        k[pivots] = -num
-        k[free[cols], np.arange(den.size)] = den
+        d, j = den.size, np.arange(den.size)
+        r, c = np.append(np.repeat(pivots, d), free[cols]), np.append(np.tile(j, len(pivots)), j)
+        k = ExactMatrix(block.cols, d, (r, c, np.append(-num, den)))
         if not _annihilates(block, k):
             return None
     return num, den
 
 
-def _char0(block: np.ndarray, h2):
+def _char0(block: ExactMatrix, h2):
     """The prime loop over Q of `rank` (h2 = H^2, see there) and of
-    `kernel_basis` (h2 None) on a dense integer block.  Returns the rank,
+    `kernel_basis` (h2 None) on an integer block, read as residues mod
+    each prime and never made dense over Z.  Returns the rank,
     or (pivots, free columns, num, den) of the RREF kernel (see `_lift`).
 
     `rank` ranks the block mod q by `_rank_gf` and returns at full rank.
@@ -925,7 +897,7 @@ def _char0(block: np.ndarray, h2):
     past int64, whose lift would run on Python ints from the start: it
     takes `_rank_gf` at every prime, and the Hadamard stop decides it."""
     m, n = block.shape
-    lift = h2 is None or block.dtype != object
+    lift = h2 is None or block.val.dtype != object
     best, modulus, runs, later = 0, 1, {}, False
     for q in _char0_primes():
         modulus *= q
@@ -957,15 +929,16 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     """Exact rank of m over f.  Empty matrices have rank 0.
 
     Over Q each row is scaled by the lcm of its denominators, which keeps
-    the rank.  The integer matrix M is made dense once and ranked mod the
-    primes of `_char0_primes` in turn, keeping the largest rank seen (see
-    `_char0`); rank_Q >= r_q for every prime q.  The rank is certified by
-    one of three stops:
+    the rank.  The integer matrix M, still an ExactMatrix, is ranked mod
+    the primes of `_char0_primes` in turn, keeping the largest rank seen
+    (see `_char0`); rank_Q >= r_q for every prime q.  The rank is
+    certified by one of three stops:
 
     * full rank: r_q = min(m, n);
     * kernel: at a deficient prime, the n - r_q columns K that `_lift`
-      rebuilds from the RREF mod q satisfy M K = 0 exactly; they are
-      independent, being the identity on the free columns, so rank_Q <= r_q;
+      rebuilds from the RREF mod q satisfy M K = 0 exactly, by one sparse
+      product; being the identity on the free columns, they are
+      independent, so rank_Q <= r_q;
     * Hadamard: (prod q)^2 exceeds H^2, the product of the min(m, n)
       largest squared norms of the nonzero rows (or the same over
       columns, whichever is smaller).  Suppose rank_Q = r.  Then some
@@ -994,7 +967,7 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     full = min(m.rows, m.cols)
     h2 = min(_top_square_product(scaled.row, scaled.val, m.rows, full),
              _top_square_product(scaled.col, scaled.val, m.cols, full))
-    return _char0(_dense(scaled), h2)
+    return _char0(scaled, h2)
 
 
 def kernel_basis(m: ExactMatrix, f: FieldSpec):
@@ -1030,7 +1003,7 @@ def kernel_basis(m: ExactMatrix, f: FieldSpec):
                 v[pc] = (-int(A[r, c])) % p
             basis.append(v)
         return basis
-    pivots, free, num, den = _char0(_dense(_integer_rows(m)), None)
+    pivots, free, num, den = _char0(_integer_rows(m), None)
     basis = []
     for c, column, d in zip(free.tolist(), num.T.tolist(), den.tolist()):
         v = [Fraction(0)] * m.cols

@@ -44,7 +44,8 @@ _SQUARE_SLAB = _MATMUL_SLAB
 def psi_map(d: int, i: int) -> RepMap:
     """The integer matrix of the reciprocity map, one column per source
     monomial, built from iterated Pieri products (never by solving
-    equations), one `_psi_columns` product per last part."""
+    equations), one `_psi_columns` product per last part.  The lower
+    degrees are built bottom-up first, so no call recurses past one."""
     if d < 0 or i < 0:
         raise ValueError(f"psi needs d, i >= 0, got d={d}, i={i}")
     src = RepSpace.sym_power(d, RepSpace.div(i))
@@ -53,6 +54,8 @@ def psi_map(d: int, i: int) -> RepMap:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
     if d == 0:
         return RepMap(src, tgt, ExactMatrix.identity(1), f"psi(0,{i})")
+    for k in range(1, d - 1):
+        psi_map(k, i)
     prev, pieri, lab = psi_map(d - 1, i), nu(d - 1, i).matrix, src.labels
     parts = [(cols, _psi_columns(pieri, prev, lab[cols]))
              for cols in (np.flatnonzero(lab[:, -1] == j) for j in range(i + 1))]

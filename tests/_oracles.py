@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
+import numpy as np
+
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
@@ -522,6 +524,12 @@ def hermite_square_composite(g: int, i: int, f: FieldSpec, q=None) -> bool:
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(rows, cols)
+
+
+def exact_of(a) -> ExactMatrix:
+    """The ExactMatrix of a dense integer array (int64 or object)."""
+    r, c = np.nonzero(a)
+    return ExactMatrix(*a.shape, (r, c, a[r, c]))
 
 
 def to_dense(m: ExactMatrix):

@@ -10,6 +10,13 @@ import syzygy
 from syzygy.cli import main
 
 
+def _child_env():
+    """The environment of a CLI child process, with this package first on its path."""
+    src = str(Path(syzygy.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -253,15 +260,23 @@ def test_betti_past_int64_exits_before_allocating():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    src = str(Path(syzygy.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run([sys.executable, "-m", "syzygy.cli", "betti", "--g", "1000000000",
                            "--override-guard", "--format", "json"],
-                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and done.stderr.startswith("error: "), done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+def test_hermite_at_large_degree_builds_psi_without_deep_recursion():
+    # psi(d, i) reads psi(d - 1, i); built one call per degree, d = 2000
+    # passed the interpreter's recursion limit
+    done = subprocess.run([sys.executable, "-m", "syzygy.cli", "hermite", "--d", "2000",
+                           "--i", "0", "--format", "json"],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
 
 
 def test_out_of_memory_exits_with_the_guard_code():
@@ -272,12 +287,10 @@ def test_out_of_memory_exits_with_the_guard_code():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    src = str(Path(syzygy.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run([sys.executable, "-m", "syzygy.cli", "betti", "--g", "1000000000",
                            "--char", "2", "--override-guard"],
-                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr and done.stdout == "", done.stderr
     assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1

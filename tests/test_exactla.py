@@ -16,7 +16,7 @@ from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_ar
                             _is_prime, _pivot_rows, _rank_gf_f64, _reduce_f64, _rref_gf)
 from syzygy.exactla import _F32_SAFE, _carrier
 
-from _oracles import (kernel_from_rref, nonzero_minor_exists, rank_by_minors,
+from _oracles import (exact_of, kernel_from_rref, nonzero_minor_exists, rank_by_minors,
                       rref_fraction, rref_mod_p, to_dense, zeros)
 
 
@@ -174,24 +174,49 @@ def test_char0_rank_deficient_stops_at_hadamard_bound(monkeypatch):
     assert primes == seq[:11]
 
 
-def test_char0_rank_builds_its_dense_block_once(monkeypatch):
-    # the 11-prime matrix of the test above: one dense integer block,
-    # reduced once per prime, instead of one rebuild per prime
+def test_char0_rank_scales_its_rows_once(monkeypatch):
+    # the 11-prime matrix of the test above: its rows are scaled to one
+    # integer ExactMatrix, read as residues once per prime, instead of
+    # one rebuild per prime
     seq = _primes_descending_from(_P_MAX_F64, 40)
     x = [2**63 + 1, 2**62 + 7, 5, 2**63 + 11]
     y = [3 * a + seq[0] * seq[10] * z for a, z in zip(x, (1, -2, 3, 0))]
     data = [x, y, [a + b for a, b in zip(x, y)], [2 * a - b for a, b in zip(x, y)]]
-    dense = []
-    real = exactla._dense
+    scaled = []
+    real = exactla._integer_rows
 
     def spy(m):
-        dense.append(m.shape)
+        scaled.append(m.shape)
         return real(m)
 
-    monkeypatch.setattr(exactla, "_dense", spy)
+    monkeypatch.setattr(exactla, "_integer_rows", spy)
     primes = _prime_spy(monkeypatch)
     assert rank(ExactMatrix.from_rows(data), QQ) == 2
-    assert dense == [(4, 4)] and primes == seq[:11]
+    assert scaled == [(4, 4)] and primes == seq[:11]
+
+
+def test_char0_rank_never_densifies_a_full_rank_sparse_block():
+    # a unit diagonal with two random entries in [-40, 40) below it in
+    # each column: unitriangular, so of full rank over Q and mod every
+    # prime.  The block stays an ExactMatrix (0.6 MB traced); as one
+    # dense int64 block it would take n^2 * 8 = 32 MB
+    n = 2000
+    rng = np.random.default_rng(101)
+    r, c, v = [np.arange(n)], [np.arange(n)], [np.ones(n, dtype=np.int64)]
+    for col in range(n - 1):
+        below = rng.choice(np.arange(col + 1, n), min(2, n - 1 - col), replace=False)
+        r.append(below)
+        c.append(np.full(below.size, col))
+        v.append(rng.integers(-40, 40, below.size))
+    m = ExactMatrix(n, n, tuple(map(np.concatenate, (r, c, v))))
+    tracemalloc.start()
+    try:
+        got = rank(m, QQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == n
+    assert peak < n * n * 8 / 4
 
 
 @st.composite
@@ -301,12 +326,13 @@ def test_char0_rank_falls_back_to_hadamard_when_no_kernel_lifts(monkeypatch):
 def test_annihilation_check_is_exact_past_int64():
     # 2^62 * 2 + 2^62 * 2 = 2^64 wraps to 0 in int64, so the check must
     # take another route; entries past int64 take it too
-    block = np.array([[2**62, 2**62]], dtype=np.int64)
-    assert not exactla._annihilates(block, np.array([[2], [2]]))
-    assert exactla._annihilates(block, np.array([[2], [-2]]))
-    big = np.array([[2**70, 2**70 + 1]], dtype=object)
-    assert exactla._annihilates(big, np.array([[2**70 + 1], [-(2**70)]], dtype=object))
-    assert not exactla._annihilates(big, np.array([[1], [0]]))
+    block = ExactMatrix.from_rows([[2**62, 2**62]])
+    assert block.val.dtype == np.int64
+    assert not exactla._annihilates(block, ExactMatrix.from_rows([[2], [2]]))
+    assert exactla._annihilates(block, ExactMatrix.from_rows([[2], [-2]]))
+    big = ExactMatrix.from_rows([[2**70, 2**70 + 1]])
+    assert exactla._annihilates(big, ExactMatrix.from_rows([[2**70 + 1], [-(2**70)]]))
+    assert not exactla._annihilates(big, ExactMatrix.from_rows([[1], [0]]))
 
 
 def test_gf_engines_agree():
@@ -316,11 +342,10 @@ def test_gf_engines_agree():
             rows, cols = rng.randint(1, 12), rng.randint(1, 12)
             m = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(cols)]
                                        for _ in range(rows)])
-            a = _gf_array(m, p)
-            r64 = len(_rref_gf(a.copy(), p)[1])
+            r64 = len(_rref_gf(_gf_array(m, p), p)[1])
             assert r64 == rank(m, GF(p))
             if _f64_admits(p):
-                assert _rank_gf_f64(a.copy(), p) == r64
+                assert _rank_gf_f64(m, p) == r64
 
 
 def test_gf_blocked_path_on_wide_matrices():
@@ -330,8 +355,7 @@ def test_gf_blocked_path_on_wide_matrices():
     rows, cols = 150, 310
     data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
     m = ExactMatrix.from_rows(data)
-    a = _gf_array(m, p)
-    assert _rank_gf_f64(a.copy(), p) == len(_rref_gf(a.copy(), p)[1])
+    assert _rank_gf_f64(m, p) == len(_rref_gf(_gf_array(m, p), p)[1])
     # and with planted low rank
     basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(7)]
     data = []
@@ -340,9 +364,8 @@ def test_gf_blocked_path_on_wide_matrices():
         data.append([sum(cf * b[c] for cf, b in zip(coeffs, basis)) % p
                      for c in range(cols)])
     m = ExactMatrix.from_rows(data)
-    a = _gf_array(m, p)
-    r = _rank_gf_f64(a.copy(), p)
-    assert r == len(_rref_gf(a.copy(), p)[1]) <= 7
+    r = _rank_gf_f64(m, p)
+    assert r == len(_rref_gf(_gf_array(m, p), p)[1]) <= 7
 
 
 def _largest_f64_prime() -> int:
@@ -408,7 +431,7 @@ def _gf_matrices(draw):
 @given(_gf_matrices())
 def test_gf_f64_matches_int64_differential(case):
     a, p, r = case
-    got = _rank_gf_f64(a.copy(), p)
+    got = _rank_gf_f64(exact_of(a), p)
     assert got == len(_rref_gf(a.copy(), p)[1])
     assert got <= r
 
@@ -473,8 +496,8 @@ def test_gf_f64_zero_and_pivotless_panels():
         # copies of earlier columns: the last panel finds no pivot
         a[:, 3 * B:] = a[:, B:2 * B]
         for b in (a, a[:4], a[:, :B + 3]):
-            assert _rank_gf_f64(b.copy(), p) == len(_rref_gf(b.copy(), p)[1])
-    assert _rank_gf_f64(np.zeros((B + 1, 3 * B), dtype=np.int64), p) == 0
+            assert _rank_gf_f64(exact_of(b), p) == len(_rref_gf(b.copy(), p)[1])
+    assert _rank_gf_f64(ExactMatrix(B + 1, 3 * B), p) == 0
 
 
 def test_gf_f64_bulk_reduction_at_largest_prime(monkeypatch):
@@ -494,7 +517,7 @@ def test_gf_f64_bulk_reduction_at_largest_prime(monkeypatch):
         a = _planted(rng, m, n, r, p)
         a[:, 1] = p - 1                     # entries of the largest magnitude
         bulk.clear()
-        assert _rank_gf_f64(a.copy(), p) == len(_rref_gf(a.copy(), p)[1])
+        assert _rank_gf_f64(exact_of(a), p) == len(_rref_gf(a.copy(), p)[1])
         assert sum(bulk) >= r // B - 1
 
 
@@ -515,7 +538,7 @@ def test_gf_f64_row_slabs_match_one_slab(monkeypatch):
 
     def run():
         bulk.clear()
-        return [_rank_gf_f64(a.copy(), p) for p, a in cases], sum(bulk)
+        return [_rank_gf_f64(exact_of(a), p) for p, a in cases], sum(bulk)
 
     monkeypatch.setattr(exactla, "_reduce_f64", spy)
     want, cells = run()                     # every block fits one slab
@@ -566,7 +589,7 @@ def _blocked_gf_matrices(draw):
 @given(_blocked_gf_matrices())
 def test_gf_f64_blocks_match_the_echelon_forms(case):
     a, p, r = case
-    got = _rank_gf_f64(a.astype(np.float64), p)
+    got = _rank_gf_f64(exact_of(a), p)
     assert got == len(_rref_gf(a.copy(), p)[1]) <= r
     if a.shape[0] <= 48:                    # small enough for plain lists
         assert got == len(rref_mod_p(a.tolist(), p)[1])
@@ -593,7 +616,7 @@ def test_gf_f64_pivot_rows_are_reduced_before_the_product():
     a[g2, W:W + k] += h
     a[g2, 2 * W:] = h * k * (c - h)
     a %= p
-    assert _rank_gf_f64(a.astype(np.float64), p) == len(_rref_gf(a.copy(), p)[1]) == 2 * k
+    assert _rank_gf_f64(exact_of(a), p) == len(_rref_gf(a.copy(), p)[1]) == 2 * k
 
 
 def test_gf_f64_bulk_reduction_before_every_replay_at_largest_prime(monkeypatch):
@@ -611,7 +634,7 @@ def test_gf_f64_bulk_reduction_before_every_replay_at_largest_prime(monkeypatch)
 
     monkeypatch.setattr(exactla, "_reduce_f64", spy)
     a = np.random.default_rng(73).integers(0, p, (200, 8 * B))
-    assert _rank_gf_f64(a.astype(np.float64), p) == 200        # random: full rank
+    assert _rank_gf_f64(exact_of(a), p) == 200        # random: full rank
     assert bulk == Counter({(200 - B * j, B): 7 - j for j in range(1, 7)})
 
 
@@ -619,10 +642,11 @@ def test_gf_f64_temporaries_stay_below_the_matrix():
     # its block copies, the pivot rows' trailing entries, the coefficients
     # and one row slab of the product stay well below the 38 MB matrix:
     # a slab must not hold the whole trailing block
-    a = np.random.default_rng(71).integers(0, 5, (2000, 2400)).astype(np.float64)
+    a = np.random.default_rng(71).integers(0, 5, (2000, 2400))
+    src = exact_of(a)
     tracemalloc.start()
     try:
-        got = _rank_gf_f64(a, 5)
+        got = _rank_gf_f64(src, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -739,7 +763,7 @@ def _blocked_f32_matrices(draw):
 def test_gf_f32_blocks_match_the_echelon_forms(case):
     a, p, r, width = case
     m, n = a.shape
-    b = a.astype(np.float32)                # eliminated in place
+    src = exact_of(a)
     dtypes, bulk = [], []
 
     def spy(x, q):
@@ -750,7 +774,7 @@ def test_gf_f32_blocks_match_the_echelon_forms(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactla, "_reduce_f64", spy)
-        got = _rank_gf_f64(b, p)
+        got = _rank_gf_f64(src, p)
     pivots = _rref_gf(a.copy(), p)[1]
     assert got == len(pivots) <= r
     if m <= 48:                             # small enough for plain lists
@@ -787,7 +811,7 @@ def test_gf_f32_blocks_match_the_echelon_forms(case):
 
 
 def test_rank_hands_the_engine_its_carrier(monkeypatch):
-    # the engine eliminates in the carrier of p, whatever its source
+    # the engine eliminates in the carrier of p: float32 up to 199, float64 above
     dtypes = []
 
     def spy(C, w, q):
@@ -803,11 +827,6 @@ def test_rank_hands_the_engine_its_carrier(monkeypatch):
     dtypes.clear()
     assert rank(m, QQ) == 3
     assert [d for _, d in dtypes] == [np.float64]
-    # a float32 array at a prime outside float32's range is ranked in float64
-    for p in (359, 65521):
-        a = np.random.default_rng(89).integers(0, p, (40, 300))
-        a[20:] = a[:20] * 3 % p
-        assert _rank_gf_f64(a.astype(np.float32), p) == 20
 
 
 def test_rank_mod_small_prime_stays_below_the_f64_dense_size():
@@ -829,24 +848,6 @@ def test_rank_mod_small_prime_stays_below_the_f64_dense_size():
     # 29.3 MB here and 69.2 MB with float64 residues: the float64 dense
     # size (38.4 MB) separates the two and leaves 9 MB for allocator noise
     assert peak < rows * cols * 8
-
-
-def test_dense_int64_block_is_reduced_straight_into_its_carrier():
-    # the char-0 rank hands `_gf_array` dense int64 blocks; their residues
-    # go straight into the carrier.  An int64 copy of the residues first
-    # doubles the float64 peak (19.2 MB against the 9.6 MB result at
-    # q = 8,388,593) and triples the float32 one, so the bound sits
-    # halfway between one result and two
-    a = np.random.default_rng(97).integers(-2**40, 2**40, (1000, 1200))
-    for q, dtype in ((8_388_593, np.float64), (5, np.float32)):
-        tracemalloc.start()
-        try:
-            got = _gf_array(a, q, dtype)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.dtype == dtype and np.array_equal(got, a % q)
-        assert peak < 1.5 * got.nbytes, (q, peak)
 
 
 def test_graded_rank_matches_plain_rank():

@@ -137,6 +137,18 @@ def test_shape_errors_match_reference():
     assert not a.equals_mod(b, FieldSpec(0))
 
 
+def test_accessors_reject_indices_out_of_range():
+    # as the constructor rejects such coordinates, and no index wraps
+    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    for r, c in ((5, 0), (0, 7), (-1, 0), (0, -1), (2, 1)):
+        with pytest.raises(IndexError):
+            m.entry(r, c)
+    for c in (9, -1, 2):
+        with pytest.raises(IndexError):
+            m.column(c)
+    assert m.entry(1, 0) == 3 and m.column(1) == [2, 4] and zeros(0, 2).column(1) == []
+
+
 def _canonical_spy(monkeypatch):
     """Record the row count of every `exactla._canonical` call."""
     calls = []

@@ -1,6 +1,6 @@
 """The left-looking GF(p) engine (`exactla._rank_gf_f64`) against the
-int64 echelon form: every source it reads (ExactMatrix, int64 and object
-arrays), wide and tall shapes, zero column blocks, full short sides
+int64 echelon form: ExactMatrix sources with int64 values and with values
+past int64, wide and tall shapes, zero column blocks, full short sides
 reached early and deficient ranks, in float32 and float64; and a spy
 that no column block after the one completing the rank is read."""
 
@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzygy import exactla
-from syzygy.exactla import (_F32_SAFE, _F64_SAFE, _GF_BLOCK, ExactMatrix, _carrier,
-                            _f64_fits, _rank_gf_f64, _rref_gf)
+from syzygy.exactla import (_F32_SAFE, _F64_SAFE, _GF_BLOCK, _carrier, _f64_fits,
+                            _rank_gf_f64, _rref_gf)
+
+from _oracles import exact_of
 
 # float32 at 2..199 (197 and 199 with blocks of 96 and bulk reductions
 # every 11 pivots), float64 from 211 to the largest prime of the engine
@@ -57,15 +59,11 @@ def _planted(draw, p):
         a = a.T
         res = res.T
     a = a + p * rng.integers(-3, 4, a.shape)          # any integers with these residues
-    source = draw(st.sampled_from(("exact", "int64", "object")))
-    if source == "object":
+    if draw(st.booleans()):
         a = a.astype(object)
         past = rng.random(a.shape) < 0.05
         a[past] += p * 2**64
-    if source == "exact":
-        i, j = np.nonzero(a)
-        a = ExactMatrix(*a.shape, (i, j, a[i, j]))
-    return a, res
+    return exact_of(a), res
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -89,34 +87,27 @@ def _reads(monkeypatch):
     return reads
 
 
-def _sources(a):
-    i, j = np.nonzero(a)
-    return ExactMatrix(*a.shape, (i, j, a[i, j])), a
-
-
 def test_no_block_after_the_full_rank_is_read(monkeypatch):
     # 40 rows whose first two blocks of 256 are zero and whose third has
-    # full row rank: the engine reads the three and stops, from an
-    # ExactMatrix or a dense array, at p = 5 (float32) and p = 211
-    # (float64)
+    # full row rank: the engine reads the three and stops, at p = 5
+    # (float32) and p = 211 (float64)
     rng = np.random.default_rng(3)
     a = rng.integers(0, 5, (40, 10 * 256))
     a[:, :512] = 0
-    for src in _sources(a):
-        for p in (5, 211):
-            reads = _reads(monkeypatch)
-            assert _rank_gf_f64(src, p) == 40
-            assert reads == [(0, 256), (256, 512), (512, 768)], (type(src), p)
+    src = exact_of(a)
+    for p in (5, 211):
+        reads = _reads(monkeypatch)
+        assert _rank_gf_f64(src, p) == 40
+        assert reads == [(0, 256), (256, 512), (512, 768)], p
     # a tall source is read by rows: 300 need the two blocks after the
     # zero ones
     t = rng.integers(0, 5, (10 * 256, 300))
     t[:512] = 0
-    for src in _sources(t):
-        reads = _reads(monkeypatch)
-        assert _rank_gf_f64(src, 5) == 300
-        assert reads == [(0, 256), (256, 512), (512, 768), (768, 1024)], type(src)
+    reads = _reads(monkeypatch)
+    assert _rank_gf_f64(exact_of(t), 5) == 300
+    assert reads == [(0, 256), (256, 512), (512, 768), (768, 1024)]
     # at the largest prime the blocks are 30 wide here: 40 pivots need two
     reads = _reads(monkeypatch)
     b = rng.integers(0, 8_388_593, (40, 300))
-    assert _rank_gf_f64(b, 8_388_593) == 40
+    assert _rank_gf_f64(exact_of(b), 8_388_593) == 40
     assert reads == [(0, 30), (30, 60)]

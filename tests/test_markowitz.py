@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzygy import exactla
-from syzygy.exactla import (GF, _MARKOWITZ_MAX, ExactMatrix, _carrier, _f64_admits,
-                            _gf_array, _markowitz, _rank_gf, _rank_gf_f64, _round_pivots,
-                            _rref_gf, graded_rank)
+from syzygy.exactla import (GF, _MARKOWITZ_MAX, ExactMatrix, _f64_admits, _gf_array,
+                            _markowitz, _rank_gf, _rank_gf_f64, _round_pivots, _rref_gf,
+                            graded_rank)
 from syzygy.tangent import delta2_map
+
+from _oracles import exact_of
 
 # the least prime above 2^23: past the float engine, so its core takes
 # the int64 RREF
@@ -20,7 +22,7 @@ _P_RREF = 8_388_617
 def _dense_rank(m, p):
     """The rank of the dense engine that `_rank_gf` hands its core to."""
     if _f64_admits(p):
-        return _rank_gf_f64(_gf_array(m, p, _carrier(p)), p)
+        return _rank_gf_f64(m, p)
     return len(_rref_gf(_gf_array(m, p), p)[1])
 
 
@@ -31,8 +33,9 @@ def _sparse_planted(draw):
     (proportional rows) or a combination of two.  Some entries get
     multiples of p added, so nonzero entries vanish mod p; some get
     multiples of p 2^64, which puts them past int64.  A dense case is a
-    sum of k random outer products.  Given as an ExactMatrix or as the
-    dense integer array of the char-0 loop."""
+    sum of k random outer products.  Given as an ExactMatrix, built from
+    the nonzero entries or from every entry, the constructor dropping
+    the zeros; and as the dense integer array, for the reference."""
     p = draw(st.sampled_from((2, 3, 101, 199, 211, _P_RREF)))
     small = draw(st.sampled_from((63, 64, 65)))
     big = draw(st.integers(small, 3 * small))
@@ -57,9 +60,9 @@ def _sparse_planted(draw):
         past = rng.random((m, n)) < 0.01
         a[past] += p * 2**64
     if draw(st.booleans()):
-        r, c = np.nonzero(a)
-        return ExactMatrix(m, n, (r, c, a[r, c])), a, p, k
-    return a, a, p, k
+        return exact_of(a), a, p, k
+    r, c = np.indices(a.shape).reshape(2, -1)
+    return ExactMatrix(m, n, (r, c, a[r, c])), a, p, k
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
