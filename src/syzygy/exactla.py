@@ -868,15 +868,18 @@ def _lift(block: ExactMatrix, run, pivots, free: np.ndarray):
     columns: (num, den), kernel column j being den[j] e_free[j] minus
     sum_i num[i, j] e_pivots[i].  None unless `_rational` rebuilds it and
     block annihilates it exactly.  Of two or more columns the last goes
-    first, alone, so a modulus still too small costs one column."""
+    first, alone, so a modulus still too small costs one column.  K is
+    laid out canonical: in an RREF a column's nonzero pivot entries all
+    lie above its free row, which comes last."""
     for cols in (slice(-1, None), slice(None)) if free.size > 1 else (slice(None),):
         lifted = _rational(*_crt([(q, R[:, cols]) for q, R in run]))
         if lifted is None:
             return None
         num, den = lifted
-        d, j = den.size, np.arange(den.size)
-        r, c = np.append(np.repeat(pivots, d), free[cols]), np.append(np.tile(j, len(pivots)), j)
-        k = ExactMatrix(block.cols, d, (r, c, np.append(-num, den)))
+        v = np.vstack((-num, den))
+        r = np.vstack((np.array(pivots, dtype=np.int64)[:, None].repeat(den.size, 1), free[cols]))
+        c, t = np.nonzero(v.T)
+        k = ExactMatrix._of(block.cols, den.size, r[t, c], c, v[t, c])
         if not _annihilates(block, k):
             return None
     return num, den

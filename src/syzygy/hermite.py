@@ -15,8 +15,10 @@ starting from s_() = x^{i-1} ^ ... ^ 1.  A monomial of Sym^d(D^i U) is a
 monomial mu of Sym^{d-1}(D^i U) times its smallest part x_j (j = 0
 included, e_0 = 1), so psi_d[:, mu x_j] = nu(d-1, i)_j psi_{d-1}[:, mu],
 nu_j the columns of `reps.nu` at x^(j), the Pieri rule s_l -> s_l e_j
-(`_psi_columns`).  psi_d is one such product per part j, and `_merge`
-moves the columns of each whole into place, with no sort.
+(`_psi_columns`).  psi_d is built from psi_{d-1} alone, one product per
+run of consecutive columns (`_runs`, at most `_SQUARE_SLAB` partial
+products each), and `ExactMatrix.hstack` joins the canonical products
+in order, with no sort.
 
 `psi_compat_check` checks nu o (id (x) psi_d) = psi_{d+1} o mult one
 run of weights at a time.  `square_holds` checks the top Hermite square
@@ -33,10 +35,10 @@ import numpy as np
 from .exactla import _MATMUL_SLAB, ExactMatrix, FieldSpec
 from .reps import RepMap, RepSpace, _pieri, nu, sympow_mul
 
-# A square compares one run of columns at a time, each expanding at most
-# about this many partial products (at least one column, or one weight in
-# `psi_compat_check`).  Weight runs took the process peak of the hermite
-# job (d, i) = (6, 7) from 47 to 39 MB, and that of (7, 8) from 165 to 74 MB.
+# psi_d is built and a square compared one run of columns at a time, each
+# expanding at most about this many partial products (at least one column,
+# or one weight in `psi_compat_check`).  Weight runs took the process peak of
+# the hermite job (d, i) = (6, 7) from 47 to 39 MB, and (7, 8) from 165 to 74 MB.
 _SQUARE_SLAB = _MATMUL_SLAB
 
 
@@ -44,22 +46,23 @@ _SQUARE_SLAB = _MATMUL_SLAB
 def psi_map(d: int, i: int) -> RepMap:
     """The integer matrix of the reciprocity map, one column per source
     monomial, built from iterated Pieri products (never by solving
-    equations), one `_psi_columns` product per last part.  The lower
-    degrees are built bottom-up first, so no call recurses past one."""
+    equations) one degree at a time, holding only the degree before."""
     if d < 0 or i < 0:
         raise ValueError(f"psi needs d, i >= 0, got d={d}, i={i}")
-    src = RepSpace.sym_power(d, RepSpace.div(i))
-    tgt = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
-    if src.dim != tgt.dim:
+    div = RepSpace.div(i)
+    if RepSpace.sym_power(d, div).dim != RepSpace.wedge(i, RepSpace.sym(d + i - 1)).dim:
         raise AssertionError(f"dimension mismatch for psi({d},{i})")
-    if d == 0:
-        return RepMap(src, tgt, ExactMatrix.identity(1), f"psi(0,{i})")
-    for k in range(1, d - 1):
-        psi_map(k, i)
-    prev, pieri, lab = psi_map(d - 1, i), nu(d - 1, i).matrix, src.labels
-    parts = [(cols, _psi_columns(pieri, prev, lab[cols]))
-             for cols in (np.flatnonzero(lab[:, -1] == j) for j in range(i + 1))]
-    return RepMap(src, tgt, _merge(tgt.dim, src.dim, parts), f"psi({d},{i})")
+    pm = RepMap(RepSpace.sym_power(0, div), RepSpace.wedge(i, RepSpace.sym(i - 1)),
+                ExactMatrix.identity(1), f"psi(0,{i})")
+    for k in range(1, d + 1):
+        p, src, m = nu(k - 1, i), RepSpace.sym_power(k, div), pm.matrix
+        lab, per = src.labels, np.diff(p.matrix.starts).reshape(i + 1, -1)
+        # column mu x_j expands, per entry r of psi_{k-1}[:, mu], column (j, r) of nu
+        cost = np.array([np.bincount(m.col, per[j][m.row], minlength=m.cols)
+                         for j in range(i + 1)])[lab[:, -1], pm.source.find(lab[:, :-1])]
+        pm = RepMap(src, p.target, ExactMatrix.hstack(
+            _psi_columns(p.matrix, pm, lab[s:e]) for s, e in _runs(cost)), f"psi({k},{i})")
+    return pm
 
 
 def _psi_columns(pieri: ExactMatrix, prev: RepMap, lab) -> ExactMatrix:
@@ -67,6 +70,18 @@ def _psi_columns(pieri: ExactMatrix, prev: RepMap, lab) -> ExactMatrix:
     prev = psi_{d-1} and the columns of nu(d-1, i) read, `pieri`: column
     mu x_j, j its last (smallest) part, is nu_j psi_{d-1}[:, mu]."""
     return pieri @ _stacked(prev.matrix, prev.source.find(lab[:, :-1]), lab[:, -1], pieri.cols)
+
+
+def _runs(cost):
+    """Cut columns of the given costs (partial products) into runs
+    [s, e) of consecutive columns, each of cost at most `_SQUARE_SLAB`
+    or of one column."""
+    total, s = np.cumsum(cost), 0
+    while s < total.size:
+        e = max(int(np.searchsorted(total, (total[s - 1] if s else 0) + _SQUARE_SLAB,
+                                    side="right")), s + 1)
+        yield s, e
+        s = e
 
 
 def unitriangular(pm: RepMap) -> bool:
@@ -145,16 +160,12 @@ def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
     head = np.diff(psi_next.starts)
     for t in range(b.cols // v):
         a_t, b_t = _column_run(a, t * w, (t + 1) * w), _column_run(b, t * v, (t + 1) * v)
-        cost = np.cumsum(np.bincount(psi.col, np.diff(a_t.starts)[psi.row], minlength=v)
-                         + np.bincount(b_t.col, head[b_t.row % psi_next.cols], minlength=v))
-        s = 0
-        while s < v:
-            e = max(int(np.searchsorted(cost, (cost[s - 1] if s else 0) + _SQUARE_SLAB,
-                                        side="right")), s + 1)
+        cost = np.bincount(psi.col, np.diff(a_t.starts)[psi.row], minlength=v) \
+            + np.bincount(b_t.col, head[b_t.row % psi_next.cols], minlength=v)
+        for s, e in _runs(cost):
             left = _fold(a_t @ _column_run(psi, s, e), parts)
             if not left.equals_mod(psi_next @ _fold(_column_run(b_t, s, e), parts), f):
                 return False
-            s = e
     return True
 
 
@@ -178,25 +189,6 @@ def _stacked(m: ExactMatrix, cols, parts, rows: int) -> ExactMatrix:
     """(I (x) m) at the columns (parts[k], cols[k]), with `rows` rows."""
     g = _columns(m, cols)
     return ExactMatrix._of(rows, len(cols), g.row + parts[g.col] * m.rows, g.col, g.val)
-
-
-def _merge(rows: int, cols: int, parts) -> ExactMatrix:
-    """The rows x cols matrix whose column c[k] is column k of m, for each
-    (c, m) in `parts`: every m canonical, every c increasing, and the c
-    disjoint.  Each part's entries keep their order and move to the
-    offset of their column, so nothing is sorted, summed or filtered."""
-    count = np.zeros(cols, dtype=np.int64)
-    for c, m in parts:
-        count[c] = np.diff(m.starts)
-    start = np.cumsum(count) - count
-    out = [np.empty(int(count.sum()), dtype=np.int64) for _ in range(2)]
-    out.append(np.empty(out[0].size, dtype=object if any(
-        m.val.dtype == object for _, m in parts) else np.int64))
-    for c, m in parts:
-        at = np.arange(m.nnz) + (start[c] - m.starts[:-1])[m.col]
-        for x, y in zip(out, (m.row, c[m.col], m.val)):
-            x[at] = y
-    return ExactMatrix._of(rows, cols, *out)
 
 
 def _fold(m: ExactMatrix, parts: int) -> ExactMatrix:

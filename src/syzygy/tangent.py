@@ -149,12 +149,6 @@ class BettiTable:
     methods: list
     duality_ok: bool | None
 
-    def b(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def rows(self):
-        return range(self.g - 1)
-
 
 def betti_table(g: int, f: FieldSpec) -> BettiTable:
     """The full graded Betti table of the degree-g tangent developable.

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzygy import hermite
 from syzygy.exactla import GF
 from syzygy.hermite import psi_map
 from syzygy.reps import (RepSpace, _contract, _insertions, _pieri, generic_koszul_delta,
@@ -30,8 +31,13 @@ def _same(m, ref):
     assert (m.source.dim, m.target.dim) == (ref.source.dim, ref.target.dim), m.name
 
 
-@pytest.mark.parametrize("total", range(13))
-def test_psi_and_nu_match_the_label_reference(total):
+@pytest.mark.parametrize("total, slab", [
+    pytest.param(t, slab, id=str(t) if slab is None else f"{t}-slab{slab}")
+    for slab in (None, 0) for t in range(13)])
+def test_psi_and_nu_match_the_label_reference(monkeypatch, total, slab):
+    if slab is not None:        # slab 0: psi built with every column a run of its own
+        monkeypatch.setattr(hermite, "_SQUARE_SLAB", slab)
+        psi_map.cache_clear()
     for d in range(total + 1):
         _same(psi_map(d, total - d), psi_reference(d, total - d))
         _same(nu(d, total - d), nu_reference(d, total - d))

@@ -13,6 +13,7 @@ import pytest
 import syzygy
 from syzygy import tangent
 from syzygy.exactla import GF, QQ, ExactMatrix
+from syzygy.hermite import psi_map
 from syzygy.reps import RepMap
 from syzygy.tangent import betti_table, weyman_dim
 
@@ -26,7 +27,7 @@ KEPT_CACHES = {
     "reps.sympow_mul",               # the selfcheck chain and Hermite squares
     "reps.lowering",                 # read again by `raising`
     "reps.generic_koszul_delta",     # koszul, again for every sample
-    "hermite.psi_map",               # psi_{d-1} of psi_d, hermite and the selfcheck squares
+    "hermite.psi_map",               # the maps asked for, re-read by the Hermite squares
     "koszul._chow_kernel",           # chow, once per sample
     "oracle._ring",                  # oracle_kij, once per (i, j)
     "tangent._delta2_dims",          # row 2 reads the ranks of row 1
@@ -87,6 +88,22 @@ def test_betti_table_frees_every_delta2_map():
     assert not _live_delta2_maps(12)
     # what stays: the cached ranks and modules imported on first use
     assert held < 4 * 2**20, held
+
+
+def test_psi_map_keeps_only_the_map_asked_for():
+    # psi(200, 1) is built from every psi(k, 1), k < 200, and keeps none
+    # of them: cached, their source labels held 21.7 MB
+    psi_map.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        psi_map(200, 1)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert psi_map.cache_info().currsize == 1
+    assert held < 4 * 2**20, held / 2**20
 
 
 @pytest.fixture

@@ -271,6 +271,20 @@ def test_q_kernel_matches_fraction_rref(rows):
     assert all(type(x) is Fraction for v in got for x in v)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_q_kernel_cases())
+def test_lifted_kernels_are_laid_out_canonical(rows):
+    # `_lift` wraps K's arrays without the validating constructor, so they
+    # must already be what that constructor would make of them
+    kernels, real = [], exactla._annihilates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_annihilates", lambda b, k: kernels.append(k) or real(b, k))
+        kernel_basis(ExactMatrix.from_rows(rows), QQ)
+    for k in kernels:
+        ref = ExactMatrix(k.rows, k.cols, (k.row, k.col, k.val))
+        assert k == ref and k.val.dtype == ref.val.dtype
+
+
 def test_q_kernel_skips_an_unlucky_pivot(monkeypatch):
     # mod q the 1x2 matrix [q 1] has pivot column 1, over Q column 0; the
     # kernel that q gives, e_0, fails M K = 0, so later primes decide
