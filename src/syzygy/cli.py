@@ -244,9 +244,9 @@ def cmd_hermite(args) -> int:
     if i >= 1 and d >= 1:
         L1, L2 = lowering(pm.source), lowering(pm.target)
         R1, R2 = raising(pm.source), raising(pm.target)
-        okL = square_holds(L2.matrix, pm.matrix, pm.matrix, L1.matrix, f)
-        okR = square_holds(R2.matrix, pm.matrix, pm.matrix, R1.matrix, f)
-    ok_compat = psi_compat_check(d, i, f)
+        okL = square_holds(L2.matrix, pm.matrix, pm.matrix, L1.matrix)
+        okR = square_holds(R2.matrix, pm.matrix, pm.matrix, R1.matrix)
+    ok_compat = psi_compat_check(d, i)
     ok = ok_dim and okL and okR and ok_compat
     payload = {"d": d, "i": i, "char": f.characteristic,
                "bijective": ok_dim, "equivariant": okL and okR,
@@ -310,7 +310,7 @@ def _selfcheck_suites(g_max: int):
                 if not (map_p_map(g, i + 1).matrix
                         @ map_q_map(g, i).matrix).is_zero():
                     raise AssertionError(f"p o q != 0 at g={g} i={i}")
-                if not hermite_square_check(g, i, QQ):
+                if not hermite_square_check(g, i):
                     raise AssertionError(f"hermite square g={g} i={i} QQ")
 
     def betti_suite():

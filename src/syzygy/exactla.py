@@ -365,26 +365,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self.nnz
 
-    def equals_mod(self, other: "ExactMatrix", f: FieldSpec) -> bool:
-        """Entrywise equality over the given field: the difference
-        vanishes.  In characteristic p every entry of both operands must
-        be an integer.  Both operands are canonical, so on equal
-        coordinate arrays the values are compared directly, with no sort."""
-        if self.shape != other.shape:
-            return False
-        p = f.characteristic
-        if p:
-            _integral(self.val, other.val)
-        if np.array_equal(self.row, other.row) and np.array_equal(self.col, other.col):
-            a, b = self.val, other.val
-            if not p:
-                return np.array_equal(a, b)
-            if a.dtype == object or b.dtype == object or _max_abs(a) + _max_abs(b) >= _I64:
-                a, b = a.astype(object), b.astype(object)
-            return not np.count_nonzero((a - b) % p)
-        diff = (self - other).val
-        return not np.count_nonzero(diff % p) if p else not diff.size
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -23,7 +23,8 @@ in order, with no sort.
 `psi_compat_check` checks nu o (id (x) psi_d) = psi_{d+1} o mult one
 run of weights at a time.  `square_holds` checks the top Hermite square
 of `tangent` and the sl2 equivariance L psi = psi L, R psi = psi R, one
-divided-power part at a time, in column runs of bounded size.
+divided-power part at a time, in column runs of bounded size.  Each run's
+two canonical products are compared by `==`: over Z, so over every field.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import functools
 
 import numpy as np
 
-from .exactla import _MATMUL_SLAB, ExactMatrix, FieldSpec
+from .exactla import _MATMUL_SLAB, ExactMatrix
 from .reps import RepMap, RepSpace, _pieri, nu, sympow_mul
 
 # psi_d is built and a square compared one run of columns at a time, each
@@ -97,8 +98,9 @@ def unitriangular(pm: RepMap) -> bool:
                 and (m.val[last] == 1).all())
 
 
-def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
-    """Does nu o (id (x) psi_d) equal psi_{d+1} o multiplication, over f?
+def psi_compat_check(d: int, i: int) -> bool:
+    """Does nu o (id (x) psi_d) equal psi_{d+1} o multiplication, over Z,
+    and so over every field?
     The square carries equivariance from degree d to d+1.  psi_d adds
     c = i(i-1)/2 to the weight and nu adds j on x^(j), so its columns
     (j, mu) of weight w = j + |mu| read only the j-strips (`_pieri`) of
@@ -123,8 +125,8 @@ def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
         j, mu = np.divmod(sq, src.dim)
         mono, at = np.unique(grown[sq], return_inverse=True)
         right = _psi_columns(pieri, prev, nxt.labels[mono])
-        return all((pieri @ _stacked(m, mu[j == t], j[j == t], pieri.cols)).equals_mod(
-            _columns(right, at[j == t]), f) for t in range(i + 1))
+        return all(pieri @ _stacked(m, mu[j == t], j[j == t], pieri.cols)
+                   == _columns(right, at[j == t]) for t in range(i + 1))
 
     strips, run, spent, w0 = [[] for _ in range(top + i + 1)], [], 0, 0
     for w in range(top + 1):
@@ -143,15 +145,15 @@ def psi_compat_check(d: int, i: int, f: FieldSpec) -> bool:
 
 
 def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
-                 b: ExactMatrix, f: FieldSpec) -> bool:
-    """Does a (I (x) psi) = (I' (x) psi_next) b hold over f, identity factors
-    first?  Column part t reads a_t psi = (I' (x) psi_next) b_t, a_t and b_t
-    runs of columns; with the row parts of each side set side by side
-    (`_fold`) that is one product per side, and no Kronecker product.  A
-    part whose two products expand more than `_SQUARE_SLAB` partial
-    products is compared one run of psi's columns at a time, each run
-    (of at least one column) expanding at most that many.  With one part
-    and psi_next = psi it reads a psi = psi b."""
+                 b: ExactMatrix) -> bool:
+    """Does a (I (x) psi) = (I' (x) psi_next) b hold over Z, and so over
+    every field, identity factors first?  Column part t reads a_t psi =
+    (I' (x) psi_next) b_t, a_t and b_t runs of columns; with the row parts
+    of each side set side by side (`_fold`) that is one product per side,
+    and no Kronecker product.  A part whose two products expand more than
+    `_SQUARE_SLAB` partial products is compared one run of psi's columns
+    at a time, each run (of at least one column) expanding at most that
+    many.  With one part and psi_next = psi it reads a psi = psi b."""
     w, v = psi.rows, psi.cols
     parts = b.rows // psi_next.cols
     # partial products per column of psi: those of a_t psi, and those of
@@ -164,7 +166,7 @@ def square_holds(a: ExactMatrix, psi: ExactMatrix, psi_next: ExactMatrix,
             + np.bincount(b_t.col, head[b_t.row % psi_next.cols], minlength=v)
         for s, e in _runs(cost):
             left = _fold(a_t @ _column_run(psi, s, e), parts)
-            if not left.equals_mod(psi_next @ _fold(_column_run(b_t, s, e), parts), f):
+            if left != psi_next @ _fold(_column_run(b_t, s, e), parts):
                 return False
     return True
 

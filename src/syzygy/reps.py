@@ -60,8 +60,8 @@ one block of each pair that passes.
 Every map factory here and in `tangent` is one call of
 `_build(source, target, parts, name)` on coordinate arrays computed for
 all source labels at once; no label tuple is formed.  The reciprocity
-matrix of `hermite` is merged from products of `nu`, which are
-canonical already, with no sort; `hermite` reads monomial rows only.
+matrix of `hermite` is joined by `ExactMatrix.hstack` from canonical
+run products with `nu`, with no sort; it reads monomial rows only.
 Other modules take their entries from `_insertions` (a part inserted
 into a monomial), `_pieri` (the Pieri rule, which builds `nu`, that is
 p, the map q of `tangent` and, through `nu`, the reciprocity matrix of

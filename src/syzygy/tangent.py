@@ -227,7 +227,6 @@ def compose_symmetrized(outer: ExactMatrix, inner: ExactMatrix,
     return mult @ (outer.kron(ExactMatrix.identity(g + 1)) @ inner)
 
 
-@functools.lru_cache(maxsize=None)
 def complex_J(g: int) -> GradedComplex:
     """The linear complex with terms D^i U (x) Wedge^i Sym^{g-1} U (-i),
     i = 0..g; its homology is the residue field in degree zero and the
@@ -292,9 +291,9 @@ def map_q_map(g: int, i: int) -> RepMap:
                   f"q({g},{i})")
 
 
-def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:
+def hermite_square_check(g: int, i: int) -> bool:
     """Do both squares conjugating (delta2, delta1) into (q_i, p_{i+1})
-    through Hermite reciprocity commute over f?
+    through Hermite reciprocity commute over Z, and so over every field?
 
         D^{2i}U (x) Sym^{g-2-i}(D^{i+1}U) --id(x)psi--> D^{2i}U (x) W^{i+1}Sym^{g-2}U
               |delta2                                        |q_i
@@ -308,5 +307,5 @@ def hermite_square_check(g: int, i: int, f: FieldSpec) -> bool:
     if not (0 <= i <= g - 2):
         raise ValueError(f"need 0 <= i <= g-2, got i={i}, g={g}")
     return (square_holds(map_q_map(g, i).matrix, psi_map(g - 2 - i, i + 1).matrix,
-                         psi_map(g - 1 - i, i + 1).matrix, delta2_map(g, i).matrix, f)
-            and psi_compat_check(g - 1 - i, i + 1, f))
+                         psi_map(g - 1 - i, i + 1).matrix, delta2_map(g, i).matrix)
+            and psi_compat_check(g - 1 - i, i + 1))

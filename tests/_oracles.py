@@ -248,7 +248,7 @@ class DictMatrix:
     """Reference sparse matrix: a dict of its nonzero entries, with
     Python-int and Fraction arithmetic, so no entry can overflow.  The
     same operations as `syzygy.exactla.ExactMatrix`, written entry by
-    entry; `equals_mod` takes the characteristic as an int."""
+    entry."""
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -335,15 +335,6 @@ class DictMatrix:
                 out[(r, off + c)] = v
             off += m.cols
         return DictMatrix(rows, off, out)
-
-    def equals_mod(self, other, p):
-        if self.shape != other.shape:
-            return False
-        if p and not all(isinstance(v, int) for m in (self, other)
-                         for v in m.entries.values()):
-            raise TypeError("fractional entry in positive characteristic")
-        diff = (self - other).entries.values()
-        return not any(v % p for v in diff) if p else not diff
 
 
 # -- references built from package primitives ---------------------------------
@@ -487,25 +478,30 @@ def term_dim(cx: GradedComplex, i: int) -> int:
     return sum(s.space.dim for s in cx.terms[i])
 
 
-def psi_compat_composite(d: int, i: int, f: FieldSpec, psi_next=None) -> bool:
-    """The Hermite compatibility square nu o (id (x) psi_d) = psi_{d+1} o
-    multiplication over f, by its two full composites: the reference for
-    the blocked `hermite.psi_compat_check`.  `psi_next` replaces the
-    matrix of psi_{d+1} when given."""
+def psi_compat_sides(d: int, i: int, psi_next=None):
+    """The two full composites nu o (id (x) psi_d) and psi_{d+1} o
+    multiplication of the Hermite compatibility square.  `psi_next`
+    replaces the matrix of psi_{d+1} when given."""
     div_i = RepSpace.div(i)
     nxt = psi_map(d + 1, i)
     if psi_next is not None:
         nxt = RepMap(nxt.source, nxt.target, psi_next, nxt.name)
     lhs = compose(nu(d, i), tensor_map([div_i, psi_map(d, i)], "id(x)psi"))
     rhs = compose(nxt, sympow_mul(d, div_i))
-    return lhs.matrix.equals_mod(rhs.matrix, f)
+    return lhs.matrix, rhs.matrix
 
 
-def hermite_square_composite(g: int, i: int, f: FieldSpec, q=None) -> bool:
-    """Both squares of `tangent.hermite_square_check` over f, by their
-    full composites through id (x) psi as Kronecker products: the
-    reference for the blocked check.  `q` replaces the matrix of q_i
-    when given."""
+def psi_compat_composite(d: int, i: int, psi_next=None) -> bool:
+    """The Hermite compatibility square over Z, by its two full
+    composites: the reference for the blocked `hermite.psi_compat_check`."""
+    lhs, rhs = psi_compat_sides(d, i, psi_next)
+    return lhs == rhs
+
+
+def hermite_square_sides(g: int, i: int, q=None):
+    """The (right, left) composites of both squares of
+    `tangent.hermite_square_check`, through id (x) psi as Kronecker
+    products.  `q` replaces the matrix of q_i when given."""
     psi_top = psi_map(g - 2 - i, i + 1)
     psi_mid = psi_map(g - 1 - i, i + 1)
     psi_bot = psi_map(g - i, i + 1)
@@ -519,7 +515,13 @@ def hermite_square_composite(g: int, i: int, f: FieldSpec, q=None) -> bool:
     top_left = id_mid.kron(psi_mid.matrix) @ delta2_map(g, i).matrix
     bot_right = map_p_map(g, i + 1).matrix @ id_mid.kron(psi_mid.matrix)
     bot_left = psi_bot.matrix @ d1.matrix
-    return top_right.equals_mod(top_left, f) and bot_right.equals_mod(bot_left, f)
+    return (top_right, top_left), (bot_right, bot_left)
+
+
+def hermite_square_composite(g: int, i: int, q=None) -> bool:
+    """Both squares of `tangent.hermite_square_check` over Z, by their
+    full composites: the reference for the blocked check."""
+    return all(right == left for right, left in hermite_square_sides(g, i, q))
 
 
 def zeros(rows: int, cols: int) -> ExactMatrix:

@@ -126,7 +126,8 @@ def test_criterion_5_char2_scroll_law():
 def test_criterion_6_hermite_suite():
     """The reciprocity map is invertible and equivariant for d+i <= 12
     over Q, GF(2), GF(3), GF(5), GF(101); the multiplication
-    compatibility square commutes for d+i <= 10."""
+    compatibility square commutes over Z, so over every field, for
+    d+i <= 10."""
     fields = (QQ, GF(2), GF(3), GF(5), GF(101))
     for total in range(0, 13):
         for d in range(total + 1):
@@ -143,8 +144,7 @@ def test_criterion_6_hermite_suite():
     for total in range(0, 10):
         for d in range(total + 1):
             i = total - d
-            for f in fields:
-                assert psi_compat_check(d, i, f), (d, i, f)
+            assert psi_compat_check(d, i), (d, i)
     print("\nACCEPTANCE 6 (Hermite suite d+i<=12): PASS")
 
 
@@ -177,12 +177,12 @@ def test_criterion_7_chain_map_suite():
         for i in range(0, g - 1):
             assert (map_p_map(g, i + 1).matrix
                     @ map_q_map(g, i).matrix).is_zero(), ("pq", g, i)
-        for f in fields:
-            for i in range(0, g - 1):
-                qm = map_q_map(g, i)
+        for i in range(0, g - 1):
+            assert hermite_square_check(g, i), ("conj square", g, i)
+            qm = map_q_map(g, i)
+            for f in fields:
                 assert qm.source.dim - qm.rank(f) == k_i1(g, i, f), \
                     ("ker q", g, i, f)
-                assert hermite_square_check(g, i, f), ("conj square", g, i, f)
     print("\nACCEPTANCE 7 (chain-map suite g<=8): PASS")
 
 

@@ -31,7 +31,7 @@ KEPT_CACHES = {
     "koszul._chow_kernel",           # chow, once per sample
     "oracle._ring",                  # oracle_kij, once per (i, j)
     "tangent._delta2_dims",          # row 2 reads the ranks of row 1
-    "tangent.complex_J", "tangent._j_gens",
+    "tangent._j_gens",
     "tangent.map_q_map",
 }
 

@@ -165,6 +165,21 @@ def test_hermite_pass_and_print(capsys):
     assert "x^4 ^ x^3 ^ x^2 ^ x ^ 1" in out
 
 
+def test_hermite_verdict_does_not_depend_on_the_field(capsys):
+    # the squares are integer identities, decided once over Z: --char is
+    # validated and reported, and changes nothing else
+    for d, i in ((4, 3), (3, 3), (6, 2), (0, 5)):
+        payloads = []
+        for p in (0, 2, 3, 5, 101):
+            code, out, _ = run(capsys, "hermite", "--d", str(d), "--i", str(i),
+                               "--char", str(p), "--format", "json")
+            payload = json.loads(out)
+            assert code == 0 and payload.pop("char") == p, (d, i, p)
+            payloads.append(list(payload.items()))      # in printed order
+        assert all(p == payloads[0] for p in payloads), (d, i, payloads)
+        assert dict(payloads[0])["pass"] is True, (d, i)
+
+
 def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "betti", "--g", "13", "--char", "0")
     assert code == 3

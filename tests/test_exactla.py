@@ -61,7 +61,7 @@ def test_kernel_vectors_annihilate():
             for v in kernel_basis(m, f):
                 vec = ExactMatrix.from_columns([v], cols)
                 prod = m @ vec
-                assert prod.equals_mod(zeros(rows, 1), f)
+                assert rank(prod - zeros(rows, 1), f) == 0
 
 
 def test_intersection_examples():

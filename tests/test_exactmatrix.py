@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzygy import exactla
-from syzygy.exactla import ExactMatrix, FieldSpec
+from syzygy.exactla import ExactMatrix
 
 from _oracles import DictMatrix, to_dense, zeros
 
@@ -96,15 +95,8 @@ def test_operations_match_reference(case, a):
     _same(m1 - m3, d1 - d3)
     _same(m1.scaled(a), d1.scaled(a))
     _same(ExactMatrix.hstack([m1, m3, m1]), DictMatrix.hstack([d1, d3, d1]))
-    for p in (0, 2, 3, 2**31 - 1):
-        for x, y, dx, dy in ((m1, m3, d1, d3), (m1, m1.scaled(1 + p), d1, d1.scaled(1 + p))):
-            try:
-                want = dx.equals_mod(dy, p)
-            except TypeError:
-                with pytest.raises(TypeError):
-                    x.equals_mod(y, FieldSpec(p))
-            else:
-                assert x.equals_mod(y, FieldSpec(p)) == want
+    for x, y, dx, dy in ((m1, m3, d1, d3), (m1, m1.scaled(1), d1, d1)):
+        assert (x == y) == (not (dx - dy).entries) == (not y != x)
 
 
 @_SETTINGS
@@ -134,7 +126,7 @@ def test_shape_errors_match_reference():
         ExactMatrix(2, 2, ([0, 2], [0, 0], [1, 1]))
     with pytest.raises(ValueError):
         ExactMatrix(-1, 2)
-    assert not a.equals_mod(b, FieldSpec(0))
+    assert a != b
 
 
 def test_accessors_reject_indices_out_of_range():
@@ -147,56 +139,6 @@ def test_accessors_reject_indices_out_of_range():
         with pytest.raises(IndexError):
             m.column(c)
     assert m.entry(1, 0) == 3 and m.column(1) == [2, 4] and zeros(0, 2).column(1) == []
-
-
-def _canonical_spy(monkeypatch):
-    """Record the row count of every `exactla._canonical` call."""
-    calls = []
-    real = exactla._canonical
-
-    def spy(rows, r, c, v):
-        calls.append(rows)
-        return real(rows, r, c, v)
-
-    monkeypatch.setattr(exactla, "_canonical", spy)
-    return calls
-
-
-def test_equals_mod_on_equal_patterns_compares_values(monkeypatch):
-    gf3, gf5, qq = FieldSpec(3), FieldSpec(5), FieldSpec(0)
-    a = ExactMatrix.from_rows([[1, 0, -2], [0, 3, 4]])
-    b = ExactMatrix.from_rows([[6, 0, -12], [0, -2, 4]])     # a plus multiples of 5
-    big = ExactMatrix.from_rows([[2**70, 0, 1], [0, -(2**80), 4]])
-    big3 = ExactMatrix.from_rows([[2**70 + 3 * 2**66, 0, 1], [0, -(2**80) - 3, 4]])
-    # 2^63 - 1 - (-2) = 2^63 + 1 = 0 mod 3, but the int64 difference wraps
-    edge, neg = ExactMatrix.from_rows([[2**63 - 1]]), ExactMatrix.from_rows([[-2]])
-    assert edge.val.dtype == neg.val.dtype == np.int64 and big.val.dtype == object
-    calls = _canonical_spy(monkeypatch)
-    assert a.equals_mod(b, gf5) and not a.equals_mod(b, gf3) and not a.equals_mod(b, qq)
-    assert a.equals_mod(a, qq) and big.equals_mod(big, qq) and not big.equals_mod(big3, qq)
-    assert big.equals_mod(big3, gf3) and not big.equals_mod(big3, gf5)
-    assert edge.equals_mod(neg, gf3) and not edge.equals_mod(neg, gf5)
-    assert calls == []
-
-
-def test_equals_mod_on_different_patterns_takes_the_difference(monkeypatch):
-    gf5, gf7 = FieldSpec(5), FieldSpec(7)
-    a = ExactMatrix.from_rows([[1, 0, -2], [0, 3, 4]])
-    c = ExactMatrix.from_rows([[1, 5, -2], [0, 3, 4]])           # 5 = 0 mod 5, only in c
-    calls = _canonical_spy(monkeypatch)
-    assert c.equals_mod(a, gf5) and a.equals_mod(c, gf5)
-    assert not c.equals_mod(a, gf7) and not c.equals_mod(a, FieldSpec(0))
-    assert calls
-
-
-def test_equals_mod_rejects_fractions_in_positive_characteristic():
-    half = ExactMatrix.from_rows([[Fraction(1, 2), 1]])
-    same = ExactMatrix.from_rows([[Fraction(1, 2), 2]])          # the same pattern
-    other = ExactMatrix.from_rows([[1, 0]])                      # another one
-    assert not half.equals_mod(same, FieldSpec(0))
-    for x, y in ((half, same), (same, half), (half, other), (other, half)):
-        with pytest.raises(TypeError):
-            x.equals_mod(y, FieldSpec(3))
 
 
 def test_int64_operands_with_results_beyond_int64():

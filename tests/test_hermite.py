@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from syzygy.exactla import GF, QQ, ExactMatrix
+from syzygy.exactla import GF, QQ, ExactMatrix, rank
 from syzygy.hermite import psi_compat_check, psi_map
 from syzygy.reps import lowering, raising
 
@@ -68,26 +68,25 @@ def test_bijective_and_equivariant(f):
                 continue
             L1, L2 = lowering(pm.source), lowering(pm.target)
             R1, R2 = raising(pm.source), raising(pm.target)
-            assert (pm.matrix @ L1.matrix).equals_mod(L2.matrix @ pm.matrix, f)
-            assert (pm.matrix @ R1.matrix).equals_mod(R2.matrix @ pm.matrix, f)
+            assert rank(pm.matrix @ L1.matrix - L2.matrix @ pm.matrix, f) == 0, (d, i, f)
+            assert rank(pm.matrix @ R1.matrix - R2.matrix @ pm.matrix, f) == 0, (d, i, f)
 
 
 def test_compat_square():
-    assert psi_compat_check(0, 2, QQ)
-    assert psi_compat_check(3, 3, GF(5))
-    assert psi_compat_check(2, 4, GF(2))
+    assert psi_compat_check(0, 2)
+    assert psi_compat_check(3, 3)
+    assert psi_compat_check(2, 4)
     for total in range(0, 8):
         for d in range(total + 1):
             i = total - d
-            for f in (QQ, GF(2), GF(3)):
-                assert psi_compat_check(d, i, f), (d, i, f)
+            assert psi_compat_check(d, i), (d, i)
 
 
 def test_psi_inverse_rejects_a_singular_matrix(monkeypatch):
     # invertible over Q, singular over GF(2)
     m = ExactMatrix.from_rows([[1, 1], [1, -1]])
     monkeypatch.setattr(_oracles, "psi_map", lambda d, i: SimpleNamespace(matrix=m))
-    assert (m @ psi_inverse(1, 1, QQ)).equals_mod(ExactMatrix.identity(2), QQ)
+    assert rank(m @ psi_inverse(1, 1, QQ) - ExactMatrix.identity(2), QQ) == 0
     with pytest.raises(ValueError):
         psi_inverse(1, 1, GF(2))
 
@@ -97,14 +96,14 @@ def test_psi_wrapper_and_inverse():
     assert h.matrix.shape == (10, 10)
     inv = psi_inverse(3, 2, GF(3))
     prod = h.matrix @ inv
-    assert prod.equals_mod(ExactMatrix.identity(10), GF(3))
+    assert rank(prod - ExactMatrix.identity(10), GF(3)) == 0
     invq = psi_inverse(2, 2, QQ)
-    assert (psi_map(2, 2).matrix @ invq).equals_mod(ExactMatrix.identity(6), QQ)
+    assert rank(psi_map(2, 2).matrix @ invq - ExactMatrix.identity(6), QQ) == 0
     m = psi_map(4, 3).matrix
     for f in (QQ, GF(2)):
         inv = psi_inverse(4, 3, f)
         assert inv.shape == m.shape == (35, 35)
-        assert (m @ inv).equals_mod(ExactMatrix.identity(35), f)
-        assert (inv @ m).equals_mod(ExactMatrix.identity(35), f)
+        assert rank(m @ inv - ExactMatrix.identity(35), f) == 0
+        assert rank(inv @ m - ExactMatrix.identity(35), f) == 0
     with pytest.raises(ValueError):
         psi_map(-1, 2)

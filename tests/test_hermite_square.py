@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from syzygy import hermite, reps
-from syzygy.exactla import GF, QQ, ExactMatrix
+from syzygy.exactla import GF, QQ, ExactMatrix, rank
 from syzygy.hermite import psi_compat_check, psi_map, square_holds
 from syzygy.reps import RepSpace, lowering, nu, raising, sympow_mul
 from syzygy.tangent import delta2_map, hermite_square_check, map_q_map
 
-from _oracles import hermite_square_composite, psi_compat_composite
+from _oracles import (hermite_square_composite, hermite_square_sides, psi_compat_composite,
+                      psi_compat_sides)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -20,19 +21,19 @@ def _compat(d, i):
     """psi_{d+1}, and the blocked and the composite compatibility square
     with psi_{d+1} replaced by a given matrix."""
     return (psi_map(d + 1, i).matrix,
-            lambda f, bad: square_holds(nu(d, i).matrix, psi_map(d, i).matrix, bad,
-                                        sympow_mul(d, RepSpace.div(i)).matrix, f),
-            lambda f, bad: psi_compat_composite(d, i, f, bad))
+            lambda bad: square_holds(nu(d, i).matrix, psi_map(d, i).matrix, bad,
+                                     sympow_mul(d, RepSpace.div(i)).matrix),
+            lambda bad: psi_compat_composite(d, i, bad))
 
 
 def _top(g, i):
     """q_i, and the blocked and the composite Hermite squares of
     `hermite_square_check` with q_i replaced by a given matrix."""
     return (map_q_map(g, i).matrix,
-            lambda f, bad: square_holds(bad, psi_map(g - 2 - i, i + 1).matrix,
-                                        psi_map(g - 1 - i, i + 1).matrix,
-                                        delta2_map(g, i).matrix, f),
-            lambda f, bad: hermite_square_composite(g, i, f, q=bad))
+            lambda bad: square_holds(bad, psi_map(g - 2 - i, i + 1).matrix,
+                                     psi_map(g - 1 - i, i + 1).matrix,
+                                     delta2_map(g, i).matrix),
+            lambda bad: hermite_square_composite(g, i, q=bad))
 
 
 def _bumped(m: ExactMatrix, r: int, c: int, by: int) -> ExactMatrix:
@@ -41,17 +42,24 @@ def _bumped(m: ExactMatrix, r: int, c: int, by: int) -> ExactMatrix:
                                         np.append(m.val, by)))
 
 
+def _vanishes_over(f, sides):
+    """Does every difference of the (right, left) composites in `sides`
+    have rank 0 over f?"""
+    return all(rank(right - left, f) == 0 for right, left in sides)
+
+
 @pytest.mark.parametrize("f", FIELDS)
 def test_blocked_square_matches_the_composites(f):
+    # the blocked checks decide over Z; the composites agree, over Z and over f
     for total in range(10):
         for d in range(total + 1):
             i = total - d
-            assert (psi_compat_check(d, i, f), psi_compat_composite(d, i, f)) \
-                == (True, True), (d, i, f)
+            assert (psi_compat_check(d, i), psi_compat_composite(d, i),
+                    _vanishes_over(f, [psi_compat_sides(d, i)])) == (True, True, True), (d, i, f)
     for g in range(3, 8):
         for i in range(g - 1):
-            assert (hermite_square_check(g, i, f), hermite_square_composite(g, i, f)) \
-                == (True, True), (g, i, f)
+            assert (hermite_square_check(g, i), hermite_square_composite(g, i),
+                    _vanishes_over(f, hermite_square_sides(g, i))) == (True, True, True), (g, i, f)
 
 
 CORRUPTED = [
@@ -68,15 +76,12 @@ def _spots(m: ExactMatrix):
 
 
 def _corrupted_squares_agree(square, n, i):
+    # over Z every nonzero bump breaks the square, a bump by p included
     m, blocked, composite = square(n, i)
     for r, c in _spots(m):
-        for p in (2, 3, 5):
-            bad = _bumped(m, r, c, p)
-            for f, holds in ((GF(p), True), (QQ, False)):
-                assert (blocked(f, bad), composite(f, bad)) == (holds, holds), (r, c, p, f)
-        bad = _bumped(m, r, c, 1)
-        for f in FIELDS:
-            assert (blocked(f, bad), composite(f, bad)) == (False, False), (r, c, f)
+        for by in (1, 2, 3, 5):
+            bad = _bumped(m, r, c, by)
+            assert (blocked(bad), composite(bad)) == (False, False), (r, c, by)
 
 
 @pytest.mark.parametrize("square, n, i", CORRUPTED)
@@ -101,13 +106,13 @@ def test_one_column_runs_agree_with_the_composites(monkeypatch, square, n, i):
     assert widths and set(widths) == {1}
 
 
-def _equivariance(d, i, f, bad):
+def _equivariance(d, i, bad):
     """L psi = psi L and R psi = psi R with psi(d, i) replaced by `bad`,
     by `square_holds` and by the two whole products of each side."""
     pm = psi_map(d, i)
     ops = [(op(pm.target).matrix, op(pm.source).matrix) for op in (lowering, raising)]
-    return ([square_holds(top, bad, bad, bottom, f) for top, bottom in ops],
-            [(top @ bad).equals_mod(bad @ bottom, f) for top, bottom in ops])
+    return ([square_holds(top, bad, bad, bottom) for top, bottom in ops],
+            [top @ bad == bad @ bottom for top, bottom in ops])
 
 
 @pytest.mark.parametrize("d, i", [(3, 3), (4, 2)])
@@ -117,15 +122,9 @@ def test_corrupted_equivariance_is_caught(monkeypatch, d, i, runs):
         _one_column_runs(monkeypatch)
     m = psi_map(d, i).matrix
     for r, c in _spots(m):
-        for by in (1, 3):
-            for f in FIELDS + (GF(101),):
-                blocked, whole = _equivariance(d, i, f, _bumped(m, r, c, by))
-                assert blocked == whole, (r, c, by, f)
-                p = f.characteristic
-                if not p:               # over Q both operators catch the bump
-                    assert blocked == [False, False], (r, c, by)
-                elif by % p == 0:       # a bump that vanishes mod p changes nothing
-                    assert blocked == [True, True], (r, c, by, f)
+        for by in (1, 3):               # over Z both operators catch the bump
+            blocked, whole = _equivariance(d, i, _bumped(m, r, c, by))
+            assert blocked == whole == [False, False], (r, c, by)
 
 
 def test_hermite_square_forms_no_kronecker_product(monkeypatch):
@@ -134,19 +133,18 @@ def test_hermite_square_forms_no_kronecker_product(monkeypatch):
                         lambda a, b: calls.append((a.shape, b.shape)) or kron(a, b))
     for g in range(3, 8):
         for i in range(g - 1):
-            for f in FIELDS:
-                assert hermite_square_check(g, i, f), (g, i, f)
+            assert hermite_square_check(g, i), (g, i)
     assert not calls, calls
 
 
 def test_blocked_square_stays_small():
     # the maps are cached, so only the check's own arrays are traced; the
     # full composites with their Kronecker product peaked at 35.5 MB here
-    d, i, f = 5, 7, GF(2)
+    d, i = 5, 7
     psi_map(d, i), psi_map(d + 1, i), nu(d, i), sympow_mul(d, RepSpace.div(i))
     tracemalloc.start()
     try:
-        assert psi_compat_check(d, i, f)
+        assert psi_compat_check(d, i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,15 +155,15 @@ def test_psi_and_its_squares_stay_small():
     # building psi(7, 7) and checking its compatibility square and the
     # two equivariance squares of psi(6, 7), with their inputs cached:
     # the whole-part products and the re-sorting build peaked at 15.7 MB
-    d, i, f = 6, 7, QQ
+    d, i = 6, 7
     pm = psi_map(d, i)
     psi_map(d + 1, i), nu(d, i), sympow_mul(d, RepSpace.div(i))
     ops = [(op(pm.target).matrix, op(pm.source).matrix) for op in (lowering, raising)]
     tracemalloc.start()
     try:
         psi_map.__wrapped__(d + 1, i)         # built afresh, then dropped
-        assert psi_compat_check(d, i, f)
-        assert all(square_holds(top, pm.matrix, pm.matrix, bottom, f) for top, bottom in ops)
+        assert psi_compat_check(d, i)
+        assert all(square_holds(top, pm.matrix, pm.matrix, bottom) for top, bottom in ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,9 +180,9 @@ def test_small_squares_keep_whole_parts(monkeypatch):
                         lambda a, b: calls.append(1) or matmul(a, b))
     for g in range(3, 8):
         for i in range(g - 1):
-            assert hermite_square_check(g, i, QQ)         # builds the cached maps
+            assert hermite_square_check(g, i)             # builds the cached maps
             del calls[:]
-            assert hermite_square_check(g, i, QQ)
+            assert hermite_square_check(g, i)
             top = delta2_map(g, i).matrix.cols // psi_map(g - 2 - i, i + 1).matrix.cols
             assert len(calls) == 2 * top + (i + 2) + 1 <= 2 * (top + i + 2), (g, i)
 
@@ -208,9 +206,10 @@ def test_one_weight_runs_match_the_composites(monkeypatch, f):
             i = total - d
             psi_map(d, i)                   # built before the runs are counted
             del runs[:]
-            assert (psi_compat_check(d, i, f), psi_compat_composite(d, i, f)) \
-                == (True, True), (d, i, f)
+            assert psi_compat_check(d, i), (d, i)
             assert len(runs) == i * (d + 1) + 1, (d, i)        # one per weight
+            assert (psi_compat_composite(d, i),
+                    _vanishes_over(f, [psi_compat_sides(d, i)])) == (True, True), (d, i, f)
 
 
 @pytest.fixture
@@ -277,12 +276,11 @@ def test_corrupted_builders_agree_with_the_composites(monkeypatch, fresh_maps, r
             with monkeypatch.context() as mp:
                 _corrupt_psi(mp, width, label, r, by)
                 psi_map.cache_clear()
-                for f in FIELDS:
-                    pair = (psi_compat_check(d, i, f), psi_compat_composite(d, i, f))
-                    assert pair[0] == pair[1], (what, r, c, by, f)
-                    results.append(pair[0])
-                    if what == "psi+":          # a bump is seen exactly where it is nonzero
-                        assert pair[0] == (f.characteristic > 0 and by % f.characteristic == 0)
+                pair = (psi_compat_check(d, i), psi_compat_composite(d, i))
+                assert pair[0] == pair[1], (what, r, c, by)
+                results.append(pair[0])
+                if what == "psi+":              # over Z every bump is seen
+                    assert pair[0] is False, (r, c, by)
             psi_map.cache_clear()
     wedge = RepSpace.wedge(i, RepSpace.sym(d + i - 1))
     for src in sorted({0, wedge.dim - 1}):
@@ -291,10 +289,9 @@ def test_corrupted_builders_agree_with_the_composites(monkeypatch, fresh_maps, r
                 with monkeypatch.context() as mp:
                     _corrupt_nu(mp, d, i, src, j, move)
                     psi_map.cache_clear(), nu.cache_clear()
-                    for f in FIELDS:
-                        pair = (psi_compat_check(d, i, f), psi_compat_composite(d, i, f))
-                        assert pair[0] == pair[1], ("nu", src, j, move, f)
-                        results.append(pair[0])
+                    pair = (psi_compat_check(d, i), psi_compat_composite(d, i))
+                    assert pair[0] == pair[1], ("nu", src, j, move)
+                    results.append(pair[0])
                 psi_map.cache_clear(), nu.cache_clear()
     assert False in results
 
@@ -307,7 +304,7 @@ def test_compat_square_builds_neither_nu_nor_psi_next(monkeypatch):
                             calls.append((name, d, i)) or real(d, i))
     for d, i in ((0, 3), (2, 2), (3, 4), (5, 1)):
         del calls[:]
-        assert psi_compat_check(d, i, GF(3))
+        assert psi_compat_check(d, i)
         assert ("nu", d, i) not in calls and ("psi_map", d + 1, i) not in calls, calls
 
 
@@ -318,7 +315,7 @@ def test_compat_square_stays_small_without_nu():
     psi_map(6, 7), sympow_mul(6, RepSpace.div(7))
     tracemalloc.start()
     try:
-        assert psi_compat_check(6, 7, QQ)
+        assert psi_compat_check(6, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

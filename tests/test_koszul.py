@@ -308,7 +308,7 @@ def test_quotient_projection_is_a_quotient_map():
         n2 = comb(k.n, 2)
         assert proj.shape == (n2 - k.m, n2)
         assert all(type(v) is int for _, v in proj.items())
-        assert (proj @ k.kgens).equals_mod(zeros(proj.rows, k.m), k.field)
+        assert rank(proj @ k.kgens - zeros(proj.rows, k.m), k.field) == 0
         assert rank(proj, k.field) == proj.rows
 
 

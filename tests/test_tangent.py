@@ -285,15 +285,14 @@ def test_coker_q0_vanishes():
 
 @pytest.mark.parametrize("g", (4, 5, 6))
 def test_hermite_squares(g):
-    for f in CHARS:
-        for i in range(0, g - 1):
-            assert hermite_square_check(g, i, f), (g, i, f)
+    for i in range(0, g - 1):
+        assert hermite_square_check(g, i), (g, i)
 
 
 def test_hermite_square_examples():
-    assert hermite_square_check(5, 1, QQ)
-    assert hermite_square_check(6, 2, GF(3))
-    assert hermite_square_check(4, 0, GF(5))
+    assert hermite_square_check(5, 1)
+    assert hermite_square_check(6, 2)
+    assert hermite_square_check(4, 0)
 
 
 def test_complex_K_is_exact_in_positive_degrees():
