@@ -8,16 +8,16 @@ from .exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis, rank, \
     subspace_intersection_dim
 from .hermite import psi_compat_check, psi_map
 from .koszul import KoszulInput, catalan_degree, chow_member, hilbert_bound, \
-    random_koszul_input, resonance_trivial, w_dim, w_dims
+    random_koszul_input, resonance_trivial, w_dim
 from .oracle import oracle_kij, ring_dim
-from .tangent import BettiTable, betti_table, delta2, k_i1, k_i2, weyman_dim
+from .tangent import BettiTable, betti_table, k_i1, k_i2, weyman_dim
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec", "kernel_basis", "rank",
     "subspace_intersection_dim", "psi_compat_check", "psi_map",
     "KoszulInput", "catalan_degree", "chow_member", "hilbert_bound",
-    "random_koszul_input", "resonance_trivial", "w_dim", "w_dims",
+    "random_koszul_input", "resonance_trivial", "w_dim",
     "oracle_kij", "ring_dim",
-    "BettiTable", "betti_table", "delta2", "k_i1", "k_i2", "weyman_dim",
+    "BettiTable", "betti_table", "k_i1", "k_i2", "weyman_dim",
     "__version__",
 ]

@@ -281,7 +281,7 @@ def _selfcheck_suites(g_max: int):
                                        for _ in range(rr)])
             if rank(m, QQ) != rank(m.transpose(), QQ):
                 raise AssertionError("rank != rank of transpose")
-            if rank(m, QQ) + len(kernel_basis(m, QQ)) != cc:
+            if rank(m, QQ) + kernel_basis(m, QQ).cols != cc:
                 raise AssertionError("rank-nullity violated")
 
     def duality_suite():

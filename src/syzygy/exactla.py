@@ -40,7 +40,6 @@ kernel bases are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -842,34 +841,46 @@ def _annihilates(block: ExactMatrix, k: ExactMatrix) -> bool:
     return (block @ k).is_zero()
 
 
-def _lift(block: ExactMatrix, run, pivots, free: np.ndarray):
-    """The kernel of `block` over Q from `run`, [(q, R)] for the primes
+def _kernel(n: int, pivots: list, free: np.ndarray, top: np.ndarray,
+            den: np.ndarray) -> ExactMatrix:
+    """The RREF kernel with n rows, one column per free column: column j
+    holds top[:, j] at the pivot rows and den[j] > 0 at free[j], divided
+    by their gcd.  Laid out canonical: in an RREF a column's nonzero
+    pivot entries all lie above its free row, which comes last."""
+    v = np.vstack((top, den))
+    r = np.vstack((np.array(pivots, dtype=np.int64)[:, None].repeat(den.size, 1), free))
+    c, t = np.nonzero(v.T)
+    v = v[t, c]
+    first = np.flatnonzero(np.diff(c, prepend=-1))
+    v //= np.repeat(np.gcd.reduceat(v, first), np.diff(first, append=c.size))
+    return ExactMatrix._of(n, den.size, r[t, c], c, v)
+
+
+def _lift(block: ExactMatrix, run, pivots: list, free: np.ndarray):
+    """The kernel K of `block` over Q from `run`, [(q, R)] for the primes
     whose RREF has these pivot columns, R its pivot rows on the free
-    columns: (num, den), kernel column j being den[j] e_free[j] minus
-    sum_i num[i, j] e_pivots[i].  None unless `_rational` rebuilds it and
-    block annihilates it exactly.  Of two or more columns the last goes
-    first, alone, so a modulus still too small costs one column.  K is
-    laid out canonical: in an RREF a column's nonzero pivot entries all
-    lie above its free row, which comes last."""
+    columns: `_rational` rebuilds num / den, and column j of K is the
+    least positive integral multiple of e_free[j] minus
+    sum_i num[i, j] / den[j] e_pivots[i] (`_kernel`).  None unless that
+    succeeds and block annihilates K exactly.  Of two or more columns
+    the last goes first, alone, so a modulus still too small costs one
+    column."""
     for cols in (slice(-1, None), slice(None)) if free.size > 1 else (slice(None),):
         lifted = _rational(*_crt([(q, R[:, cols]) for q, R in run]))
         if lifted is None:
             return None
         num, den = lifted
-        v = np.vstack((-num, den))
-        r = np.vstack((np.array(pivots, dtype=np.int64)[:, None].repeat(den.size, 1), free[cols]))
-        c, t = np.nonzero(v.T)
-        k = ExactMatrix._of(block.cols, den.size, r[t, c], c, v[t, c])
+        k = _kernel(block.cols, pivots, free[cols], -num, den)
         if not _annihilates(block, k):
             return None
-    return num, den
+    return k
 
 
 def _char0(block: ExactMatrix, h2):
     """The prime loop over Q of `rank` (h2 = H^2, see there) and of
     `kernel_basis` (h2 None) on an integer block, read as residues mod
-    each prime and never made dense over Z.  Returns the rank,
-    or (pivots, free columns, num, den) of the RREF kernel (see `_lift`).
+    each prime and never made dense over Z.  Returns the rank, or the
+    integral RREF kernel K that `_lift` rebuilds.
 
     `rank` ranks the block mod q by `_rank_gf` and returns at full rank.
     Otherwise a rank r_q at least the best so far takes `_rref_gf` mod q,
@@ -902,7 +913,7 @@ def _char0(block: ExactMatrix, h2):
             run.append((q, A[:r][:, free]))
             kernel = _lift(block, run, pivots, free)
             if kernel is not None:
-                return r if h2 is not None else (pivots, free, *kernel)
+                return r if h2 is not None else kernel
         if h2 is not None and modulus * modulus > h2:
             return best
     raise ArithmeticError("Hadamard bound exceeds the product of all primes below 2^23")
@@ -920,8 +931,8 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     * full rank: r_q = min(m, n);
     * kernel: at a deficient prime, the n - r_q columns K that `_lift`
       rebuilds from the RREF mod q satisfy M K = 0 exactly, by one sparse
-      product; being the identity on the free columns, they are
-      independent, so rank_Q <= r_q;
+      product; being diagonal and nonzero on the free columns, they
+      are independent, so rank_Q <= r_q;
     * Hadamard: (prod q)^2 exceeds H^2, the product of the min(m, n)
       largest squared norms of the nonzero rows (or the same over
       columns, whichever is smaller).  Suppose rank_Q = r.  Then some
@@ -953,48 +964,36 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     return _char0(scaled, h2)
 
 
-def kernel_basis(m: ExactMatrix, f: FieldSpec):
-    """Deterministic basis of the right kernel of m over f: the RREF
-    kernel, one vector per free column (a column that is no pivot of the
-    reduced row echelon form), in free-column order.  Over GF(p) entries
-    are reduced residues, over Q they are Fractions.
+def kernel_basis(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
+    """Deterministic basis of the right kernel of m over f, as the
+    columns of an m.cols x nullity ExactMatrix: the RREF kernel, one
+    vector per free column (a column that is no pivot of the reduced row
+    echelon form), in free-column order.  Over GF(p) entries are
+    residues in [0, p) and the free entry is 1; over Q each vector is
+    cleared of denominators, its least positive integral multiple
+    (column gcd 1, free entry > 0).
 
     Over Q the rows are scaled to integers as in `rank`, and `_char0`
     runs the prime loop without the Hadamard stop until M K = 0 holds
     exactly for a kernel K lifted from the RREF mod primes q with equal
     pivot columns.  As in `rank` that makes r_q the rank over Q.  Column
-    f of K is 1 at f, and since a row of an echelon form vanishes left
-    of its pivot, it is nonzero elsewhere only at pivots before f.  So
-    every free column mod q is a combination of the columns before it
+    f of K is nonzero at f, and since a row of an echelon form vanishes
+    left of its pivot, it is nonzero elsewhere only at pivots before f.
+    So every free column mod q is a combination of the columns before it
     over Q, which makes the pivots mod q the column rank profile over Q,
-    and K the unique RREF kernel.  A prime whose pivots differ (q itself
-    for the 1x2 matrix [q 1]) fails the check and never joins the others.
+    and K the unique RREF kernel up to column scaling.  A prime whose
+    pivots differ (q itself for the 1x2 matrix [q 1]) fails the check
+    and never joins the others.
     """
     p = f.characteristic
-    if m.cols == 0:
-        return []
-    if p:
-        A, pivots = _rref_gf(_gf_array(m, p), p)
-        pivset = set(pivots)
-        basis = []
-        for c in range(m.cols):
-            if c in pivset:
-                continue
-            v = [0] * m.cols
-            v[c] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = (-int(A[r, c])) % p
-            basis.append(v)
-        return basis
-    pivots, free, num, den = _char0(_integer_rows(m), None)
-    basis = []
-    for c, column, d in zip(free.tolist(), num.T.tolist(), den.tolist()):
-        v = [Fraction(0)] * m.cols
-        v[c] = Fraction(1)
-        for pc, x in zip(pivots, column):
-            v[pc] = Fraction(-x, d)
-        basis.append(v)
-    return basis
+    if not p:
+        return _char0(_integer_rows(m), None)
+    A, pivots = _rref_gf(_gf_array(m, p), p)
+    free = np.ones(m.cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    return _kernel(m.cols, pivots, free, -A[:len(pivots)][:, free] % p,
+                   np.ones(free.size, dtype=np.int64))
 
 
 def subspace_intersection_dim(a, b, f: FieldSpec) -> int:

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec, _integer_rows, kernel_basis, rank
+from .exactla import ExactMatrix, FieldSpec, _gf_array, kernel_basis, rank
 from .reps import RepSpace, generic_koszul_delta
 
 TRIVIAL = "trivial"
@@ -106,14 +106,10 @@ def random_koszul_input(n: int, m: int, f: FieldSpec, seed: int) -> KoszulInput:
 # Graded pieces
 # ---------------------------------------------------------------------------
 
-def _quotient_projection(k: KoszulInput):
-    """Projection Wedge^2 V -> Wedge^2 V / K in coordinates.
-
-    Its rows are the vectors of `k_perp_basis(k)`, each scaled to
-    integers by `_integer_rows`, which keeps every rank built from it.
-    """
-    basis = ExactMatrix.from_columns(k_perp_basis(k), comb(k.n, 2))
-    return _integer_rows(basis.transpose())
+def _quotient_projection(k: KoszulInput) -> ExactMatrix:
+    """Projection Wedge^2 V -> Wedge^2 V / K in coordinates: its rows are
+    the columns of `k_perp_basis(k)`, integral over every field."""
+    return k_perp_basis(k).transpose()
 
 
 def _w_matrix(k: KoszulInput, q: int, proj: ExactMatrix) -> ExactMatrix:
@@ -137,27 +133,13 @@ def w_dim(k: KoszulInput, q: int) -> int:
     return target_rows - rank(_w_matrix(k, q, _quotient_projection(k)), k.field)
 
 
-def w_dims(k: KoszulInput, q_max: int):
-    """Graded dimensions q -> dim W_q for q = 0..q_max, with the
-    generated-in-degree-zero sanity check (a zero stays zero)."""
-    out = {}
-    seen_zero = False
-    for q in range(q_max + 1):
-        d = w_dim(k, q)
-        if seen_zero and d != 0:
-            raise AssertionError(f"W_{q} != 0 after a vanishing graded piece")
-        if d == 0:
-            seen_zero = True
-        out[q] = d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Resonance and the Chow form
 # ---------------------------------------------------------------------------
 
-def k_perp_basis(k: KoszulInput):
-    """Basis of K-perp inside Wedge^2 V-dual (same pair coordinates)."""
+def k_perp_basis(k: KoszulInput) -> ExactMatrix:
+    """Basis of K-perp inside Wedge^2 V-dual (same pair coordinates), as
+    the columns of `kernel_basis`."""
     return kernel_basis(k.kgens.transpose(), k.field)
 
 
@@ -240,12 +222,13 @@ def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str
         verdicts.append(method_b)
     if p != 0:
         basis = k_perp_basis(k)
-        kdim = len(basis)
+        kdim = basis.cols
         npoints = (p**kdim - 1) // (p - 1) if kdim else 0
         if kdim and npoints <= budget:
             # the basis is independent, so no enumerated point is zero
             found = any(mask.any()
-                        for _, mask in _decomposable_chunks(basis, n, p, budget))
+                        for _, mask in _decomposable_chunks(
+                            _gf_array(basis.transpose(), p), n, p, budget))
             if found:
                 verdicts.append(NONTRIVIAL)
             elif kdim == 1:
@@ -262,8 +245,7 @@ def resonance_trivial(k: KoszulInput, budget: int = DEFAULT_POINT_BUDGET) -> str
 def _chow_kernel(n: int, f: FieldSpec) -> ExactMatrix:
     """Kernel basis of delta_{2,n-3} over f as matrix columns, shared by
     every K of one (n, f)."""
-    delta = generic_koszul_delta(n, 2, n - 3).matrix
-    return ExactMatrix.from_columns(kernel_basis(delta, f), delta.cols)
+    return kernel_basis(generic_koszul_delta(n, 2, n - 3).matrix, f)
 
 
 def chow_member(k: KoszulInput) -> bool:

@@ -78,12 +78,6 @@ def _wahl_splits(t: int, i: int):
             yield tp, t + 1 - tp
 
 
-def delta2(g: int, i: int) -> ExactMatrix:
-    """Matrix of delta2 in canonical bases (integer entries; reduce mod
-    the characteristic when computing ranks)."""
-    return delta2_map(g, i).matrix
-
-
 @functools.lru_cache(maxsize=None)
 def _delta2_dims(g: int, i: int, f: FieldSpec):
     """(source dim, rank over f) of delta2_map(g, i): row 1 at i reads

@@ -382,11 +382,16 @@ def psi_inverse(d: int, i: int, f: FieldSpec) -> ExactMatrix:
     n = m.rows
     if rank(m, f) < n:
         raise ValueError(f"psi({d},{i}) not invertible over {f}")
-    # the kernel of [m | -I] is {(x, m x)}; its vector of free column n + k
-    # is (m^-1 e_k, e_k)
+    # the kernel of [m | -I] is {(x, m x)}; its column of free column n + k
+    # is c_k (m^-1 e_k, e_k), with c_k = 1 over GF(p) and for a unimodular
+    # m over Q, the least c_k > 0 that makes it integral otherwise
     minus_id = ExactMatrix.identity(n).scaled(-1)
     null = kernel_basis(ExactMatrix.hstack([m, minus_id]), f)
-    return ExactMatrix.from_columns([v[:n] for v in null], n)
+    top, c = null.row < n, dict(zip(null.col[null.row >= n].tolist(),
+                                    null.val[null.row >= n].tolist()))
+    return ExactMatrix(n, n, (null.row[top], null.col[top], [
+        Fraction(v, c[k]) if c[k] != 1 else v
+        for k, v in zip(null.col[top].tolist(), null.val[top].tolist())]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -197,8 +197,7 @@ def test_criterion_8_chow_exhaustive():
         for lead in range(6):
             for rest in itertools.product(range(p), repeat=5 - lead):
                 omega = [0] * lead + [1] + list(rest)
-                kb = kernel_basis(ExactMatrix.from_rows([omega]), f)
-                k = KoszulInput(4, ExactMatrix.from_columns(kb, 6), f)
+                k = KoszulInput(4, kernel_basis(ExactMatrix.from_rows([omega]), f), f)
                 member = chow_member(k)
                 brute = is_decomposable(omega, 4, f)
                 total += 1

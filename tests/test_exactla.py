@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -40,10 +40,10 @@ def test_rank_examples():
 
 
 def test_kernel_examples():
-    assert kernel_basis(ExactMatrix.identity(3), QQ) == []
+    assert kernel_basis(ExactMatrix.identity(3), QQ) == ExactMatrix(3, 0)
     kb = kernel_basis(ExactMatrix.from_rows([[1, -1]]), QQ)
-    assert len(kb) == 1 and kb[0][0] == kb[0][1] != 0
-    assert len(kernel_basis(zeros(2, 3), GF(7))) == 3
+    assert kb.cols == 1 and kb.entry(0, 0) == kb.entry(1, 0) != 0
+    assert kernel_basis(zeros(2, 3), GF(7)).cols == 3
 
 
 def test_kernel_vectors_annihilate():
@@ -58,10 +58,9 @@ def test_kernel_vectors_annihilate():
             cols = rng.randint(1, 5)
             m = ExactMatrix.from_rows([[rng.randint(-5, 5) for _ in range(cols)]
                                        for _ in range(rows)])
-            for v in kernel_basis(m, f):
-                vec = ExactMatrix.from_columns([v], cols)
-                prod = m @ vec
-                assert rank(prod - zeros(rows, 1), f) == 0
+            k = kernel_basis(m, f)
+            assert k.rows == cols
+            assert rank(m @ k - zeros(rows, k.cols), f) == 0
 
 
 def test_intersection_examples():
@@ -82,7 +81,7 @@ def test_rank_transpose_and_nullity():
         for f in (QQ, GF(2), GF(13)):
             r = rank(m, f)
             assert r == rank(m.transpose(), f)
-            assert cols == r + len(kernel_basis(m, f))
+            assert cols == r + kernel_basis(m, f).cols
 
 
 def test_rank_vs_minor_oracle():
@@ -266,20 +265,40 @@ def _q_kernel_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_q_kernel_cases())
 def test_q_kernel_matches_fraction_rref(rows):
+    # each column is the Fraction RREF vector scaled by the lcm of its
+    # denominators: integral, gcd 1 and positive at its free column
     got = kernel_basis(ExactMatrix.from_rows(rows), QQ)
-    assert got == kernel_from_rref(*rref_fraction(rows), len(rows[0]))
-    assert all(type(x) is Fraction for v in got for x in v)
+    rref, pivots = rref_fraction(rows)
+    want = kernel_from_rref(rref, pivots, len(rows[0]))
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    assert got.shape == (len(rows[0]), len(want))
+    for j, (c, v) in enumerate(zip(free, want)):
+        col = got.column(j)
+        assert col == [x * lcm(*(y.denominator for y in v)) for x in v]
+        assert all(type(x) is int for x in col)
+        assert col[c] > 0 and gcd(*col) == 1
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_q_kernel_cases())
 def test_lifted_kernels_are_laid_out_canonical(rows):
-    # `_lift` wraps K's arrays without the validating constructor, so they
-    # must already be what that constructor would make of them
-    kernels, real = [], exactla._annihilates
+    # `_kernel` wraps K's arrays without the validating constructor, so
+    # they must already be what that constructor would make of them: each
+    # K that `_lift` checks over Q, and the kernel over GF(p) of the rows
+    # cleared of denominators
+    m = ExactMatrix.from_rows(rows)
+    kernels, real = [], exactla._kernel
+
+    def spy(*args):
+        kernels.append(real(*args))
+        return kernels[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "_annihilates", lambda b, k: kernels.append(k) or real(b, k))
-        kernel_basis(ExactMatrix.from_rows(rows), QQ)
+        mp.setattr(exactla, "_kernel", spy)
+        kernels.append(kernel_basis(m, QQ))
+        for p in (2, 3, 101, 2**31 - 1):
+            kernels.append(kernel_basis(exactla._integer_rows(m), GF(p)))
+    assert len(kernels) >= 10
     for k in kernels:
         ref = ExactMatrix(k.rows, k.cols, (k.row, k.col, k.val))
         assert k == ref and k.val.dtype == ref.val.dtype
@@ -297,7 +316,8 @@ def test_q_kernel_skips_an_unlucky_pivot(monkeypatch):
         return real(a, p)
 
     monkeypatch.setattr(exactla, "_rref_gf", spy)
-    assert kernel_basis(ExactMatrix.from_rows([[q, 1]]), QQ) == [[Fraction(-1, q), 1]]
+    # the RREF vector (-1/q, 1), cleared of its denominator
+    assert kernel_basis(ExactMatrix.from_rows([[q, 1]]), QQ) == ExactMatrix.from_rows([[-1], [q]])
     assert primes[0] == q and len(primes) >= 2
 
 
@@ -451,12 +471,12 @@ def test_gf_f64_matches_int64_differential(case):
 
 
 @st.composite
-def _rref_cases(draw):
+def _rref_cases(draw, primes=(2, 3, 5, 101, _P_MAX_F64, 2**31 - 1)):
     """Integer rows for the int64 RREF: 0 rows or 0 columns, tall and wide
     shapes, duplicated and scaled rows, and entries of either sign up to
     p in magnitude, p - 1 among them, so that at p = 2^31 - 1 the
     products reach (p - 1)^2 ~ 2^62."""
-    p = draw(st.sampled_from((2, 3, 5, 101, _P_MAX_F64, 2**31 - 1)))
+    p = draw(st.sampled_from(primes))
     m = draw(st.integers(0, 10))
     n = draw(st.integers(0, 10))
     entry = st.one_of(st.just(0), st.integers(-p, p), st.integers(p - 3, p - 1))
@@ -477,6 +497,17 @@ def test_rref_gf_matches_list_oracle(case):
     want, want_pivots = rref_mod_p(rows, p)
     assert pivots == want_pivots
     assert got.shape == (len(rows), n) and got.tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rref_cases((2, 3, 101, 2**31 - 1)))
+def test_gf_kernel_matches_list_oracle(case):
+    # column j is the RREF kernel vector of free column j in residues
+    rows, n, p = case
+    got = kernel_basis(exact_of(np.array(rows, dtype=object).reshape(len(rows), n)), GF(p))
+    want = kernel_from_rref(*rref_mod_p(rows, p), n)
+    assert got.shape == (n, len(want))
+    assert [got.column(j) for j in range(got.cols)] == [[x % p for x in v] for v in want]
 
 
 def test_rank_above_the_f64_range_takes_the_rref(monkeypatch):

@@ -72,7 +72,8 @@ a = rng.integers(1, 5, (96, 96)) * (rng.random((96, 96)) < 0.04)
 r, c = np.nonzero(a)
 print(rank(ExactMatrix(96, 96, (r, c, a[r, c])), GF(5)))
 print(rank(ExactMatrix.from_rows(rng.integers(0, 5, (300, 600)).tolist()), GF(5)))
-print(len(kernel_basis(ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), QQ)))
+print(kernel_basis(ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), QQ).cols)
+print(kernel_basis(ExactMatrix.from_rows([[1, 2, 3], [2, 4, 7]]), GF(5)).cols)
 print(delta2_map(5, 2).rank(GF(5)))
 print("numpy.ma" in sys.modules)
 """
@@ -81,10 +82,10 @@ print("numpy.ma" in sys.modules)
 def test_ranks_and_kernels_import_no_masked_arrays():
     # np.unique without return_* arguments and np.setdiff1d import
     # numpy.ma (9-24 ms per CLI job); a sparse GF(5) rank through the
-    # front end, a dense one over several blocks, a kernel over Q and a
-    # flipped graded rank must not
+    # front end, a dense one over several blocks, a kernel over Q and one
+    # over GF(5), and a flipped graded rank must not
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["93", "300", "2", "20", "False"]
+    assert out == ["93", "300", "2", "1", "20", "False"]

@@ -1,7 +1,7 @@
 import itertools
 import random
 import tracemalloc
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -10,9 +10,10 @@ from syzygy.exactla import GF, QQ, ExactMatrix, kernel_basis, rank
 from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
                            _decomposable_chunks, catalan_degree, chow_member,
                            hilbert_bound, k_perp_basis, random_koszul_input,
-                           resonance_trivial, w_dim, w_dims)
+                           resonance_trivial, w_dim)
 
-from _oracles import is_decomposable, projective_points, weyman_input, zeros
+from _oracles import (is_decomposable, kernel_from_rref, projective_points, rref_fraction,
+                      rref_mod_p, to_dense, weyman_input, zeros)
 
 
 def _unit(i, n=6):
@@ -23,8 +24,7 @@ def _unit(i, n=6):
 
 def _perp_of_omega(omega, f):
     """K = annihilator of the 2-form omega (a hyperplane of Wedge^2 V)."""
-    K_basis = kernel_basis(ExactMatrix.from_rows([list(omega)]), f)
-    return KoszulInput(4, ExactMatrix.from_columns(K_basis, 6), f)
+    return KoszulInput(4, kernel_basis(ExactMatrix.from_rows([list(omega)]), f), f)
 
 
 def test_hilbert_bound_values():
@@ -50,7 +50,7 @@ def test_catalan_degree():
 def test_w_dim_full_k_vanishes():
     for n in (3, 4):
         kfull = KoszulInput(n, ExactMatrix.identity(comb(n, 2)), GF(5))
-        assert w_dims(kfull, 3) == {q: 0 for q in range(4)}
+        assert [w_dim(kfull, q) for q in range(4)] == [0] * 4
 
 
 def test_w_dim_zero_k():
@@ -118,7 +118,7 @@ def test_chow_n3_never_member():
     # for n = 3, m = 2n-3 = 3 = dim Wedge^2 V forces K to be everything
     kfull = KoszulInput(3, ExactMatrix.identity(3), GF(5))
     assert not chow_member(kfull)
-    assert w_dims(kfull, 2) == {0: 0, 1: 0, 2: 0}
+    assert [w_dim(kfull, q) for q in range(3)] == [0, 0, 0]
 
 
 def test_chow_agrees_with_resonance_sampling():
@@ -151,13 +151,12 @@ def test_monotonicity_under_enlargement():
 
 
 def test_generated_in_degree_zero():
-    # once a graded piece vanishes, all later ones do (checked inside w_dims)
+    # once a graded piece vanishes, all later ones do
     for s in range(5):
         k = random_koszul_input(5, 7, GF(5), seed=40 + s)
-        dims = w_dims(k, 4)
-        zeros = [q for q, d in dims.items() if d == 0]
-        if zeros:
-            assert all(dims[q] == 0 for q in range(min(zeros), 5))
+        dims = [w_dim(k, q) for q in range(5)]
+        if 0 in dims:
+            assert not any(dims[dims.index(0):])
 
 
 def test_theorem_equivalence_at_desk_scale():
@@ -177,7 +176,7 @@ def test_theorem_equivalence_at_desk_scale():
 def test_k_perp_basis_dimension():
     for (n, m) in ((4, 5), (5, 7), (5, 4)):
         k = random_koszul_input(n, m, GF(11), seed=n * m)
-        assert len(k_perp_basis(k)) == comb(n, 2) - m
+        assert k_perp_basis(k).shape == (comb(n, 2), comb(n, 2) - m)
 
 
 def test_point_search_sound_against_w_dim_n5():
@@ -188,7 +187,7 @@ def test_point_search_sound_against_w_dim_n5():
     found_some = False
     for s in range(30):
         k = random_koszul_input(5, 7, f, seed=7000 + s)
-        basis = k_perp_basis(k)
+        basis = to_dense(k_perp_basis(k).transpose())
         hit = any(is_decomposable(pt, 5, f)
                   for pt in projective_points(basis, 3, 10**4))
         if hit:
@@ -240,7 +239,7 @@ def test_pfaffian_scan_order_across_chunks_and_budget(monkeypatch):
     monkeypatch.setattr(koszul, "_PFAFFIAN_CHUNK", 7)
     for (n, m, p) in ((5, 7, 3), (6, 10, 2), (5, 4, 2)):
         k = random_koszul_input(n, m, GF(p), seed=n + m + p)
-        basis = k_perp_basis(k)
+        basis = to_dense(k_perp_basis(k).transpose())
         for budget in (1, 8, 50, 10**6):
             pts, mask = _scan(basis, n, p, budget)
             assert pts == list(projective_points(basis, p, budget))
@@ -310,6 +309,20 @@ def test_quotient_projection_is_a_quotient_map():
         assert all(type(v) is int for _, v in proj.items())
         assert rank(proj @ k.kgens - zeros(proj.rows, k.m), k.field) == 0
         assert rank(proj, k.field) == proj.rows
+
+
+def test_quotient_projection_matches_the_fraction_reference():
+    # row j is the RREF vector of K-perp's free column j, scaled by the
+    # lcm of its denominators (over GF(p): in residues, with free entry 1)
+    for k in _projection_inputs():
+        p, n2 = k.field.characteristic, comb(k.n, 2)
+        rows = to_dense(k.kgens.transpose())
+        if p:
+            want = [[x % p for x in v] for v in kernel_from_rref(*rref_mod_p(rows, p), n2)]
+        else:
+            want = kernel_from_rref(*rref_fraction(rows), n2)
+        want = [[x * lcm(*(y.denominator for y in v)) for x in v] for v in want]
+        assert to_dense(koszul._quotient_projection(k)) == want
 
 
 def test_resonance_rank_never_holds_the_dense_core():
