@@ -4,8 +4,7 @@ rational normal curve, over GF(p) and the rationals."""
 
 __version__ = "0.1.0"
 
-from .exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis, rank, \
-    subspace_intersection_dim
+from .exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis, rank
 from .hermite import psi_compat_check, psi_map
 from .koszul import KoszulInput, catalan_degree, chow_member, hilbert_bound, \
     random_koszul_input, resonance_trivial, w_dim
@@ -14,7 +13,7 @@ from .tangent import BettiTable, betti_table, k_i1, k_i2, weyman_dim
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec", "kernel_basis", "rank",
-    "subspace_intersection_dim", "psi_compat_check", "psi_map",
+    "psi_compat_check", "psi_map",
     "KoszulInput", "catalan_degree", "chow_member", "hilbert_bound",
     "random_koszul_input", "resonance_trivial", "w_dim",
     "oracle_kij", "ring_dim",

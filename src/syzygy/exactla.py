@@ -23,8 +23,11 @@ diagonal block D, and the exact Schur complement mod p in place of the
 rest.  So the rank is the pivot count plus the rank of the core that
 the rounds leave.  Over Q the matrix, with denominators cleared, stays
 an `ExactMatrix` and is ranked modulo descending primes.  Each rank
-carries one of three certificates (see `rank`): full rank mod a prime,
-an exact kernel checked by one sparse product, or the Hadamard bound.
+carries one of four certificates (see `rank`): full rank mod a prime,
+closure mod a prime against a map that composes with it to zero
+(`closed_ranks`; both are a rank mod a prime that reaches a proven
+upper bound), an exact kernel checked by one sparse product, or the
+Hadamard bound.
 Floats are used only as exact carriers of integers: below 2^24 in
 float32 and below 2^53 in float64.
 
@@ -39,6 +42,7 @@ kernel bases are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm, prod
 
@@ -369,9 +373,6 @@ class ExactMatrix:
             return NotImplemented
         return self.shape == other.shape and all(
             np.array_equal(getattr(self, k), getattr(other, k)) for k in ("row", "col", "val"))
-
-    def __hash__(self):
-        return hash((self.shape, self.row.tobytes(), self.col.tobytes(), tuple(self.val.tolist())))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -735,14 +736,24 @@ def _rref_gf(a: np.ndarray, p: int):
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _char0_primes():
-    """The fixed prime sequence of the char-0 rank: every prime that
-    `_f64_admits`, in descending order from the largest (8,388,593)."""
-    q = isqrt(_F64_SAFE // _GF_BLOCK) + 1
+@functools.lru_cache(maxsize=None)
+def _prime_below(q: int) -> int:
+    """The largest prime below q that `_f64_admits`, or 0 if there is
+    none: one step of `_char0_primes`, taken once per process."""
     while q > 2:
         q -= 1
         if _f64_admits(q) and _is_prime(q):
-            yield q
+            return q
+    return 0
+
+
+def _char0_primes():
+    """The fixed prime sequence of the char-0 rank: every prime that
+    `_f64_admits`, in descending order from the largest (8,388,593)."""
+    q = _prime_below(isqrt(_F64_SAFE // _GF_BLOCK) + 1)
+    while q:
+        yield q
+        q = _prime_below(q)
 
 
 def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> int:
@@ -756,17 +767,18 @@ def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> 
     return prod(sorted(filter(None, sq.tolist()), reverse=True)[:full])
 
 
-def _integer_rows(m: ExactMatrix) -> ExactMatrix:
-    """m with each row scaled by the lcm of its denominators (an int's
-    is 1): an integer matrix with the same rank and the same kernel."""
+def _integer_rows(m: ExactMatrix, cols: bool = False) -> ExactMatrix:
+    """m with each row (each column if `cols`) scaled by the lcm of its
+    denominators (an int's is 1): an integer matrix with the same rank,
+    and the same kernel (the same image if `cols`)."""
     v = m.val
     if v.dtype == object:
-        rows, vals = m.row.tolist(), v.tolist()
+        keys, vals = (m.col if cols else m.row).tolist(), v.tolist()
         scale = {}
-        for r, x in zip(rows, vals):
+        for r, x in zip(keys, vals):
             scale[r] = lcm(scale.get(r, 1), x.denominator)
         v = np.array([x.numerator * (scale[r] // x.denominator)
-                      for r, x in zip(rows, vals)], dtype=object)
+                      for r, x in zip(keys, vals)], dtype=object)
     return ExactMatrix._of(m.rows, m.cols, m.row, m.col, v)
 
 
@@ -876,31 +888,35 @@ def _lift(block: ExactMatrix, run, pivots: list, free: np.ndarray):
     return k
 
 
-def _char0(block: ExactMatrix, h2):
-    """The prime loop over Q of `rank` (h2 = H^2, see there) and of
-    `kernel_basis` (h2 None) on an integer block, read as residues mod
-    each prime and never made dense over Z.  Returns the rank, or the
-    integral RREF kernel K that `_lift` rebuilds.
+def _char0(block: ExactMatrix, bound, known=None):
+    """The prime loop over Q of `rank` (`bound` a proven upper bound on
+    the rank, see there) and of `kernel_basis` (bound None) on an
+    integer block, read as residues mod each prime and never made dense
+    over Z.  Returns the rank, or the integral RREF kernel K that
+    `_lift` rebuilds.  `known`, if given, is the rank mod the first
+    prime, which is then not ranked again.
 
-    `rank` ranks the block mod q by `_rank_gf` and returns at full rank.
-    Otherwise a rank r_q at least the best so far takes `_rref_gf` mod q,
-    as every prime of `kernel_basis` does: a larger one drops the earlier
-    residues, an equal one joins the primes with its pivot columns, and
-    `_lift` tries their kernel.  After one deficient prime the RREF alone
-    ranks, and returns at full rank.  `rank` lifts no block with an entry
-    past int64, whose lift would run on Python ints from the start: it
-    takes `_rank_gf` at every prime, and the Hadamard stop decides it."""
+    `rank` ranks the block mod q by `_rank_gf` and returns once the rank
+    reaches the bound.  Otherwise a rank r_q at least the best so far
+    takes `_rref_gf` mod q, as every prime of `kernel_basis` does: a
+    larger one drops the earlier residues, an equal one joins the primes
+    with its pivot columns, and `_lift` tries their kernel.  After one
+    deficient prime the RREF alone ranks.  `rank` lifts no block with an
+    entry past int64, whose lift would run on Python ints from the
+    start: it takes `_rank_gf` at every prime, and the Hadamard stop
+    decides it."""
     m, n = block.shape
-    lift = h2 is None or block.val.dtype != object
-    best, modulus, runs, later = 0, 1, {}, False
+    lift = bound is None or block.val.dtype != object
+    best, modulus, runs, later, h2 = 0, 1, {}, False, None
     for q in _char0_primes():
         modulus *= q
-        if h2 is not None and not later:
-            r = _rank_gf(block, q)
-        if lift and (h2 is None or later or min(m, n) > r >= best):
+        if bound is not None and not later:
+            r = _rank_gf(block, q) if known is None else known
+            known = None
+        if lift and (bound is None or later or bound > r >= best):
             A, pivots = _rref_gf(_gf_array(block, q), q)
             r = len(pivots)
-        if h2 is not None and r == min(m, n):
+        if r == bound:
             return r
         later = lift
         if r > best:
@@ -913,9 +929,12 @@ def _char0(block: ExactMatrix, h2):
             run.append((q, A[:r][:, free]))
             kernel = _lift(block, run, pivots, free)
             if kernel is not None:
-                return r if h2 is not None else kernel
-        if h2 is not None and modulus * modulus > h2:
-            return best
+                return r if bound is not None else kernel
+        if bound is not None:
+            h2 = h2 or min(_top_square_product(block.row, block.val, m, bound),
+                           _top_square_product(block.col, block.val, n, bound))
+            if modulus * modulus > h2:
+                return best
     raise ArithmeticError("Hadamard bound exceeds the product of all primes below 2^23")
 
 
@@ -926,20 +945,30 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     the rank.  The integer matrix M, still an ExactMatrix, is ranked mod
     the primes of `_char0_primes` in turn, keeping the largest rank seen
     (see `_char0`); rank_Q >= r_q for every prime q.  The rank is
-    certified by one of three stops:
+    certified by one of three stops, the first with either of two
+    bounds, so by one of four certificates:
 
-    * full rank: r_q = min(m, n);
+    * bound: r_q reaches a proven upper bound b on rank_Q, so
+      b <= r_q <= rank_Q <= b.  Alone, `rank` knows b = min(m, n): the
+      full-rank certificate.  For a map d_in: A -> C followed by
+      d_out: C -> B with d_out d_in = 0, checked exactly, im d_in lies
+      in ker d_out, so rank_Q(d_in) + rank_Q(d_out) <= dim C and
+      b = dim C - r_q(d_out) bounds rank_Q(d_in), and the same the other
+      way round: the closure certificate of `closed_ranks`.  Where the
+      complex is exact over Q and both ranks hold mod q, both reach
+      their bounds at once;
     * kernel: at a deficient prime, the n - r_q columns K that `_lift`
       rebuilds from the RREF mod q satisfy M K = 0 exactly, by one sparse
       product; being diagonal and nonzero on the free columns, they
       are independent, so rank_Q <= r_q;
-    * Hadamard: (prod q)^2 exceeds H^2, the product of the min(m, n)
-      largest squared norms of the nonzero rows (or the same over
-      columns, whichever is smaller).  Suppose rank_Q = r.  Then some
-      r x r minor D is nonzero, and |D| <= H by Hadamard's inequality.
-      The rank mod q drops below r only if q divides every r x r minor,
-      D among them.  So if the largest rank seen were below r, D would
-      be a nonzero multiple of the product of the primes used, which is
+    * Hadamard: (prod q)^2 exceeds H^2, the product of the b largest
+      squared norms of the nonzero rows (or the same over columns,
+      whichever is smaller).  Suppose rank_Q = r <= b.  Then some r x r
+      minor D is nonzero, and |D| <= H by Hadamard's inequality (every
+      nonzero integer row has norm at least 1).  The
+      rank mod q drops below r only if q divides every r x r minor, D
+      among them.  So if the largest rank seen were below r, D would be
+      a nonzero multiple of the product of the primes used, which is
       larger than H: impossible.  No matrix takes more primes than this
       fallback alone would.
 
@@ -957,11 +986,7 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
     p = f.characteristic
     if p:
         return _rank_gf(m, p)
-    scaled = _integer_rows(m)
-    full = min(m.rows, m.cols)
-    h2 = min(_top_square_product(scaled.row, scaled.val, m.rows, full),
-             _top_square_product(scaled.col, scaled.val, m.cols, full))
-    return _char0(scaled, h2)
+    return _char0(_integer_rows(m), min(m.shape))
 
 
 def kernel_basis(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
@@ -996,17 +1021,59 @@ def kernel_basis(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
                    np.ones(free.size, dtype=np.int64))
 
 
-def subspace_intersection_dim(a, b, f: FieldSpec) -> int:
-    """dim(span(a) ∩ span(b)) for lists of vectors in a common ambient space."""
-    if not a or not b:
-        return 0
-    amb = len(a[0])
-    if any(len(v) != amb for v in a) or any(len(v) != amb for v in b):
-        raise ValueError("ambient dimension mismatch")
-    A = ExactMatrix.from_columns(a, amb)
-    B = ExactMatrix.from_columns(b, amb)
-    joint = ExactMatrix.hstack([A, B])
-    return rank(A, f) + rank(B, f) - rank(joint, f)
+def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
+    """The blocks of `graded_rank`: (weights, rep, block).  weights[k] is
+    (row weight, column weight) of the k-th column class with entries,
+    in increasing column weight; rep[k] <= k is the class ranked for
+    class k (k itself, or its flip partner); block(k) builds the block of
+    class k, on the full row and column classes, on each call."""
+    rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
+    if rw.size != m.rows or cw.size != m.cols:
+        raise ValueError("weight vector length mismatch")
+    if m.nnz == 0:
+        return [], [], None
+    # the entries grouped by column class, each group in canonical order
+    order = np.argsort(cw[m.col], kind="stable")
+    row, col, val = m.row[order], m.col[order], m.val[order]
+    ec, er = cw[col], rw[row]
+    first = np.flatnonzero(np.diff(ec, prepend=ec[0] - 1))
+    end = np.append(first[1:], ec.size)
+    if np.any(er != np.repeat(er[first], end - first)):
+        raise ValueError("matrix is not weight-graded")
+    hit = np.sort(er[first])
+    if (hit[1:] == hit[:-1]).any():
+        raise ValueError("two column classes hit one row class")
+    weights = list(zip(er[first].tolist(), ec[first].tolist()))
+    rep = list(range(first.size))
+    if flips is not None:
+        (tp, ts), (sp, ss) = flips = [[np.asarray(a, dtype=np.int64) for a in x] for x in flips]
+        for (perm, sign), n in zip(flips, m.shape):
+            if not (np.array_equal(np.sort(perm), np.arange(n))
+                    and np.array_equal(np.abs(sign), np.ones(n))):
+                raise ValueError("flips must be signed permutations of the rows and columns")
+        # compare in object dtype where -(-2^63) would overflow int64
+        sval = val.astype(object) if val.dtype != object and _max_abs(val) >= _I64 else val
+        top = int(cw.min() + cw.max())
+        at = {w: k for k, (_, w) in enumerate(weights)}
+        for k, (_, w) in enumerate(weights):
+            j = at.get(top - w)
+            if 2 * w >= top or j is None:
+                continue
+            s, e, ps, pe = first[k], end[k], first[j], end[j]
+            r, c = tp[row[s:e]], sp[col[s:e]]
+            o = np.argsort(c * m.rows + r)
+            v, pv = (sval[s:e] * ts[row[s:e]] * ss[col[s:e]])[o], sval[ps:pe]
+            if (np.array_equal(r[o], row[ps:pe]) and np.array_equal(c[o], col[ps:pe])
+                    and (np.array_equal(v, pv) or np.array_equal(-v, pv))):
+                rep[j] = k
+
+    def block(k):
+        s, e, (x, y) = first[k], end[k], weights[k]
+        rs, cs = np.flatnonzero(rw == x), np.flatnonzero(cw == y)
+        return ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
+                               np.searchsorted(cs, col[s:e]), val[s:e])
+
+    return weights, rep, block
 
 
 def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
@@ -1028,49 +1095,57 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     have the same rank over every field, and block w is ranked once and
     counted twice.  Otherwise, and without `flips`, every class is ranked.
     """
-    rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
-    if rw.size != m.rows or cw.size != m.cols:
-        raise ValueError("weight vector length mismatch")
-    if m.nnz == 0:
-        return 0
-    # the entries grouped by column class, each group in canonical order
-    order = np.argsort(cw[m.col], kind="stable")
-    row, col, val = m.row[order], m.col[order], m.val[order]
-    ec, er = cw[col], rw[row]
-    first = np.flatnonzero(np.diff(ec, prepend=ec[0] - 1))
-    end = np.append(first[1:], ec.size)
-    if np.any(er != np.repeat(er[first], end - first)):
-        raise ValueError("matrix is not weight-graded")
-    hit = np.sort(er[first])
-    if (hit[1:] == hit[:-1]).any():
-        raise ValueError("two column classes hit one row class")
-    count = [1] * first.size
+    _, rep, block = _weight_classes(m, row_weights, col_weights, flips)
+    ranks = [rank(block(k), f) if j == k else 0 for k, j in enumerate(rep)]
+    return sum(ranks[j] for j in rep)
+
+
+def closed_ranks(d_in: ExactMatrix, d_out: ExactMatrix, f: FieldSpec, weights,
+                 flips=None):
+    """(rank d_in, rank d_out) over f of weight-graded maps
+    d_in: A -> C and d_out: C -> B with d_out d_in = 0.  `weights` are
+    the weight vectors of A, C and B, and `flips`, if given, their
+    signed permutations; each map is split and flipped as in
+    `graded_rank`, which this is over GF(p).
+
+    Over Q d_in's columns and d_out's rows are scaled to integers, which
+    keeps the ranks and the zero composite, and d_out d_in = 0 is checked
+    by one sparse product (ValueError otherwise).  Every ranked block of
+    both maps is ranked mod the first char-0 prime q, and the blocks of
+    the two maps through each weight x of C bound each other as in
+    `rank`'s closure certificate: rank_Q(d_in at x) <=
+    dim C_x - r_q(d_out at x), and conversely.  A block whose rank mod q
+    reaches its bound is certified with no kernel; any other goes on to
+    `_char0` from that rank."""
+    wa, wc, wb = weights
+    fin = fout = None
     if flips is not None:
-        (tp, ts), (sp, ss) = flips = [[np.asarray(a, dtype=np.int64) for a in x] for x in flips]
-        for (perm, sign), n in zip(flips, m.shape):
-            if not (np.array_equal(np.sort(perm), np.arange(n))
-                    and np.array_equal(np.abs(sign), np.ones(n))):
-                raise ValueError("flips must be signed permutations of the rows and columns")
-        # compare in object dtype where -(-2^63) would overflow int64
-        sval = val.astype(object) if val.dtype != object and _max_abs(val) >= _I64 else val
-        top, wk = int(cw.min() + cw.max()), ec[first].tolist()
-        at = {w: k for k, w in enumerate(wk)}
-        for k, w in enumerate(wk):
-            j = at.get(top - w)
-            if 2 * w >= top or j is None:
-                continue
-            s, e, ps, pe = first[k], end[k], first[j], end[j]
-            r, c = tp[row[s:e]], sp[col[s:e]]
-            o = np.argsort(c * m.rows + r)
-            v, pv = (sval[s:e] * ts[row[s:e]] * ss[col[s:e]])[o], sval[ps:pe]
-            if (np.array_equal(r[o], row[ps:pe]) and np.array_equal(c[o], col[ps:pe])
-                    and (np.array_equal(v, pv) or np.array_equal(-v, pv))):
-                count[k], count[j] = 2, 0
-    total = 0
-    for s, e, k in zip(first.tolist(), end.tolist(), count):
-        if not k:
-            continue
-        rs, cs = np.flatnonzero(rw == er[s]), np.flatnonzero(cw == ec[s])
-        total += k * rank(ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
-                                          np.searchsorted(cs, col[s:e]), val[s:e]), f)
-    return total
+        fin, fout = (flips[1], flips[0]), (flips[2], flips[1])
+    if f.characteristic:
+        return graded_rank(d_in, f, wc, wa, fin), graded_rank(d_out, f, wb, wc, fout)
+    d_in, d_out = _integer_rows(d_in, cols=True), _integer_rows(d_out)
+    if not (d_out @ d_in).is_zero():
+        raise ValueError("d_out d_in is not zero")
+    q = next(_char0_primes())
+    maps = [_weight_classes(d_in, wc, wa, fin), _weight_classes(d_out, wb, wc, fout)]
+    mod_q = [[_rank_gf(block(k), q) if j == k else 0 for k, j in enumerate(rep)]
+             for _, rep, block in maps]
+    size = []
+    for w in weights:
+        x, n = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)
+        size.append(dict(zip(x.tolist(), n.tolist())))
+    # the rank mod q of each map through each weight of C (d_in's row
+    # weight, d_out's column weight)
+    through = [{w[side]: rq[j] for w, j in zip(classes, rep)}
+               for (classes, rep, _), rq, side in zip(maps, mod_q, (0, 1))]
+    ranks = []
+    for (classes, rep, block), rq, rows, cols, side in zip(
+            maps, mod_q, size[1:], size[:2], (0, 1)):
+        bound = [min(rows[x], cols[y]) for x, y in classes]
+        for w, j in zip(classes, rep):
+            x = w[side]
+            bound[j] = min(bound[j], size[1][x] - through[1 - side].get(x, 0))
+        got = [_char0(block(k), bound[k], r) if j == k and r < bound[k] else r
+               for k, (j, r) in enumerate(zip(rep, rq))]
+        ranks.append(sum(got[j] for j in rep))
+    return tuple(ranks)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .exactla import ExactMatrix, FieldSpec, graded_rank
+from .exactla import ExactMatrix, FieldSpec, closed_ranks, graded_rank
 
 
 def _z_polys(g: int, p: int, chart: str):
@@ -286,8 +286,21 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet") -> int:
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
     ring = _ring(g, f, chart)
-    rank_in = _map_rank(ring, i + 1, j - 1) if j >= 1 else 0
-    return comb(g + 1, i) * ring.dim(j) - _map_rank(ring, i, j) - rank_in
+    rank_in, rank_out = _map_ranks(ring, i, j)
+    return comb(g + 1, i) * ring.dim(j) - rank_out - rank_in
+
+
+def _map_ranks(ring: ParamRing, i: int, n: int):
+    """The ranks of the maps into and out of Wedge^i W (x) R_n:
+    `_map_rank(ring, i + 1, n - 1)` (0 if n = 0) and
+    `_map_rank(ring, i, n)`.  The two compose to zero, so where neither
+    is ranked yet `exactla.closed_ranks` ranks them together."""
+    keys = (i + 1, n - 1), (i, n)
+    if n and not any(k in ring._ranks for k in keys):
+        ring._ranks.update(zip(keys, closed_ranks(
+            *(_wedge_mult_matrix(ring, *k) for k in keys), ring.field,
+            [_wedge_weights(ring, i + 1 - t, n - 1 + t) for t in range(3)])))
+    return (_map_rank(ring, i + 1, n - 1) if n else 0), _map_rank(ring, i, n)
 
 
 def _map_rank(ring: ParamRing, i: int, n: int) -> int:

@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec
+from .exactla import ExactMatrix, FieldSpec, closed_ranks
 from .hermite import psi_compat_check, psi_map, square_holds
 from .reps import RepMap, RepSpace, _build, _insertions, _pieri, contraction, nu, sympow_mul
 
@@ -82,9 +82,20 @@ def _wahl_splits(t: int, i: int):
 def _delta2_dims(g: int, i: int, f: FieldSpec):
     """(source dim, rank over f) of delta2_map(g, i): row 1 at i reads
     the kernel dimension and row 2 at i - 1 the rank, so one table
-    builds each map once, and the map is freed once it is ranked."""
+    builds each map once, and the map is freed once it is ranked.
+
+    Over Q delta2 is ranked with the multiplication after it,
+    D^{i+1}U (x) Sym^{g-1-i}(D^{i+1}U) -> Sym^{g-i}(D^{i+1}U), by
+    `exactla.closed_ranks`: the two compose to zero (the Koszul complex
+    of Sym(D^{i+1}U)).  The multiplication is built outside
+    `sympow_mul`'s cache and freed with delta2."""
     m = delta2_map(g, i)
-    return m.source.dim, m.rank(f)
+    if f.characteristic:
+        return m.source.dim, m.rank(f)
+    mul = sympow_mul.__wrapped__(g - 1 - i, m.target.factors[0])
+    spaces = m.source, m.target, mul.target
+    return m.source.dim, closed_ranks(m.matrix, mul.matrix, f, [s.weights for s in spaces],
+                                      [s.flip for s in spaces])[0]
 
 
 def weyman_dim(a: int, q: int, f: FieldSpec) -> int:

@@ -533,6 +533,19 @@ def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(rows, cols)
 
 
+def subspace_intersection_dim(a, b, f: FieldSpec) -> int:
+    """dim(span(a) ∩ span(b)) for lists of vectors in a common ambient space."""
+    if not a or not b:
+        return 0
+    amb = len(a[0])
+    if any(len(v) != amb for v in a) or any(len(v) != amb for v in b):
+        raise ValueError("ambient dimension mismatch")
+    A = ExactMatrix.from_columns(a, amb)
+    B = ExactMatrix.from_columns(b, amb)
+    joint = ExactMatrix.hstack([A, B])
+    return rank(A, f) + rank(B, f) - rank(joint, f)
+
+
 def exact_of(a) -> ExactMatrix:
     """The ExactMatrix of a dense integer array (int64 or object)."""
     r, c = np.nonzero(a)

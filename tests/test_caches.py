@@ -23,6 +23,7 @@ KEPT_CACHES = {
     # cheap spaces, which keep the keys of the map caches stable
     "reps.RepSpace.sym", "reps.RepSpace.div", "reps.RepSpace.wedge",
     "reps.RepSpace.free",
+    "exactla._prime_below",          # every char-0 rank, from its first prime on
     "reps.nu",                       # every psi, p of the chain and Hermite squares
     "reps.sympow_mul",               # the selfcheck chain and Hermite squares
     "reps.lowering",                 # read again by `raising`

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzygy.exactla import (GF, QQ, ExactMatrix, FieldSpec, graded_rank,
-                            kernel_basis, rank, subspace_intersection_dim)
+from syzygy.exactla import GF, QQ, ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
                             _is_prime, _pivot_rows, _rank_gf_f64, _reduce_f64, _rref_gf)
 from syzygy.exactla import _F32_SAFE, _carrier
 
 from _oracles import (exact_of, kernel_from_rref, nonzero_minor_exists, rank_by_minors,
-                      rref_fraction, rref_mod_p, to_dense, zeros)
+                      rref_fraction, rref_mod_p, subspace_intersection_dim, to_dense, zeros)
 
 
 def test_fieldspec_validation():
@@ -475,14 +474,17 @@ def _rref_cases(draw, primes=(2, 3, 5, 101, _P_MAX_F64, 2**31 - 1)):
     """Integer rows for the int64 RREF: 0 rows or 0 columns, tall and wide
     shapes, duplicated and scaled rows, and entries of either sign up to
     p in magnitude, p - 1 among them, so that at p = 2^31 - 1 the
-    products reach (p - 1)^2 ~ 2^62."""
+    products reach (p - 1)^2 ~ 2^62.  Only rows of the first draw are
+    scaled, by at most p - 1, so every entry stays below p^2 < 2^62 in
+    magnitude, within int64."""
     p = draw(st.sampled_from(primes))
     m = draw(st.integers(0, 10))
     n = draw(st.integers(0, 10))
     entry = st.one_of(st.just(0), st.integers(-p, p), st.integers(p - 3, p - 1))
     rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    drawn = list(rows)
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
-        src = rows[draw(st.integers(0, len(rows) - 1))]
+        src = drawn[draw(st.integers(0, len(drawn) - 1))]
         f = draw(st.integers(1, p - 1))
         rows.insert(draw(st.integers(0, len(rows))), [f * v for v in src])
     return rows, n, p

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from syzygy import oracle
-from syzygy.exactla import GF, QQ, graded_rank
+from syzygy.exactla import GF, QQ, closed_ranks, graded_rank
 from syzygy.oracle import oracle_kij, ring_dim
 from syzygy.tangent import betti_table, k_i1, k_i2
 
@@ -58,10 +58,13 @@ def test_oracle_kij_g5():
 def test_oracle_ranks_each_map_once(monkeypatch):
     # Wedge^{i+1} W (x) R_{j-1} -> Wedge^i W (x) R_j is the map into K_{i,j}
     # and the map out of K_{i+1,j-1}: `betti-oracle --g 7` reads 20 ranks
-    # of 16 distinct maps, and each is ranked once
+    # of 16 distinct maps, and each is ranked once, alone or with its
+    # neighbour
     calls = []
     monkeypatch.setattr(oracle, "graded_rank",
                         lambda m, *a: calls.append(m.shape) or graded_rank(m, *a))
+    monkeypatch.setattr(oracle, "closed_ranks", lambda a, b, *r: calls.extend(
+        (a.shape, b.shape)) or closed_ranks(a, b, *r))
     oracle._ring.cache_clear()
     kij = {(i, j): oracle_kij(7, i, j, QQ) for i in range(1, 6) for j in (1, 2)}
     assert kij == {(1, 1): 10, (1, 2): 0, (2, 1): 16, (2, 2): 0, (3, 1): 0,
