@@ -24,7 +24,7 @@ rest.  So the rank is the pivot count plus the rank of the core that
 the rounds leave.  Over Q the matrix, with denominators cleared, stays
 an `ExactMatrix` and is ranked modulo descending primes.  Each rank
 carries one of four certificates (see `rank`): full rank mod a prime,
-closure mod a prime against a map that composes with it to zero
+closure mod a prime against the maps that compose with it to zero
 (`closed_ranks`; both are a rank mod a prime that reaches a proven
 upper bound), an exact kernel checked by one sparse product, or the
 Hadamard bound.
@@ -260,25 +260,9 @@ class ExactMatrix:
             self._bound = _max_abs(self.val)
         return self._bound
 
-    def entry(self, r: int, c: int):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-        lo, hi = np.searchsorted(self.col, (c, c + 1))
-        k = lo + int(np.searchsorted(self.row[lo:hi], r))
-        return self.val[k:k + 1].tolist()[0] if k < hi and self.row[k] == r else 0
-
     def items(self):
         """The nonzero entries as ((row, col), value) pairs, column-major."""
         return list(zip(zip(self.row.tolist(), self.col.tolist()), self.val.tolist()))
-
-    def column(self, c: int):
-        if not 0 <= c < self.cols:
-            raise IndexError(f"column {c} outside {self.rows}x{self.cols}")
-        lo, hi = np.searchsorted(self.col, (c, c + 1))
-        v = [0] * self.rows
-        for r, x in zip(self.row[lo:hi].tolist(), self.val[lo:hi].tolist()):
-            v[r] = x
-        return v
 
     def transpose(self) -> "ExactMatrix":
         order = np.argsort(self.row * self.cols + self.col)
@@ -684,7 +668,13 @@ def _markowitz(m: ExactMatrix, p: int):
 
 def _rank_gf(m: ExactMatrix, p: int) -> int:
     """Rank mod p of m: the pivots of `_markowitz`, plus the dense rank of
-    the core it leaves (`_rank_gf_f64`, or `_rref_gf` past its primes)."""
+    the core it leaves (`_rank_gf_f64`, or `_rref_gf` past its primes).
+    With at most one entry per column, the columns that are nonzero mod p
+    are multiples of unit vectors, so the rank is the number of distinct
+    rows that hold a nonzero residue."""
+    if (m.col[1:] > m.col[:-1]).all():
+        _integral(m.val)
+        return int(np.count_nonzero(np.bincount(m.row[m.val % p != 0])))
     k, m = _markowitz(m, p)
     if _f64_admits(p):
         return k + _rank_gf_f64(m, p)
@@ -767,13 +757,14 @@ def _top_square_product(index: np.ndarray, v: np.ndarray, n: int, full: int) -> 
     return prod(sorted(filter(None, sq.tolist()), reverse=True)[:full])
 
 
-def _integer_rows(m: ExactMatrix, cols: bool = False) -> ExactMatrix:
-    """m with each row (each column if `cols`) scaled by the lcm of its
-    denominators (an int's is 1): an integer matrix with the same rank,
-    and the same kernel (the same image if `cols`)."""
+def _integer_rows(m: ExactMatrix, whole: bool = False) -> ExactMatrix:
+    """m with each row (the whole matrix if `whole`) scaled by the lcm of
+    its denominators (an int's is 1): an integer matrix with the same
+    rank and kernel, and if `whole` a multiple of m, so the composites
+    of a chain stay zero."""
     v = m.val
     if v.dtype == object:
-        keys, vals = (m.col if cols else m.row).tolist(), v.tolist()
+        keys, vals = [0] * m.nnz if whole else m.row.tolist(), v.tolist()
         scale = {}
         for r, x in zip(keys, vals):
             scale[r] = lcm(scale.get(r, 1), x.denominator)
@@ -954,9 +945,10 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
       d_out: C -> B with d_out d_in = 0, checked exactly, im d_in lies
       in ker d_out, so rank_Q(d_in) + rank_Q(d_out) <= dim C and
       b = dim C - r_q(d_out) bounds rank_Q(d_in), and the same the other
-      way round: the closure certificate of `closed_ranks`.  Where the
-      complex is exact over Q and both ranks hold mod q, both reach
-      their bounds at once;
+      way round: the closure certificate of `closed_ranks`, which bounds a
+      map inside a chain from both its neighbours.  Where the complex is
+      exact over Q and both ranks hold mod q, both reach their bounds at
+      once;
     * kernel: at a deficient prime, the n - r_q columns K that `_lift`
       rebuilds from the RREF mod q satisfy M K = 0 exactly, by one sparse
       product; being diagonal and nonzero on the free columns, they
@@ -1100,51 +1092,49 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     return sum(ranks[j] for j in rep)
 
 
-def closed_ranks(d_in: ExactMatrix, d_out: ExactMatrix, f: FieldSpec, weights,
-                 flips=None):
-    """(rank d_in, rank d_out) over f of weight-graded maps
-    d_in: A -> C and d_out: C -> B with d_out d_in = 0.  `weights` are
-    the weight vectors of A, C and B, and `flips`, if given, their
-    signed permutations; each map is split and flipped as in
+def closed_ranks(maps, f: FieldSpec, weights, flips=None):
+    """The ranks over f of a chain of k >= 2 weight-graded maps
+    V_0 -> V_1 -> ... -> V_k, each composing with the next to zero.
+    `weights` are the weight vectors of V_0..V_k, and `flips`, if given,
+    their signed permutations; each map is split and flipped as in
     `graded_rank`, which this is over GF(p).
 
-    Over Q d_in's columns and d_out's rows are scaled to integers, which
-    keeps the ranks and the zero composite, and d_out d_in = 0 is checked
-    by one sparse product (ValueError otherwise).  Every ranked block of
-    both maps is ranked mod the first char-0 prime q, and the blocks of
-    the two maps through each weight x of C bound each other as in
-    `rank`'s closure certificate: rank_Q(d_in at x) <=
-    dim C_x - r_q(d_out at x), and conversely.  A block whose rank mod q
+    Over Q each map is scaled by the lcm of its denominators, which keeps
+    the ranks and the zero composites, and each composite is checked to
+    be zero by one sparse product (ValueError otherwise).  Every ranked
+    block of every map is ranked mod the first char-0 prime q, and a
+    block of V_{t-1} -> V_t from weight y to weight x is bounded by both
+    its neighbours as in `rank`'s closure certificate: rank_Q <=
+    dim V_t,x - r_q(the next map at x) and rank_Q <=
+    dim V_{t-1},y - r_q(the map before at y).  A block whose rank mod q
     reaches its bound is certified with no kernel; any other goes on to
     `_char0` from that rank."""
-    wa, wc, wb = weights
-    fin = fout = None
-    if flips is not None:
-        fin, fout = (flips[1], flips[0]), (flips[2], flips[1])
+    fl = [None if flips is None else (flips[t + 1], flips[t]) for t in range(len(maps))]
     if f.characteristic:
-        return graded_rank(d_in, f, wc, wa, fin), graded_rank(d_out, f, wb, wc, fout)
-    d_in, d_out = _integer_rows(d_in, cols=True), _integer_rows(d_out)
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("d_out d_in is not zero")
+        return tuple(graded_rank(d, f, weights[t + 1], weights[t], fl[t])
+                     for t, d in enumerate(maps))
+    maps = [_integer_rows(d, whole=True) for d in maps]
+    if any(not (b @ a).is_zero() for a, b in zip(maps, maps[1:])):
+        raise ValueError("a composite of consecutive maps is not zero")
     q = next(_char0_primes())
-    maps = [_weight_classes(d_in, wc, wa, fin), _weight_classes(d_out, wb, wc, fout)]
+    split = [_weight_classes(d, weights[t + 1], weights[t], fl[t]) for t, d in enumerate(maps)]
     mod_q = [[_rank_gf(block(k), q) if j == k else 0 for k, j in enumerate(rep)]
-             for _, rep, block in maps]
+             for _, rep, block in split]
     size = []
     for w in weights:
         x, n = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)
         size.append(dict(zip(x.tolist(), n.tolist())))
-    # the rank mod q of each map through each weight of C (d_in's row
-    # weight, d_out's column weight)
-    through = [{w[side]: rq[j] for w, j in zip(classes, rep)}
-               for (classes, rep, _), rq, side in zip(maps, mod_q, (0, 1))]
+    # the rank mod q of each map into (side 0) and out of (side 1) each weight
+    at = [[{w[side]: rq[j] for w, j in zip(classes, rep)} for side in (0, 1)]
+          for (classes, rep, _), rq in zip(split, mod_q)]
     ranks = []
-    for (classes, rep, block), rq, rows, cols, side in zip(
-            maps, mod_q, size[1:], size[:2], (0, 1)):
-        bound = [min(rows[x], cols[y]) for x, y in classes]
-        for w, j in zip(classes, rep):
-            x = w[side]
-            bound[j] = min(bound[j], size[1][x] - through[1 - side].get(x, 0))
+    for t, ((classes, rep, block), rq) in enumerate(zip(split, mod_q)):
+        bound = [min(size[t + 1][x], size[t][y]) for x, y in classes]
+        for (x, y), j in zip(classes, rep):
+            if t + 1 < len(maps):
+                bound[j] = min(bound[j], size[t + 1][x] - at[t + 1][1].get(x, 0))
+            if t:
+                bound[j] = min(bound[j], size[t][y] - at[t - 1][0].get(y, 0))
         got = [_char0(block(k), bound[k], r) if j == k and r < bound[k] else r
                for k, (j, r) in enumerate(zip(rep, rq))]
         ranks.append(sum(got[j] for j in rep))

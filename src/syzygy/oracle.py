@@ -22,7 +22,10 @@ Two charts are available:
 
 Syzygy groups are computed as the middle homology of the standard
 3-term complexes over the ambient polynomial ring, using explicit
-multiplication on column-reduced graded bases of R.
+multiplication on a reduced echelon basis of each weight block of R:
+over Q a lattice basis over Z (the Hermite normal form of the span of
+the monomial images), so every map is an integer matrix and no
+rational arithmetic runs; over GF(p) the reduced row echelon form.
 
 This module is independent of `tangent`, which it cross-checks, and
 imports nothing from it.  Its cost grows steeply with g, but nothing
@@ -33,9 +36,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
+
+import numpy as np
 
 from .exactla import ExactMatrix, FieldSpec, closed_ranks, graded_rank
 
@@ -79,56 +83,75 @@ def _eval_mono(mono, polys):
 
 
 class _Block:
-    """Column-reduced basis of one weight block of R_n."""
+    """Reduced echelon basis of one weight block of R_n, rows in
+    increasing pivot order.  Over Q the rows are the Hermite normal form
+    of the lattice that the monomial images span: a Z-basis with
+    positive pivots and every entry above a pivot in [0, pivot).  Over
+    GF(p) the same rules make each pivot 1 and clear its column."""
 
-    __slots__ = ("coords", "pos", "rows", "pivots")
+    __slots__ = ("coords", "pos", "p", "rows", "pivots")
 
-    def __init__(self, coords):
-        self.coords = coords                       # list of (beta, delta)
+    def __init__(self, coords, p):
+        self.coords, self.p = coords, p            # coords: list of (beta, delta)
         self.pos = {c: i for i, c in enumerate(coords)}
-        self.rows = []                             # reduced row vectors
-        self.pivots = []
+        self.rows, self.pivots = [], []
 
-    def reduce(self, vec, p):
-        """Reduce vec by the stored echelon rows; returns (coords, residue)."""
-        v = list(vec)
-        coeffs = []
+    def _minus(self, v, q, row):
+        """v - q row, reduced mod p over GF(p)."""
+        if self.p:
+            return [(x - q * y) % self.p for x, y in zip(v, row)]
+        return [x - q * y for x, y in zip(v, row)]
+
+    def insert(self, vec) -> None:
+        """Add vec to the span.  Over Z a row whose pivot column meets
+        vec's leading entry is combined with vec by Euclid's algorithm,
+        in unimodular row operations, so the rows stay a basis of the
+        lattice; over GF(p) the pivot 1 clears that entry in one step."""
+        p = self.p
+        v, k = [x % p for x in vec] if p else list(vec), 0
+        while any(v):
+            j = next(c for c, x in enumerate(v) if x)
+            while k < len(self.pivots) and self.pivots[k] < j:
+                k += 1
+            if k == len(self.pivots) or self.pivots[k] > j:
+                s = pow(v[j], p - 2, p) if p else (1 if v[j] > 0 else -1)
+                self.rows.insert(k, [x * s % p if p else x * s for x in v])
+                self.pivots.insert(k, j)
+                return
+            row = self.rows[k]
+            while True:
+                v = self._minus(v, v[j] // row[j], row)
+                if not v[j]:
+                    break
+                row, v = v, row
+            self.rows[k] = row
+
+    def reduce(self) -> None:
+        """Bring each entry above a pivot into [0, pivot)."""
+        for k, (row, piv) in enumerate(zip(self.rows, self.pivots)):
+            for i in range(k):
+                self.rows[i] = self._minus(self.rows[i], self.rows[i][piv] // row[piv], row)
+
+    def coordinates(self, vec):
+        """The coordinates of vec in the rows, by exact division down the
+        pivots (over GF(p) vec holds residues and every pivot is 1).  A
+        remainder stays at its pivot, where no later row reaches, so
+        anything left at the end means vec is outside the span: the
+        graded basis is inconsistent."""
+        out = []
         for row, piv in zip(self.rows, self.pivots):
-            c = v[piv] % p if p else v[piv]
-            coeffs.append(c)
-            if c:
-                for j in range(len(v)):
-                    v[j] = (v[j] - c * row[j]) % p if p else v[j] - c * row[j]
-        return coeffs, v
-
-    def insert(self, vec, p) -> bool:
-        """Reduce and, if independent, normalize and store.  Returns
-        whether the vector enlarged the block."""
-        _, v = self.reduce(vec, p)
-        piv = next((j for j, x in enumerate(v) if (x % p if p else x)), None)
-        if piv is None:
-            return False
-        if p:
-            inv = pow(int(v[piv]) % p, p - 2, p)
-            v = [(x * inv) % p for x in v]
-        else:
-            lead = Fraction(v[piv])
-            v = [Fraction(x) / lead for x in v]
-        # keep earlier rows reduced against the new one
-        for k, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[k] = [(a - c * b) % p if p else a - c * b
-                                for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
+            out.append(vec[piv] // row[piv])
+            vec = self._minus(vec, out[-1], row)
+        if any(vec):
+            raise AssertionError("product escaped the graded basis of R")
+        return out
 
 
 @dataclass
 class ParamRing:
-    """Graded coordinate ring of the tangent developable, one
-    column-reduced basis per (degree, weight) block."""
+    """Graded coordinate ring of the tangent developable, one reduced
+    echelon basis per (degree, weight) block: over Q a lattice basis over
+    Z, so every multiplication is an integer matrix."""
 
     g: int
     field: FieldSpec
@@ -137,19 +160,14 @@ class ParamRing:
     def __post_init__(self):
         self._polys = _z_polys(self.g, self.field.characteristic, self.chart)
         self._blocks = {}      # n -> {weight -> _Block}, filled by `_build`
-        self._products = {}    # (n, w, local, c) -> `multiply`
-        self._ranks = {}       # (i, n) -> `_map_rank`
+        self._times = {}       # (n, c) -> `times`
+        self._ranks = {}       # (i, n) -> the rank of `_wedge_mult_matrix`
 
     def _coords(self, n: int, w: int):
         """Ambient coordinates of z-weight w in degree n: (beta, delta)
         with beta + delta = w (weights are preserved by both charts)."""
         deg = self.g if self.chart == "jet" else self.g - 1
-        out = []
-        for beta in range(0, n + 1):
-            delta = w - beta
-            if 0 <= delta <= n * deg:
-                out.append((beta, delta))
-        return out
+        return [(beta, w - beta) for beta in range(n + 1) if 0 <= w - beta <= n * deg]
 
     def _build(self, n: int):
         if n in self._blocks:
@@ -161,22 +179,18 @@ class ParamRing:
             w = sum(mono)
             blk = blocks.get(w)
             if blk is None:
-                blk = blocks[w] = _Block(self._coords(n, w))
-            poly = _eval_mono(mono, self._polys)
+                blk = blocks[w] = _Block(self._coords(n, w), p)
             vec = [0] * len(blk.coords)
-            for key, v in poly.items():
-                vv = v % p if p else v
-                if vv:
-                    vec[blk.pos[key]] = vv
-            blk.insert(vec, p)
+            for key, v in _eval_mono(mono, self._polys).items():
+                vec[blk.pos[key]] = v
+            blk.insert(vec)
+        for blk in blocks.values():
+            blk.reduce()
         self._blocks[n] = blocks
 
     def block(self, n: int, w: int) -> _Block:
         self._build(n)
-        blk = self._blocks[n].get(w)
-        if blk is None:
-            blk = self._blocks[n][w] = _Block(self._coords(n, w))
-        return blk
+        return self._blocks[n][w]
 
     def dim(self, n: int) -> int:
         self._build(n)
@@ -185,45 +199,39 @@ class ParamRing:
     def basis_index(self, n: int):
         """Global enumeration [(weight, local index)] of the degree-n basis."""
         self._build(n)
-        out = []
-        for w in sorted(self._blocks[n]):
-            for k in range(len(self._blocks[n][w].rows)):
-                out.append((w, k))
-        return out
+        return [(w, k) for w, b in sorted(self._blocks[n].items()) for k in range(len(b.rows))]
 
     def multiply(self, n: int, w: int, local: int, c: int):
         """Coordinates of z_c * (basis element) inside R_{n+1}.
 
-        The product must lie in the stored span; a nonzero residue
-        would mean the graded basis is inconsistent.  Memoized: the
-        Koszul maps of `oracle_kij` ask for each product many times.
-        """
-        key = (n, w, local, c)
-        if key not in self._products:
-            self._products[key] = self._multiply(n, w, local, c)
-        return self._products[key]
-
-    def _multiply(self, n: int, w: int, local: int, c: int):
+        The product must lie in the stored span; over Q its coordinates
+        are integers, as z_c times a monomial is a monomial.  Otherwise
+        (`_Block.coordinates`) the graded basis is inconsistent."""
         p = self.field.characteristic
         src = self.block(n, w)
         tgt = self.block(n + 1, w + c)
-        row = src.rows[local]
-        prod = {}
-        for (b2, d2), v in zip(src.coords, row):
-            if not v:
-                continue
-            for (b1, d1, v1) in self._polys[c]:
-                key = (b1 + b2, d1 + d2)
-                prod[key] = prod.get(key, 0) + v1 * v
-        vec = [0] * len(tgt.coords)
-        for key, v in prod.items():
-            vv = v % p if p else v
-            if vv:
-                vec[tgt.pos[key]] = vv
-        coeffs, residue = tgt.reduce(vec, p)
-        if any((x % p if p else x) for x in residue):
-            raise AssertionError("product escaped the graded basis of R")
-        return coeffs
+        prod = [0] * len(tgt.coords)
+        for (b2, d2), v in zip(src.coords, src.rows[local]):
+            if v:
+                for (b1, d1, v1) in self._polys[c]:
+                    prod[tgt.pos[(b1 + b2, d1 + d2)]] += v1 * v
+        return tgt.coordinates([x % p for x in prod] if p else prod)
+
+    def times(self, n: int, c: int) -> ExactMatrix:
+        """Multiplication by z_c, R_n -> R_{n+1}, in the bases of
+        `basis_index`; built once per (n, c) from `multiply`."""
+        if (n, c) not in self._times:
+            start, r, col, val = {}, [], [], []
+            for k, (w, _) in enumerate(self.basis_index(n + 1)):
+                start.setdefault(w, k)
+            for k, (w, local) in enumerate(self.basis_index(n)):
+                for j, v in enumerate(self.multiply(n, w, local, c)):
+                    if v:
+                        r.append(start[w + c] + j)
+                        col.append(k)
+                        val.append(v)
+            self._times[n, c] = ExactMatrix(self.dim(n + 1), self.dim(n), (r, col, val))
+        return self._times[n, c]
 
 
 def ring_dim(g: int, n: int, f: FieldSpec, chart: str = "jet") -> int:
@@ -240,33 +248,29 @@ def _ring(g: int, f: FieldSpec, chart: str) -> ParamRing:
 
 def _wedge_mult_matrix(ring: ParamRing, i: int, n: int) -> ExactMatrix:
     """The Koszul-type map Wedge^i W (x) R_n -> Wedge^{i-1} W (x) R_{n+1}
-    with W the ambient linear forms z_0..z_g."""
+    with W the ambient linear forms z_0..z_g: the sum over c of the
+    contraction by z_c on Wedge^i W (z_A -> (-1)^k z_{A - c}, c the k-th
+    index of A) tensored with `ParamRing.times(n, c)`.  Each pair
+    (A - c, A) takes one c, so the sum lays the Kronecker products side
+    by side, and one sort makes it canonical."""
     g = ring.g
     wsrc = list(combinations(range(g + 1), i))
-    wtgt = list(combinations(range(g + 1), i - 1))
-    tpos = {A: k for k, A in enumerate(wtgt)}
-    bsrc = ring.basis_index(n)
-    btgt = ring.basis_index(n + 1)
-    bsrc_pos = {lab: k for k, lab in enumerate(bsrc)}
-    btgt_pos = {lab: k for k, lab in enumerate(btgt)}
-    dim_src_r = len(bsrc)
-    dim_tgt_r = len(btgt)
-    ent = {}
-    for wa, A in enumerate(wsrc):
-        for (w, local) in bsrc:
-            col = wa * dim_src_r + bsrc_pos[(w, local)]
-            for k, c in enumerate(A):
-                rest = A[:k] + A[k + 1:]
-                coeffs = ring.multiply(n, w, local, c)
-                tw = w + c
-                for loc2, v in enumerate(coeffs):
-                    if v:
-                        rowidx = tpos[rest] * dim_tgt_r + btgt_pos[(tw, loc2)]
-                        key = (rowidx, col)
-                        term = -v if k % 2 else v
-                        ent[key] = ent[key] + term if key in ent else term
-    ent = {k: v for k, v in ent.items() if v}
-    return ExactMatrix(len(wtgt) * dim_tgt_r, len(wsrc) * dim_src_r, ent)
+    tpos = {A: k for k, A in enumerate(combinations(range(g + 1), i - 1))}
+    rows, cols = ring.dim(n + 1), ring.dim(n)
+    terms = [[] for _ in range(g + 1)]          # per c: (A - c, A, sign)
+    for a, A in enumerate(wsrc):
+        for k, c in enumerate(A):
+            terms[c].append((tpos[A[:k] + A[k + 1:]], a, -1 if k % 2 else 1))
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    for c, t in enumerate(terms):
+        if t:
+            m = ring.times(n, c)
+            r, a, s = np.array(t, dtype=np.int64).T
+            parts.append((np.add.outer(r * rows, m.row).ravel(),
+                          np.add.outer(a * cols, m.col).ravel(),
+                          np.multiply.outer(s, m.val).ravel()))
+    return ExactMatrix(len(tpos) * rows, len(wsrc) * cols,
+                       [np.concatenate(x) for x in zip(*parts)])
 
 
 def _wedge_weights(ring: ParamRing, i: int, n: int):
@@ -293,13 +297,19 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet") -> int:
 def _map_ranks(ring: ParamRing, i: int, n: int):
     """The ranks of the maps into and out of Wedge^i W (x) R_n:
     `_map_rank(ring, i + 1, n - 1)` (0 if n = 0) and
-    `_map_rank(ring, i, n)`.  The two compose to zero, so where neither
-    is ranked yet `exactla.closed_ranks` ranks them together."""
-    keys = (i + 1, n - 1), (i, n)
-    if n and not any(k in ring._ranks for k in keys):
-        ring._ranks.update(zip(keys, closed_ranks(
-            *(_wedge_mult_matrix(ring, *k) for k in keys), ring.field,
-            [_wedge_weights(ring, i + 1 - t, n - 1 + t) for t in range(3)])))
+    `_map_rank(ring, i, n)`.  Consecutive maps map(i, n) =
+    `_wedge_mult_matrix(ring, i, n)` compose to zero (the Koszul complex
+    of R), so where none of them is ranked yet `exactla.closed_ranks`
+    ranks them together: after map(i + 2, n - 2) where n >= 2, so that
+    each block of map(i + 1, n - 1) is bounded from both sides, and
+    otherwise as a pair."""
+    for keys in ([(i + 2, n - 2), (i + 1, n - 1), (i, n)], [(i + 1, n - 1), (i, n)]):
+        s, m = keys[0]
+        if m >= 0 and not any(k in ring._ranks for k in keys):
+            ring._ranks.update(zip(keys, closed_ranks(
+                [_wedge_mult_matrix(ring, *k) for k in keys], ring.field,
+                [_wedge_weights(ring, s - t, m + t) for t in range(len(keys) + 1)])))
+            break
     return (_map_rank(ring, i + 1, n - 1) if n else 0), _map_rank(ring, i, n)
 
 

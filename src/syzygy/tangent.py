@@ -94,7 +94,7 @@ def _delta2_dims(g: int, i: int, f: FieldSpec):
         return m.source.dim, m.rank(f)
     mul = sympow_mul.__wrapped__(g - 1 - i, m.target.factors[0])
     spaces = m.source, m.target, mul.target
-    return m.source.dim, closed_ranks(m.matrix, mul.matrix, f, [s.weights for s in spaces],
+    return m.source.dim, closed_ranks([m.matrix, mul.matrix], f, [s.weights for s in spaces],
                                       [s.flip for s in spaces])[0]
 
 

@@ -529,6 +529,27 @@ def hermite_square_composite(g: int, i: int, q=None) -> bool:
     return all(right == left for right, left in hermite_square_sides(g, i, q))
 
 
+def wedge_mult_reference(ring, i: int, n: int) -> ExactMatrix:
+    """`oracle._wedge_mult_matrix(ring, i, n)` entry by entry: column
+    (A, b) of Wedge^i W (x) R_n takes, for the k-th index c of A, (-1)^k
+    times the coordinates of z_c b (`ParamRing.multiply`) in the rows of
+    (A - c, the basis of R_{n+1})."""
+    g = ring.g
+    wsrc = list(combinations(range(g + 1), i))
+    tpos = {A: k for k, A in enumerate(combinations(range(g + 1), i - 1))}
+    bsrc, btgt = ring.basis_index(n), ring.basis_index(n + 1)
+    at = {label: k for k, label in enumerate(btgt)}
+    ent = {}
+    for a, A in enumerate(wsrc):
+        for b, (w, local) in enumerate(bsrc):
+            for k, c in enumerate(A):
+                for j, v in enumerate(ring.multiply(n, w, local, c)):
+                    key = (tpos[A[:k] + A[k + 1:]] * len(btgt) + at[w + c, j],
+                           a * len(bsrc) + b)
+                    ent[key] = ent.get(key, 0) + (-v if k % 2 else v)
+    return ExactMatrix(len(tpos) * len(btgt), len(wsrc) * len(bsrc), ent)
+
+
 def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(rows, cols)
 
@@ -550,6 +571,26 @@ def exact_of(a) -> ExactMatrix:
     """The ExactMatrix of a dense integer array (int64 or object)."""
     r, c = np.nonzero(a)
     return ExactMatrix(*a.shape, (r, c, a[r, c]))
+
+
+def entry(m: ExactMatrix, r: int, c: int):
+    """Entry (r, c) of m, a Python int or Fraction."""
+    if not (0 <= r < m.rows and 0 <= c < m.cols):
+        raise IndexError(f"entry ({r},{c}) outside {m.rows}x{m.cols}")
+    lo, hi = np.searchsorted(m.col, (c, c + 1))
+    k = lo + int(np.searchsorted(m.row[lo:hi], r))
+    return m.val[k:k + 1].tolist()[0] if k < hi and m.row[k] == r else 0
+
+
+def column(m: ExactMatrix, c: int):
+    """Column c of m as a list of Python ints and Fractions."""
+    if not 0 <= c < m.cols:
+        raise IndexError(f"column {c} outside {m.rows}x{m.cols}")
+    lo, hi = np.searchsorted(m.col, (c, c + 1))
+    v = [0] * m.rows
+    for r, x in zip(m.row[lo:hi].tolist(), m.val[lo:hi].tolist()):
+        v[r] = x
+    return v
 
 
 def to_dense(m: ExactMatrix):

@@ -21,7 +21,7 @@ from syzygy.reps import (RepSpace, _contract, _insertions, _pieri, generic_koszu
                          lowering, nu)
 from syzygy.tangent import delta2_map, map_q_map
 
-from _oracles import (basis, basis_reference, column_shift_reference, contract,
+from _oracles import (basis, basis_reference, column, column_shift_reference, contract,
                       delta2_reference, generic_koszul_delta_reference, index, insert_part,
                       lowering_reference, map_q_reference, nu_reference, psi_reference)
 
@@ -61,7 +61,7 @@ def test_psi_keeps_entries_past_int64():
     """Column mu = (1^80) of psi(80, 2) is e_1^80 = sum_k f^(80-k,k) s_(80-k,k),
     the two-row tableau counts; f^(40,40) = C_40 is about 2.6e21."""
     m = psi_map(80, 2)
-    col = dict(zip(basis(m.target), m.matrix.column(int(m.source.find(np.ones((1, 80),
+    col = dict(zip(basis(m.target), column(m.matrix, int(m.source.find(np.ones((1, 80),
                                                                               dtype=np.int64))[0]))))
     expect = {(81 - k, k): comb(80, k) - (comb(80, k - 1) if k else 0) for k in range(41)}
     assert {lab: v for lab, v in col.items() if v} == expect

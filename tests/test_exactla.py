@@ -15,8 +15,9 @@ from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_ar
                             _is_prime, _pivot_rows, _rank_gf_f64, _reduce_f64, _rref_gf)
 from syzygy.exactla import _F32_SAFE, _carrier
 
-from _oracles import (exact_of, kernel_from_rref, nonzero_minor_exists, rank_by_minors,
-                      rref_fraction, rref_mod_p, subspace_intersection_dim, to_dense, zeros)
+from _oracles import (column, entry, exact_of, kernel_from_rref, nonzero_minor_exists,
+                      rank_by_minors, rref_fraction, rref_mod_p, subspace_intersection_dim,
+                      to_dense, zeros)
 
 
 def test_fieldspec_validation():
@@ -41,7 +42,7 @@ def test_rank_examples():
 def test_kernel_examples():
     assert kernel_basis(ExactMatrix.identity(3), QQ) == ExactMatrix(3, 0)
     kb = kernel_basis(ExactMatrix.from_rows([[1, -1]]), QQ)
-    assert kb.cols == 1 and kb.entry(0, 0) == kb.entry(1, 0) != 0
+    assert kb.cols == 1 and entry(kb, 0, 0) == entry(kb, 1, 0) != 0
     assert kernel_basis(zeros(2, 3), GF(7)).cols == 3
 
 
@@ -272,7 +273,7 @@ def test_q_kernel_matches_fraction_rref(rows):
     free = [c for c in range(len(rows[0])) if c not in pivots]
     assert got.shape == (len(rows[0]), len(want))
     for j, (c, v) in enumerate(zip(free, want)):
-        col = got.column(j)
+        col = column(got, j)
         assert col == [x * lcm(*(y.denominator for y in v)) for x in v]
         assert all(type(x) is int for x in col)
         assert col[c] > 0 and gcd(*col) == 1
@@ -509,7 +510,7 @@ def test_gf_kernel_matches_list_oracle(case):
     got = kernel_basis(exact_of(np.array(rows, dtype=object).reshape(len(rows), n)), GF(p))
     want = kernel_from_rref(*rref_mod_p(rows, p), n)
     assert got.shape == (n, len(want))
-    assert [got.column(j) for j in range(got.cols)] == [[x % p for x in v] for v in want]
+    assert [column(got, j) for j in range(got.cols)] == [[x % p for x in v] for v in want]
 
 
 def test_rank_above_the_f64_range_takes_the_rref(monkeypatch):
@@ -946,3 +947,38 @@ def test_rational_reconstruction_across_columns(modulus):
     # one column with both denominators has none below the bound
     both = np.array([[x[0, 0]], [x[0, 1]]], dtype=np.int64)
     assert exactla._rational(both, modulus) is None
+
+
+@st.composite
+def _one_entry_columns(draw):
+    """A matrix with at most one entry per column and a prime: rows drawn
+    with repeats, entries that may be multiples of p or past int64."""
+    p = draw(st.sampled_from([2, 3, 8_388_593, 2**31 - 1]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-5, 5), st.integers(-3, 3).map(lambda k: k * p),
+                      st.integers(2**63, 2**70), st.integers(-2**70, -2**63 - 1))
+    entries = {}
+    for c in range(n):
+        if draw(st.booleans()):
+            entries[draw(st.integers(0, m - 1)), c] = draw(value)
+    return ExactMatrix(m, n, entries), p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_one_entry_columns())
+def test_one_entry_columns_rank_as_the_dense_engines(case):
+    m, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_markowitz", lambda *a: pytest.fail("took the front end"))
+        got = exactla._rank_gf(m, p)
+    if _f64_admits(p):
+        assert got == _rank_gf_f64(m, p)
+    else:
+        assert got == len(_rref_gf(_gf_array(m, p), p)[1])
+    assert got == rank_by_minors(to_dense(m), p)
+
+
+def test_one_entry_columns_reject_a_fraction():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(TypeError):
+        exactla._rank_gf(m, 5)

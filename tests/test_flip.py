@@ -13,7 +13,7 @@ from syzygy.hermite import psi_map
 from syzygy.reps import RepMap, RepSpace, generic_koszul_delta, lowering
 from syzygy.tangent import delta2_map
 
-from _oracles import basis, weyl_image
+from _oracles import basis, entry, weyl_image
 
 _SPACES = (RepSpace.sym(4), RepSpace.div(0), RepSpace.free(5), RepSpace.sym(-1),
            RepSpace.wedge(2, RepSpace.sym(4)), RepSpace.wedge(3, RepSpace.div(5)),
@@ -212,7 +212,7 @@ def test_permuted_matches_signed_permutation_product(p):
     assert m.permuted(rows) == R @ m
     big = ExactMatrix(1, 1, {(0, 0): -2**63})
     one = np.zeros(1, dtype=np.int64), -np.ones(1, dtype=np.int64)
-    assert big.permuted(one).entry(0, 0) == 2**63
+    assert entry(big.permuted(one), 0, 0) == 2**63
 
 
 @st.composite

@@ -11,8 +11,8 @@ from syzygy.hermite import psi_compat_check, psi_map, square_holds
 from syzygy.reps import RepSpace, lowering, nu, raising, sympow_mul
 from syzygy.tangent import delta2_map, hermite_square_check, map_q_map
 
-from _oracles import (hermite_square_composite, hermite_square_sides, psi_compat_composite,
-                      psi_compat_sides)
+from _oracles import (entry, hermite_square_composite, hermite_square_sides,
+                      psi_compat_composite, psi_compat_sides)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -72,7 +72,7 @@ CORRUPTED = [
 def _spots(m: ExactMatrix):
     """The first nonzero entry of m, and its first zero one if there is one."""
     return [(int(m.row[0]), int(m.col[0]))] + [
-        (r, c) for r in range(m.rows) for c in range(m.cols) if not m.entry(r, c)][:1]
+        (r, c) for r in range(m.rows) for c in range(m.cols) if not entry(m, r, c)][:1]
 
 
 def _corrupted_squares_agree(square, n, i):

@@ -89,3 +89,18 @@ def test_ranks_and_kernels_import_no_masked_arrays():
     out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["93", "300", "2", "1", "20", "False"]
+
+
+def _imports_fractions(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+
+
+def test_no_module_imports_fractions():
+    # every char-0 path runs on integers (the oracle's ring on lattice
+    # bases over Z), so no CLI job does rational arithmetic; an import at
+    # any depth, in a function too, counts
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _imports_fractions(node)]
+    assert not found, found

@@ -12,8 +12,8 @@ from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
                            hilbert_bound, k_perp_basis, random_koszul_input,
                            resonance_trivial, w_dim)
 
-from _oracles import (is_decomposable, kernel_from_rref, projective_points, rref_fraction,
-                      rref_mod_p, to_dense, weyman_input, zeros)
+from _oracles import (column, is_decomposable, kernel_from_rref, projective_points,
+                      rref_fraction, rref_mod_p, to_dense, weyman_input, zeros)
 
 
 def _unit(i, n=6):
@@ -139,7 +139,7 @@ def test_monotonicity_under_enlargement():
             m_small = rng.randint(1, comb(n, 2) - 2)
             k_small = random_koszul_input(n, m_small, f, seed=500 + trial + 10 * n)
             # enlarge by appending an independent random column
-            cols = [k_small.kgens.column(c) for c in range(m_small)]
+            cols = [column(k_small.kgens, c) for c in range(m_small)]
             while True:
                 cand = [rng.randrange(7) for _ in range(comb(n, 2))]
                 bigger = ExactMatrix.from_columns(cols + [cand], comb(n, 2))

@@ -16,7 +16,8 @@ from math import comb
 from syzygy.hermite import psi_map
 from syzygy.reps import RepSpace
 
-from _oracles import basis, column_shift, contract, e_mu, index, schur_dual_jacobi_trudi
+from _oracles import (basis, column, column_shift, contract, e_mu, index,
+                      schur_dual_jacobi_trudi)
 
 
 def _partition(exps):
@@ -52,7 +53,7 @@ def _pieri(lam, j, i):
 def _schur_column(mu, i):
     """{partition: coeff} of the column of mu in psi."""
     pm = psi_map(len(mu), i)
-    col = pm.matrix.column(index(pm.source, mu))
+    col = column(pm.matrix, index(pm.source, mu))
     return {_partition(basis(pm.target)[r]): v for r, v in enumerate(col) if v}
 
 
