@@ -6,15 +6,15 @@ __version__ = "0.1.0"
 
 from .exactla import GF, QQ, ExactMatrix, FieldSpec, kernel_basis, rank
 from .hermite import psi_compat_check, psi_map
-from .koszul import KoszulInput, catalan_degree, chow_member, hilbert_bound, \
-    random_koszul_input, resonance_trivial, w_dim
+from .koszul import KoszulInput, chow_member, hilbert_bound, random_koszul_input, \
+    resonance_trivial, w_dim
 from .oracle import oracle_kij, ring_dim
 from .tangent import BettiTable, betti_table, k_i1, k_i2, weyman_dim
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec", "kernel_basis", "rank",
     "psi_compat_check", "psi_map",
-    "KoszulInput", "catalan_degree", "chow_member", "hilbert_bound",
+    "KoszulInput", "chow_member", "hilbert_bound",
     "random_koszul_input", "resonance_trivial", "w_dim",
     "oracle_kij", "ring_dim",
     "BettiTable", "betti_table", "k_i1", "k_i2", "weyman_dim",

@@ -21,7 +21,10 @@ of a large sparse matrix takes cheap pivots first (`_markowitz`): in
 rounds of whole-array operations, a set of low-fill pivots that span a
 diagonal block D, and the exact Schur complement mod p in place of the
 rest.  So the rank is the pivot count plus the rank of the core that
-the rounds leave.  Over Q the matrix, with denominators cleared, stays
+the rounds leave.  The weight blocks of a graded map share those
+rounds (`_ranks_gf`): laid out block-diagonally, in groups of a bounded
+entry count, they take one loop of rounds in which each block pivots
+as it would alone.  Over Q the matrix, with denominators cleared, stays
 an `ExactMatrix` and is ranked modulo descending primes.  Each rank
 carries one of four certificates (see `rank`): full rank mod a prime,
 closure mod a prime against the maps that compose with it to zero
@@ -79,6 +82,12 @@ _SLAB_CELLS = 2**19
 # entry only if its Markowitz cost, the count of products its
 # elimination adds, is at most this.
 _MARKOWITZ_MAX = 64
+# `_ranks_gf` hands consecutive blocks to one loop of `_markowitz` rounds
+# until they hold this many entries.  In process (2 CPUs, best of 3),
+# `betti --g 13 --char 113` takes 747 rounds and 0.25 s one block at a
+# time, 338 and 0.16 s with 2^12, 127 and 0.13 s with 2^14, and 88 and
+# 0.12-0.13 s with 2^16, 2^18 or 2^20, which hold each of its maps whole.
+_GROUP_ENTRIES = 2**16
 # int64 holds the integers in [-_I64, _I64).  `ExactMatrix.__matmul__`
 # expands at most about _MATMUL_SLAB partial products (512 KB per int64
 # array).  Process peaks of the hermite jobs (d, i) = (6, 7), (5, 7),
@@ -163,20 +172,35 @@ def _integral(*vals: np.ndarray) -> None:
         raise TypeError("fractional entry in positive characteristic")
 
 
+def _runs(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted array `key` starts,
+    then key.size, by one slice comparison: np.diff's prepend and append
+    would cost a concatenation each."""
+    edge = np.ones(key.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
 def _canonical(rows: int, r: np.ndarray, c: np.ndarray, v: np.ndarray):
     """Coordinates sorted column-major, repeats summed (in object dtype
-    if an int64 sum could reach 2^63) and zeros dropped, by one sort."""
+    if an int64 sum could reach 2^63) and zeros dropped, by one sort.
+    Each temporary is dropped once used, as the maps' constructors peak
+    here."""
     key = c * rows + r
     order = np.argsort(key)
     key, v = key[order], v[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    if first.size < key.size:
-        if v.dtype != object and _max_abs(v) * int(np.diff(first, append=key.size).max()) >= _I64:
+    del order
+    at = _runs(key)
+    if at.size <= key.size:
+        if v.dtype != object and _max_abs(v) * int(np.diff(at).max()) >= _I64:
             v = v.astype(object)
-        key, v = key[first], np.add.reduceat(v, first)
+        key, v = key[at[:-1]], np.add.reduceat(v, at[:-1])
+    del at
     keep = v != 0
-    c, r = np.divmod(key[keep], rows)
-    return r, c, v[keep]
+    key, v = key[keep], v[keep]
+    del keep
+    c, r = np.divmod(key, rows)
+    return r, c, v
 
 
 class ExactMatrix:
@@ -583,7 +607,7 @@ def _inverse(d: np.ndarray, p: int) -> np.ndarray:
 def _round_pivots(r: np.ndarray, c: np.ndarray, rows: int, cols: int):
     """The pivots of one round of `_markowitz` on the live entries at
     (r, c), in column-major order: (their rows, their columns, the live
-    min dimension).
+    rows, the live columns).
 
     Each column offers the entry of least Markowitz cost (a - 1)(b - 1),
     a and b being the live counts of its row and column (the least row
@@ -594,12 +618,15 @@ def _round_pivots(r: np.ndarray, c: np.ndarray, rows: int, cols: int):
     offers i != j with an entry at (r_i, c_j) would need key_i < key_j
     (the first rule at i) and key_j <= key_i (the second at j), so no
     pivot row meets another pivot column: the pivots span a diagonal
-    block."""
+    block.  Each rule compares only offers that share a row or a column,
+    so on a block-diagonal matrix each block takes the pivots it would
+    take alone."""
     top = np.iinfo(np.int64).max
     per_row = np.bincount(r, minlength=rows)
-    first = np.flatnonzero(np.diff(c, prepend=-1))         # the live columns
+    at = _runs(c)
+    first = at[:-1]                                         # the live columns
     best = np.minimum.reduceat(per_row[r] * rows + r, first)
-    cost = (best // rows - 1) * (np.diff(first, append=c.size) - 1)
+    cost = (best // rows - 1) * (np.diff(at) - 1)
     ok = cost <= _MARKOWITZ_MAX
     pr, pc = best[ok] % rows, c[first][ok]
     key = cost[ok] * cols + pc
@@ -609,37 +636,61 @@ def _round_pivots(r: np.ndarray, c: np.ndarray, rows: int, cols: int):
     np.minimum.at(at_row, pr, key)
     at_col[c[first]] = np.minimum.reduceat(at_row[r], first)
     accept = (in_row[pr] == key) & (at_col[pc] >= key)
-    return pr[accept], pc[accept], min(np.count_nonzero(per_row), first.size)
+    return pr[accept], pc[accept], np.flatnonzero(per_row), c[first]
 
 
-def _markowitz(m: ExactMatrix, p: int):
-    """Sparse pivots ahead of the dense engine: (k, core), with rank mod p
-    of m equal to k + that of core, an ExactMatrix of residues; (0, m)
-    where no round is taken.
+def _markowitz(blocks: list, p: int) -> list:
+    """Sparse pivots ahead of the dense engine, for a list of independent
+    matrices at once: [(k, core)], one per block, with the rank mod p of
+    the block equal to k + that of core, an ExactMatrix of residues;
+    (0, block) for a block that takes no pivot.
 
-    It runs only on inputs it can win on: min(m, n) >= 2 _GF_BLOCK and at
-    most one entry in 16 nonzero.  Each round takes the live entries,
-    residues in [1, p) in column-major order, and the k pivots of
-    `_round_pivots`.  Those span a diagonal block D, so
-    rank [[D, E], [C, B]] = k + rank (B - C D^-1 E) exactly over GF(p),
-    and the Schur complement replaces the live entries: one product per
-    pair of entries in a pivot's column and row (at most _MARKOWITZ_MAX
-    per pivot), summed by one sort.  A round that would pivot fewer than
-    1/16 of the live min dimension is not taken, and ends the loop."""
-    rows, cols = m.shape
-    if min(rows, cols) < 2 * _GF_BLOCK or 16 * m.nnz > rows * cols:
-        return 0, m
-    _integral(m.val)
-    r, c, v = m.row, m.col, (m.val % p).astype(np.int64, copy=False)
-    k = 0
+    The blocks are laid out block-diagonally, each one's rows and columns
+    offset by those of the blocks before it, and one loop of rounds runs
+    on that union.  It runs only on unions it can win on: min(m, n) >=
+    2 _GF_BLOCK and at most one entry in 16 nonzero.  Each round takes the
+    live entries, residues in [1, p) in column-major order, and the
+    pivots of `_round_pivots`, which are those each block would take
+    alone.  A block whose round would pivot fewer than 1/16 of its live
+    min dimension takes none of them and no more rounds: its live entries
+    leave the loop as its core.  The k pivots that the other blocks take
+    span a diagonal block D, so rank [[D, E], [C, B]] = k + rank
+    (B - C D^-1 E) exactly over GF(p), and the Schur complement replaces
+    their live entries: one product per pair of entries in a pivot's
+    column and row (at most _MARKOWITZ_MAX per pivot), summed by one
+    sort.  No entry crosses blocks, so each block's own pivots and Schur
+    complement are those of its lone rounds."""
+    rows, cols = sum(m.rows for m in blocks), sum(m.cols for m in blocks)
+    if min(rows, cols) < 2 * _GF_BLOCK or 16 * sum(m.nnz for m in blocks) > rows * cols:
+        return [(0, m) for m in blocks]
+    _integral(*(m.val for m in blocks))
+    # the block of each row and column of the union, and the offsets
+    rb, cb = (np.repeat(np.arange(len(blocks)), [m.shape[s] for m in blocks]) for s in (0, 1))
+    at_r, at_c = (np.searchsorted(x, np.arange(len(blocks))) for x in (rb, cb))
+    v = [(m.val % p).astype(np.int64, copy=False) for m in blocks]
+    if len(blocks) == 1:                    # no copy of a lone block's coordinates
+        r, c, v = blocks[0].row, blocks[0].col, v[0]
+    else:
+        r, c, v = (np.concatenate(x) for x in (
+            [m.row + o for m, o in zip(blocks, at_r)], [m.col + o for m, o in zip(blocks, at_c)], v))
+    took, left = np.zeros(len(blocks), dtype=np.int64), []
     while True:
-        r, c, v = r[v != 0], c[v != 0], v[v != 0]
+        live = v != 0
+        r, c, v = r[live], c[live], v[live]
         if not v.size:
             break
-        pr, pc, live = _round_pivots(r, c, rows, cols)
-        if 16 * pr.size < live:
-            break
-        k += pr.size
+        pr, pc, live_r, live_c = _round_pivots(r, c, rows, cols)
+        stop = 16 * np.bincount(cb[pc], minlength=len(blocks)) < np.minimum(
+            np.bincount(rb[live_r], minlength=len(blocks)),
+            np.bincount(cb[live_c], minlength=len(blocks)))
+        if stop.any():
+            out = stop[cb[c]]
+            if out.all():                   # the live entries are all cores
+                break
+            go = ~stop[cb[pc]]
+            left.append((r[out], c[out], v[out]))
+            r, c, v, pr, pc = r[~out], c[~out], v[~out], pr[go], pc[go]
+        took += np.bincount(cb[pc], minlength=len(blocks))
         ir, ic = np.full(rows, -1), np.full(cols, -1)
         ir[pr] = ic[pc] = np.arange(pr.size)
         ir, ic = ir[r], ic[c]
@@ -660,25 +711,64 @@ def _markowitz(m: ExactMatrix, p: int):
                              np.concatenate((c[rest], ec[b])),
                              np.concatenate((v[rest], x[a] * ey[b] % p)))
         v %= p
-    if not k:
-        return 0, m
-    (live_r, r), (live_c, c) = (np.unique(ix, return_inverse=True) for ix in (r, c))
-    return k, ExactMatrix._of(live_r.size, live_c.size, r, c, v)
+    # each core, a run of its block's columns in the round it stopped in,
+    # with its live rows and columns renumbered from 0; an empty core for
+    # a block that ran to the end
+    took = took.tolist()
+    out = [(k, ExactMatrix._of(0, 0, r[:0], c[:0], v[:0])) if k else (0, m)
+           for m, k in zip(blocks, took)]
+    for r, c, v in left + [(r, c, v)]:
+        at = _runs(cb[c]).tolist()
+        for s, e in zip(at[:-1], at[1:]):
+            b = int(cb[c[s]])
+            if took[b]:
+                (live_r, lr), (live_c, lc) = (np.unique(x[s:e], return_inverse=True) for x in (r, c))
+                out[b] = took[b], ExactMatrix._of(live_r.size, live_c.size, lr, lc, v[s:e])
+    return out
+
+
+def _rank_group(group: list, p: int) -> list:
+    """Ranks mod p of a list of matrices.  A matrix with at most one
+    entry per column has, mod p, columns that are multiples of unit
+    vectors, so its rank is the number of distinct rows that hold a
+    nonzero residue.  The others go through `_markowitz` together, and
+    each one's rank is its pivots plus the dense rank of its core
+    (`_rank_gf_f64`, or `_rref_gf` past its primes)."""
+    single = [bool((m.col[1:] > m.col[:-1]).all()) for m in group]
+    rest = [m for m, s in zip(group, single) if not s]
+    fronts = iter(_markowitz(rest, p) if rest else ())
+    ranks = []
+    for m, s in zip(group, single):
+        if s:
+            _integral(m.val)
+            ranks.append(int(np.count_nonzero(np.bincount(m.row[m.val % p != 0]))))
+            continue
+        k, core = next(fronts)
+        if _f64_admits(p):
+            ranks.append(k + _rank_gf_f64(core, p))
+        else:
+            ranks.append(k + len(_rref_gf(_gf_array(core, p), p)[1]))
+    return ranks
 
 
 def _rank_gf(m: ExactMatrix, p: int) -> int:
-    """Rank mod p of m: the pivots of `_markowitz`, plus the dense rank of
-    the core it leaves (`_rank_gf_f64`, or `_rref_gf` past its primes).
-    With at most one entry per column, the columns that are nonzero mod p
-    are multiples of unit vectors, so the rank is the number of distinct
-    rows that hold a nonzero residue."""
-    if (m.col[1:] > m.col[:-1]).all():
-        _integral(m.val)
-        return int(np.count_nonzero(np.bincount(m.row[m.val % p != 0])))
-    k, m = _markowitz(m, p)
-    if _f64_admits(p):
-        return k + _rank_gf_f64(m, p)
-    return k + len(_rref_gf(_gf_array(m, p), p)[1])
+    """Rank mod p of one matrix (`_rank_group`)."""
+    return _rank_group([m], p)[0]
+
+
+def _ranks_gf(blocks, p: int) -> list:
+    """Ranks mod p of the matrices that the iterable `blocks` yields, in
+    order: consecutive ones are ranked together (`_rank_group`) in groups
+    of at most _GROUP_ENTRIES entries, a larger one alone, so only one
+    group is held at a time."""
+    ranks, group, size = [], [], 0
+    for m in blocks:
+        if group and size + m.nnz > _GROUP_ENTRIES:
+            ranks += _rank_group(group, p)
+            group, size = [], 0
+        group.append(m)
+        size += m.nnz
+    return ranks + _rank_group(group, p)
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +944,8 @@ def _kernel(n: int, pivots: list, free: np.ndarray, top: np.ndarray,
     r = np.vstack((np.array(pivots, dtype=np.int64)[:, None].repeat(den.size, 1), free))
     c, t = np.nonzero(v.T)
     v = v[t, c]
-    first = np.flatnonzero(np.diff(c, prepend=-1))
-    v //= np.repeat(np.gcd.reduceat(v, first), np.diff(first, append=c.size))
+    at = _runs(c)
+    v //= np.repeat(np.gcd.reduceat(v, at[:-1]), np.diff(at))
     return ExactMatrix._of(n, den.size, r[t, c], c, v)
 
 
@@ -966,12 +1056,17 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
 
     Over GF(p), and mod the primes that `_char0` ranks by `_rank_gf`, a
     matrix with min(m, n) >= 64 and at most one entry in 16 nonzero
-    first goes through `_markowitz`.  Its pivots are nonzero mod p and
-    span a diagonal block D: no pivot row has an entry in another pivot
-    column.  Permuted to [[D, E], [C, B]], the matrix has rank
+    first goes through `_markowitz`, as do the blocks of `graded_rank`
+    and of the first prime of `closed_ranks`, where their block-diagonal
+    union passes that gate.  Its pivots are nonzero mod p and span a
+    diagonal block D: no pivot row has an entry in another pivot column.
+    Permuted to [[D, E], [C, B]], the matrix has rank
     |D| + rank(B - C D^-1 E) over GF(p), and the rounds pass that Schur
     complement on exactly, so the rank is their pivot count plus the
-    dense rank of the core they leave.
+    dense rank of the core they leave.  A block-diagonal union has the
+    sum of its blocks' ranks, and no pivot or Schur complement entry
+    crosses blocks, so each block's own pivots plus the dense rank of
+    its own core is its rank.
     """
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return 0
@@ -1024,18 +1119,22 @@ def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
         raise ValueError("weight vector length mismatch")
     if m.nnz == 0:
         return [], [], None
-    # the entries grouped by column class, each group in canonical order
+    # the entries grouped by column class, each group in canonical order;
+    # each temporary as long as the map is dropped once used
     order = np.argsort(cw[m.col], kind="stable")
     row, col, val = m.row[order], m.col[order], m.val[order]
-    ec, er = cw[col], rw[row]
-    first = np.flatnonzero(np.diff(ec, prepend=ec[0] - 1))
-    end = np.append(first[1:], ec.size)
-    if np.any(er != np.repeat(er[first], end - first)):
+    del order
+    at = _runs(cw[col])
+    first, end = at[:-1], at[1:]
+    er = rw[row]
+    if np.any(er != np.repeat(er[first], np.diff(at))):
         raise ValueError("matrix is not weight-graded")
-    hit = np.sort(er[first])
+    del er
+    rx = rw[row[first]]
+    hit = np.sort(rx)
     if (hit[1:] == hit[:-1]).any():
         raise ValueError("two column classes hit one row class")
-    weights = list(zip(er[first].tolist(), ec[first].tolist()))
+    weights = list(zip(rx.tolist(), cw[col[first]].tolist()))
     rep = list(range(first.size))
     if flips is not None:
         (tp, ts), (sp, ss) = flips = [[np.asarray(a, dtype=np.int64) for a in x] for x in flips]
@@ -1070,7 +1169,9 @@ def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
 
 def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
                 flips=None) -> int:
-    """Rank of a weight-graded matrix, one small block per weight class.
+    """Rank of a weight-graded matrix, one small block per weight class:
+    over GF(p) all ranked blocks at once by `_ranks_gf`, which shares the
+    sparse rounds among them, and over Q each by `rank`.
 
     Entries must connect each column-weight class to a single
     row-weight class (and conversely); this holds for every equivariant
@@ -1088,7 +1189,9 @@ def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
     counted twice.  Otherwise, and without `flips`, every class is ranked.
     """
     _, rep, block = _weight_classes(m, row_weights, col_weights, flips)
-    ranks = [rank(block(k), f) if j == k else 0 for k, j in enumerate(rep)]
+    p, blocks = f.characteristic, (block(k) for k, j in enumerate(rep) if j == k)
+    got = iter(_ranks_gf(blocks, p) if p else [rank(b, f) for b in blocks])
+    ranks = [next(got) if j == k else 0 for k, j in enumerate(rep)]
     return sum(ranks[j] for j in rep)
 
 
@@ -1102,9 +1205,10 @@ def closed_ranks(maps, f: FieldSpec, weights, flips=None):
     Over Q each map is scaled by the lcm of its denominators, which keeps
     the ranks and the zero composites, and each composite is checked to
     be zero by one sparse product (ValueError otherwise).  Every ranked
-    block of every map is ranked mod the first char-0 prime q, and a
-    block of V_{t-1} -> V_t from weight y to weight x is bounded by both
-    its neighbours as in `rank`'s closure certificate: rank_Q <=
+    block of every map is ranked mod the first char-0 prime q, all of a
+    map's blocks at once by `_ranks_gf`, and a block of V_{t-1} -> V_t
+    from weight y to weight x is bounded by both its neighbours as in
+    `rank`'s closure certificate: rank_Q <=
     dim V_t,x - r_q(the next map at x) and rank_Q <=
     dim V_{t-1},y - r_q(the map before at y).  A block whose rank mod q
     reaches its bound is certified with no kernel; any other goes on to
@@ -1118,8 +1222,10 @@ def closed_ranks(maps, f: FieldSpec, weights, flips=None):
         raise ValueError("a composite of consecutive maps is not zero")
     q = next(_char0_primes())
     split = [_weight_classes(d, weights[t + 1], weights[t], fl[t]) for t, d in enumerate(maps)]
-    mod_q = [[_rank_gf(block(k), q) if j == k else 0 for k, j in enumerate(rep)]
-             for _, rep, block in split]
+    mod_q = []
+    for _, rep, block in split:
+        got = iter(_ranks_gf((block(k) for k, j in enumerate(rep) if j == k), q))
+        mod_q.append([next(got) if j == k else 0 for k, j in enumerate(rep)])
     size = []
     for w in weights:
         x, n = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)

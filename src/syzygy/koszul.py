@@ -38,16 +38,6 @@ def wedge2_pairs(n: int):
     return list(combinations(range(n), 2))
 
 
-def catalan_degree(n: int) -> int:
-    """Degree of the Grassmannian of lines in its Pluecker embedding,
-    the Catalan number C(2n-4, n-2) / (n-1)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    num = comb(2 * n - 4, n - 2)
-    assert num % (n - 1) == 0
-    return num // (n - 1)
-
-
 def hilbert_bound(n: int, q: int) -> int:
     """Sharp bound C(n+q-1, q) (n-2)(n-q-3) / (q+2) on dim W_q for a
     finite-length Koszul module; equality for dim K = 2n-3.  Zero

@@ -414,20 +414,6 @@ def delta1(a: int) -> RepMap:
                   f"delta1({a})")
 
 
-def koszul_k(i: int, d: int) -> RepMap:
-    """Koszul contraction Wedge^i Sym^d U -> Wedge^{i-1} Sym^d U (x) Sym^d U.
-
-    On Schur labels: s_l -> sum_j (-1)^{j-1} s_{l^j-hat} (x) x^{l_j+i-j};
-    in exponent terms, drop the j-th wedge factor and emit it on the
-    right.  Injective.
-    """
-    if not (1 <= i <= d + 1):
-        raise ValueError(f"koszul_k needs 1 <= i <= d+1, got i={i}, d={d}")
-    src = RepSpace.wedge(i, RepSpace.sym(d))
-    tgt = RepSpace.tensor([RepSpace.wedge(i - 1, RepSpace.sym(d)), RepSpace.sym(d)])
-    return _build(src, tgt, contraction(src, d), f"koszul_k({i},{d})")
-
-
 @functools.lru_cache(maxsize=None)
 def nu(d: int, i: int) -> RepMap:
     """D^i U (x) Wedge^i Sym^{d+i-1} U -> Wedge^i Sym^{d+i} U.

@@ -21,7 +21,7 @@ import numpy as np
 from syzygy.exactla import ExactMatrix, FieldSpec, kernel_basis, rank
 from syzygy.hermite import psi_map
 from syzygy.koszul import KoszulInput, wedge2_pairs
-from syzygy.reps import RepMap, RepSpace, _build, contraction, delta1, koszul_k, nu, sympow_mul
+from syzygy.reps import RepMap, RepSpace, _build, contraction, delta1, nu, sympow_mul
 from syzygy.tangent import (GradedComplex, Summand, _wahl_splits, delta2_map, map_p_map,
                             map_q_map)
 
@@ -633,6 +633,30 @@ def comul2(a: int):
                   lambda t: (((t - u, u), comb(2, u))
                              for u in range(3) if 0 <= t - u <= a),
                   f"comul2({a})")
+
+
+def koszul_k(i: int, d: int) -> RepMap:
+    """Koszul contraction Wedge^i Sym^d U -> Wedge^{i-1} Sym^d U (x) Sym^d U.
+
+    On Schur labels: s_l -> sum_j (-1)^{j-1} s_{l^j-hat} (x) x^{l_j+i-j};
+    in exponent terms, drop the j-th wedge factor and emit it on the
+    right.  Injective.
+    """
+    if not (1 <= i <= d + 1):
+        raise ValueError(f"koszul_k needs 1 <= i <= d+1, got i={i}, d={d}")
+    src = RepSpace.wedge(i, RepSpace.sym(d))
+    tgt = RepSpace.tensor([RepSpace.wedge(i - 1, RepSpace.sym(d)), RepSpace.sym(d)])
+    return _build(src, tgt, contraction(src, d), f"koszul_k({i},{d})")
+
+
+def catalan_degree(n: int) -> int:
+    """Degree of the Grassmannian of lines in its Pluecker embedding,
+    the Catalan number C(2n-4, n-2) / (n-1)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    num = comb(2 * n - 4, n - 2)
+    assert num % (n - 1) == 0
+    return num // (n - 1)
 
 
 def _smono(g: int, k: int) -> RepSpace:

@@ -17,7 +17,7 @@ from syzygy.tangent import (betti_table, hermite_square_check, k_i1, k_i2,
                             map_p_map, map_q_map, complex_J,
                             compose_symmetrized, _j_gens)
 
-from _oracles import is_decomposable
+from _oracles import is_decomposable, koszul_k
 
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
 
@@ -163,7 +163,6 @@ def test_criterion_7_chain_map_suite():
                                     _j_gens(g, i - 2), g)
             assert z.is_zero(), ("dJ^2", g, i)
         for i in range(1, g + 1):
-            from syzygy.reps import koszul_k
             lhs = koszul_k(i, g).matrix @ map_p_map(g, i).matrix
             rhs = map_p_map(g, i - 1).matrix.kron(ExactMatrix.identity(g + 1)) \
                 @ J.differentials[i][(0, 0)]

@@ -170,7 +170,8 @@ def _planted_chain(draw):
 
 
 def _engine_spy(monkeypatch):
-    """Every (engine, prime) call of the char-0 loop, and every `_lift`."""
+    """Every (engine, prime) call of the char-0 loop, one per block of the
+    first-prime pass (`_ranks_gf`), and every `_lift`."""
     calls = []
     for name in ("_rank_gf", "_rref_gf", "_lift"):
         def spy(*a, name=name, real=getattr(exactla, name)):
@@ -178,6 +179,13 @@ def _engine_spy(monkeypatch):
             return real(*a)
 
         monkeypatch.setattr(exactla, name, spy)
+
+    def spy_gf(blocks, p, real=exactla._ranks_gf):
+        blocks = list(blocks)
+        calls.extend(("_ranks_gf", p) for _ in blocks)
+        return real(blocks, p)
+
+    monkeypatch.setattr(exactla, "_ranks_gf", spy_gf)
     return calls
 
 
@@ -191,7 +199,7 @@ def test_planted_complexes_close_or_fall_back(case):
     assert ranks == (graded_rank(d_in, QQ, wc, wa), graded_rank(d_out, QQ, wb, wc))
     if all(exact and not bad for *_, bad, exact in classes):
         # every class closes at the first prime: no kernel, no second prime
-        assert set(calls) <= {("_rank_gf", Q1)}
+        assert set(calls) <= {("_ranks_gf", Q1)}
     if not any(isinstance(v, Fraction) for m in (d_in, d_out) for v in m.val.tolist()):
         for p in (2, 5):
             assert closed_ranks([d_in, d_out], GF(p), (wa, wc, wb)) == (
@@ -286,7 +294,7 @@ def test_a_prime_dividing_a_minor_falls_back(monkeypatch):
     calls = _engine_spy(monkeypatch)
     zero = np.zeros(1), np.zeros(2), np.zeros(1)
     assert closed_ranks([d_in, d_out], QQ, zero) == (1, 1)
-    assert calls == [("_rank_gf", Q1), ("_rank_gf", Q1), ("_rref_gf", Q1), ("_lift", None),
+    assert calls == [("_ranks_gf", Q1), ("_ranks_gf", Q1), ("_rref_gf", Q1), ("_lift", None),
                      ("_rref_gf", q2)]
 
 
@@ -327,21 +335,31 @@ def test_char0_tables_are_unchanged_and_close_at_the_first_prime(monkeypatch):
     # each pair of maps ranked together is one group; within it no block
     # is ranked twice, and every block at the first prime alone
     groups = []
-    real_rank, real_closed = exactla._rank_gf, tangent.closed_ranks
+    real_rank, real_ranks, real_closed = exactla._rank_gf, exactla._ranks_gf, tangent.closed_ranks
 
     def closed(*a):
         groups.append([])
         return real_closed(*a)
 
-    def spy(m, p):
+    def seen(m, p):
         groups[-1].append((p, m.shape, m.row.tobytes(), m.col.tobytes(), m.val.tobytes()))
+
+    def spy(m, p):
+        seen(m, p)
         return real_rank(m, p)
+
+    def spy_blocks(blocks, p):
+        blocks = list(blocks)
+        for m in blocks:
+            seen(m, p)
+        return real_ranks(blocks, p)
 
     def never(*a):
         raise AssertionError("a kernel was asked for")
 
     monkeypatch.setattr(tangent, "closed_ranks", closed)
     monkeypatch.setattr(exactla, "_rank_gf", spy)
+    monkeypatch.setattr(exactla, "_ranks_gf", spy_blocks)
     monkeypatch.setattr(exactla, "_rref_gf", never)
     monkeypatch.setattr(exactla, "_lift", never)
     tangent._delta2_dims.cache_clear()

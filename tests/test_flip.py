@@ -69,16 +69,24 @@ def _assert_halves_equal(ranks, top):
 
 
 def _ranks_seen(monkeypatch, call):
-    """call(), and the shapes of the blocks that `exactla.rank` saw."""
+    """call(), and the shapes of the blocks ranked: each that
+    `exactla.rank` saw (a graded map's blocks over Q) and each that
+    `exactla._ranks_gf` saw (its blocks over GF(p))."""
     calls = []
-    flat = exactla.rank
+    flat, ranks_gf = exactla.rank, exactla._ranks_gf
 
     def spy(m, field):
         calls.append(m.shape)
         return flat(m, field)
 
+    def spy_gf(blocks, p):
+        blocks = list(blocks)
+        calls.extend(m.shape for m in blocks)
+        return ranks_gf(blocks, p)
+
     with monkeypatch.context() as mp:
         mp.setattr(exactla, "rank", spy)
+        mp.setattr(exactla, "_ranks_gf", spy_gf)
         out = call()
     return out, calls
 

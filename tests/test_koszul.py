@@ -8,12 +8,12 @@ import pytest
 from syzygy import koszul
 from syzygy.exactla import GF, QQ, ExactMatrix, kernel_basis, rank
 from syzygy.koszul import (NONTRIVIAL, TRIVIAL, UNKNOWN, KoszulInput,
-                           _decomposable_chunks, catalan_degree, chow_member,
-                           hilbert_bound, k_perp_basis, random_koszul_input,
-                           resonance_trivial, w_dim)
+                           _decomposable_chunks, chow_member, hilbert_bound,
+                           k_perp_basis, random_koszul_input, resonance_trivial, w_dim)
 
-from _oracles import (column, is_decomposable, kernel_from_rref, projective_points,
-                      rref_fraction, rref_mod_p, to_dense, weyman_input, zeros)
+from _oracles import (catalan_degree, column, is_decomposable, kernel_from_rref,
+                      projective_points, rref_fraction, rref_mod_p, to_dense, weyman_input,
+                      zeros)
 
 
 def _unit(i, n=6):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from syzygy import hermite, tangent
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
-from syzygy.reps import (RepSpace, delta1, generic_koszul_delta, koszul_k, lowering, nu,
-                         raising, sympow_mul, wahl_mu1)
+from syzygy.reps import (RepSpace, delta1, generic_koszul_delta, lowering, nu, raising,
+                         sympow_mul, wahl_mu1)
 
 import _oracles
 from _oracles import (basis, column, column_shift, column_shift_reference, compose, comul,
-                      comul2, d_to_sym, entry, index, insert_part, mul, tensor_map,
+                      comul2, d_to_sym, entry, index, insert_part, koszul_k, mul, tensor_map,
                       weyman_input)
 
 FIELDS = (QQ, GF(2), GF(3), GF(5), GF(101))

@@ -4,13 +4,13 @@ import pytest
 
 from syzygy.exactla import GF, QQ, ExactMatrix, rank
 from syzygy.koszul import w_dim
-from syzygy.reps import koszul_k
 from syzygy.tangent import (_j_gens, betti_table,
                             complex_J, compose_symmetrized, delta2_map,
                             hermite_square_check, k_i1, k_i2, map_p_map,
                             map_q_map, weyman_dim)
 
-from _oracles import _smono, basis, complex_F, complex_K, realize_block, term_dim, weyman_input
+from _oracles import (_smono, basis, complex_F, complex_K, koszul_k, realize_block, term_dim,
+                      weyman_input)
 
 CHARS = (QQ, GF(2), GF(3), GF(5))
 
