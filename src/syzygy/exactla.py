@@ -21,16 +21,16 @@ of a large sparse matrix takes cheap pivots first (`_markowitz`): in
 rounds of whole-array operations, a set of low-fill pivots that span a
 diagonal block D, and the exact Schur complement mod p in place of the
 rest.  So the rank is the pivot count plus the rank of the core that
-the rounds leave.  The weight blocks of a graded map share those
-rounds (`_ranks_gf`): laid out block-diagonally, in groups of a bounded
-entry count, they take one loop of rounds in which each block pivots
-as it would alone.  Over Q the matrix, with denominators cleared, stays
-an `ExactMatrix` and is ranked modulo descending primes.  Each rank
-carries one of four certificates (see `rank`): full rank mod a prime,
-closure mod a prime against the maps that compose with it to zero
-(`closed_ranks`; both are a rank mod a prime that reaches a proven
-upper bound), an exact kernel checked by one sparse product, or the
-Hadamard bound.
+the rounds leave.  `closed_ranks`, the one rank of weight-graded maps,
+ranks each map's weight blocks in shared rounds (`_ranks_gf`): laid
+out block-diagonally, in groups of a bounded entry count, they take
+one loop of rounds in which each block pivots as it would alone.  Over
+Q the matrix, with denominators cleared, stays an `ExactMatrix` and is
+ranked modulo descending primes.  Each rank carries one of four
+certificates (see `rank`): full rank mod a prime, closure mod a prime
+against the maps that compose with it to zero (`closed_ranks`; both
+are a rank mod a prime that reaches a proven upper bound), an exact
+kernel checked by one sparse product, or the Hadamard bound.
 Floats are used only as exact carriers of integers: below 2^24 in
 float32 and below 2^53 in float64.
 
@@ -1056,10 +1056,10 @@ def rank(m: ExactMatrix, f: FieldSpec) -> int:
 
     Over GF(p), and mod the primes that `_char0` ranks by `_rank_gf`, a
     matrix with min(m, n) >= 64 and at most one entry in 16 nonzero
-    first goes through `_markowitz`, as do the blocks of `graded_rank`
-    and of the first prime of `closed_ranks`, where their block-diagonal
-    union passes that gate.  Its pivots are nonzero mod p and span a
-    diagonal block D: no pivot row has an entry in another pivot column.
+    first goes through `_markowitz`, as do the blocks of `closed_ranks`
+    mod p or the first prime, where their block-diagonal union passes
+    that gate.  Its pivots are nonzero mod p and span a diagonal block
+    D: no pivot row has an entry in another pivot column.
     Permuted to [[D, E], [C, B]], the matrix has rank
     |D| + rank(B - C D^-1 E) over GF(p), and the rounds pass that Schur
     complement on exactly, so the rank is their pivot count plus the
@@ -1108,17 +1108,28 @@ def kernel_basis(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
                    np.ones(free.size, dtype=np.int64))
 
 
+def _class_index(w: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    """(index, size): index[j] is labels[j]'s index among the labels of
+    its weight in w, ascending, and size[k] the count of weight x[k]; by
+    one stable argsort of w, in which weight x runs up to weight x + 1."""
+    o = np.argsort(w, kind="stable")
+    pos, w = np.empty_like(o), w[o]
+    pos[o] = np.arange(o.size) - np.searchsorted(w, w)
+    return pos[labels], np.searchsorted(w, x + 1) - np.searchsorted(w, x)
+
+
 def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
-    """The blocks of `graded_rank`: (weights, rep, block).  weights[k] is
-    (row weight, column weight) of the k-th column class with entries,
-    in increasing column weight; rep[k] <= k is the class ranked for
-    class k (k itself, or its flip partner); block(k) builds the block of
-    class k, on the full row and column classes, on each call."""
+    """The blocks of `closed_ranks`: (weights, shapes, rep, block).
+    weights[k] is (row weight, column weight) of the k-th column class
+    with entries, in increasing column weight, and shapes[k] its block's
+    shape; rep[k] <= k is the class ranked for class k (k itself, or its
+    flip partner); block(k) builds the block of class k, on the full row
+    and column classes, on each call."""
     rw, cw = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (row_weights, col_weights))
     if rw.size != m.rows or cw.size != m.cols:
         raise ValueError("weight vector length mismatch")
     if m.nnz == 0:
-        return [], [], None
+        return [], [], [], None
     # the entries grouped by column class, each group in canonical order;
     # each temporary as long as the map is dropped once used
     order = np.argsort(cw[m.col], kind="stable")
@@ -1130,11 +1141,11 @@ def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
     if np.any(er != np.repeat(er[first], np.diff(at))):
         raise ValueError("matrix is not weight-graded")
     del er
-    rx = rw[row[first]]
+    rx, cy = rw[row[first]], cw[col[first]]
     hit = np.sort(rx)
     if (hit[1:] == hit[:-1]).any():
         raise ValueError("two column classes hit one row class")
-    weights = list(zip(rx.tolist(), cw[col[first]].tolist()))
+    weights = list(zip(rx.tolist(), cy.tolist()))
     rep = list(range(first.size))
     if flips is not None:
         (tp, ts), (sp, ss) = flips = [[np.asarray(a, dtype=np.int64) for a in x] for x in flips]
@@ -1158,89 +1169,77 @@ def _weight_classes(m: ExactMatrix, row_weights, col_weights, flips=None):
                     and (np.array_equal(v, pv) or np.array_equal(-v, pv))):
                 rep[j] = k
 
+    # each entry's row and column in its block, one side at a time: the
+    # old and new index arrays of only one side are held at once
+    row, nr = _class_index(rw, rx, row)
+    col, nc = _class_index(cw, cy, col)
+    shapes = list(zip(nr.tolist(), nc.tolist()))
+
     def block(k):
-        s, e, (x, y) = first[k], end[k], weights[k]
-        rs, cs = np.flatnonzero(rw == x), np.flatnonzero(cw == y)
-        return ExactMatrix._of(rs.size, cs.size, np.searchsorted(rs, row[s:e]),
-                               np.searchsorted(cs, col[s:e]), val[s:e])
+        s, e = first[k], end[k]
+        return ExactMatrix._of(*shapes[k], row[s:e], col[s:e], val[s:e])
 
-    return weights, rep, block
-
-
-def graded_rank(m: ExactMatrix, f: FieldSpec, row_weights, col_weights,
-                flips=None) -> int:
-    """Rank of a weight-graded matrix, one small block per weight class:
-    over GF(p) all ranked blocks at once by `_ranks_gf`, which shares the
-    sparse rounds among them, and over Q each by `rank`.
-
-    Entries must connect each column-weight class to a single
-    row-weight class (and conversely); this holds for every equivariant
-    map in this package and is verified, not assumed: an ungraded
-    matrix or a weight vector of the wrong length raises ValueError.
-
-    `flips` = ((perm, sign) of the rows, (perm, sign) of the columns),
-    signed permutations as in `reps.RepSpace.flip`, lets class w with
-    2w < top (top: least plus largest column weight) stand for its
-    partner top - w.  Its entries (r, c, v) are sent to (perm_t[r],
-    perm_s[c], sign_t[r] sign_s[c] v); if the images, in column-major
-    order, equal the partner's entries or their negatives, the partner
-    block is a signed row and column permutation of block w, so the two
-    have the same rank over every field, and block w is ranked once and
-    counted twice.  Otherwise, and without `flips`, every class is ranked.
-    """
-    _, rep, block = _weight_classes(m, row_weights, col_weights, flips)
-    p, blocks = f.characteristic, (block(k) for k, j in enumerate(rep) if j == k)
-    got = iter(_ranks_gf(blocks, p) if p else [rank(b, f) for b in blocks])
-    ranks = [next(got) if j == k else 0 for k, j in enumerate(rep)]
-    return sum(ranks[j] for j in rep)
+    return weights, shapes, rep, block
 
 
 def closed_ranks(maps, f: FieldSpec, weights, flips=None):
-    """The ranks over f of a chain of k >= 2 weight-graded maps
-    V_0 -> V_1 -> ... -> V_k, each composing with the next to zero.
-    `weights` are the weight vectors of V_0..V_k, and `flips`, if given,
-    their signed permutations; each map is split and flipped as in
-    `graded_rank`, which this is over GF(p).
+    """The ranks over f of a chain of k >= 1 weight-graded maps
+    V_0 -> V_1 -> ... -> V_k, each composing with the next to zero (a
+    lone map is the chain k = 1).  `weights` are the weight vectors of
+    V_0..V_k, and `flips`, if given, their signed permutations, each
+    (perm, sign) as in `reps.RepSpace.flip`.
 
-    Over Q each map is scaled by the lcm of its denominators, which keeps
+    Each map is cut into one block per column-weight class, whose
+    entries must all lie in one row-weight class (and conversely); this
+    holds for every equivariant map in this package and is verified: an
+    ungraded matrix or a weight vector of the wrong length raises
+    ValueError.  Under the flips, class w with 2w < top (top: least plus
+    largest column weight) may stand for its partner top - w: its
+    entries (r, c, v) are sent to (perm_t[r], perm_s[c],
+    sign_t[r] sign_s[c] v), and if the images, in column-major order,
+    equal the partner's entries or their negatives, the partner block is
+    a signed row and column permutation of block w, of equal rank over
+    every field, so block w is ranked once and counted twice.
+
+    Every ranked block is ranked mod q (q = p over GF(p), the first
+    char-0 prime over Q), a map's blocks at once by `_ranks_gf`, which
+    shares the sparse rounds among them; over GF(p) their sums are the
+    ranks.  Over Q each row of a lone map, and each whole map of a
+    chain, is first scaled by the lcm of its denominators, which keeps
     the ranks and the zero composites, and each composite is checked to
-    be zero by one sparse product (ValueError otherwise).  Every ranked
-    block of every map is ranked mod the first char-0 prime q, all of a
-    map's blocks at once by `_ranks_gf`, and a block of V_{t-1} -> V_t
-    from weight y to weight x is bounded by both its neighbours as in
-    `rank`'s closure certificate: rank_Q <=
+    be zero by one sparse product (ValueError otherwise).  A block of
+    V_{t-1} -> V_t from weight y to weight x is bounded by its shape and
+    by both its neighbours as in `rank`'s closure certificate: rank_Q <=
     dim V_t,x - r_q(the next map at x) and rank_Q <=
     dim V_{t-1},y - r_q(the map before at y).  A block whose rank mod q
     reaches its bound is certified with no kernel; any other goes on to
     `_char0` from that rank."""
-    fl = [None if flips is None else (flips[t + 1], flips[t]) for t in range(len(maps))]
-    if f.characteristic:
-        return tuple(graded_rank(d, f, weights[t + 1], weights[t], fl[t])
-                     for t, d in enumerate(maps))
-    maps = [_integer_rows(d, whole=True) for d in maps]
-    if any(not (b @ a).is_zero() for a, b in zip(maps, maps[1:])):
-        raise ValueError("a composite of consecutive maps is not zero")
-    q = next(_char0_primes())
-    split = [_weight_classes(d, weights[t + 1], weights[t], fl[t]) for t, d in enumerate(maps)]
+    p = f.characteristic
+    if not p:
+        maps = [_integer_rows(d, whole=len(maps) > 1) for d in maps]
+        if any(not (b @ a).is_zero() for a, b in zip(maps, maps[1:])):
+            raise ValueError("a composite of consecutive maps is not zero")
+    q = p or next(_char0_primes())
+    split = [_weight_classes(d, weights[t + 1], weights[t],
+                             None if flips is None else (flips[t + 1], flips[t]))
+             for t, d in enumerate(maps)]
     mod_q = []
-    for _, rep, block in split:
+    for *_, rep, block in split:
         got = iter(_ranks_gf((block(k) for k, j in enumerate(rep) if j == k), q))
         mod_q.append([next(got) if j == k else 0 for k, j in enumerate(rep)])
-    size = []
-    for w in weights:
-        x, n = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)
-        size.append(dict(zip(x.tolist(), n.tolist())))
+    if p:
+        return tuple(sum(rq[j] for j in rep) for (*_, rep, _), rq in zip(split, mod_q))
     # the rank mod q of each map into (side 0) and out of (side 1) each weight
     at = [[{w[side]: rq[j] for w, j in zip(classes, rep)} for side in (0, 1)]
-          for (classes, rep, _), rq in zip(split, mod_q)]
+          for (classes, _, rep, _), rq in zip(split, mod_q)]
     ranks = []
-    for t, ((classes, rep, block), rq) in enumerate(zip(split, mod_q)):
-        bound = [min(size[t + 1][x], size[t][y]) for x, y in classes]
-        for (x, y), j in zip(classes, rep):
+    for t, ((classes, shapes, rep, block), rq) in enumerate(zip(split, mod_q)):
+        bound = [min(shape) for shape in shapes]
+        for (x, y), (rows, cols), j in zip(classes, shapes, rep):
             if t + 1 < len(maps):
-                bound[j] = min(bound[j], size[t + 1][x] - at[t + 1][1].get(x, 0))
+                bound[j] = min(bound[j], rows - at[t + 1][1].get(x, 0))
             if t:
-                bound[j] = min(bound[j], size[t][y] - at[t - 1][0].get(y, 0))
+                bound[j] = min(bound[j], cols - at[t - 1][0].get(y, 0))
         got = [_char0(block(k), bound[k], r) if j == k and r < bound[k] else r
                for k, (j, r) in enumerate(zip(rep, rq))]
         ranks.append(sum(got[j] for j in rep))

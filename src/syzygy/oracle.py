@@ -41,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .exactla import ExactMatrix, FieldSpec, closed_ranks, graded_rank
+from .exactla import ExactMatrix, FieldSpec, closed_ranks
 
 
 def _z_polys(g: int, p: int, chart: str):
@@ -295,31 +295,20 @@ def oracle_kij(g: int, i: int, j: int, f: FieldSpec, chart: str = "jet") -> int:
 
 
 def _map_ranks(ring: ParamRing, i: int, n: int):
-    """The ranks of the maps into and out of Wedge^i W (x) R_n:
-    `_map_rank(ring, i + 1, n - 1)` (0 if n = 0) and
-    `_map_rank(ring, i, n)`.  Consecutive maps map(i, n) =
-    `_wedge_mult_matrix(ring, i, n)` compose to zero (the Koszul complex
-    of R), so where none of them is ranked yet `exactla.closed_ranks`
-    ranks them together: after map(i + 2, n - 2) where n >= 2, so that
-    each block of map(i + 1, n - 1) is bounded from both sides, and
-    otherwise as a pair."""
-    for keys in ([(i + 2, n - 2), (i + 1, n - 1), (i, n)], [(i + 1, n - 1), (i, n)]):
+    """The ranks of the maps into and out of Wedge^i W (x) R_n: map(i + 1,
+    n - 1) (0 if n = 0) and map(i, n), kept on the ring (K_{i,n} reads
+    map(i, n) as its outgoing map and K_{i-1,n+1} as its incoming one).
+    map(i, n) = `_wedge_mult_matrix(ring, i, n)` is weight-graded, since
+    z_c shifts weight by c, and consecutive maps compose to zero (the
+    Koszul complex of R), so where none of them is ranked yet
+    `exactla.closed_ranks` ranks them together: after map(i + 2, n - 2)
+    where n >= 2, so that each block of map(i + 1, n - 1) is bounded from
+    both sides, and otherwise as a pair, or alone."""
+    for keys in ([(i + 2, n - 2), (i + 1, n - 1), (i, n)], [(i + 1, n - 1), (i, n)],
+                 [(i + 1, n - 1)], [(i, n)]):
         s, m = keys[0]
         if m >= 0 and not any(k in ring._ranks for k in keys):
             ring._ranks.update(zip(keys, closed_ranks(
                 [_wedge_mult_matrix(ring, *k) for k in keys], ring.field,
                 [_wedge_weights(ring, s - t, m + t) for t in range(len(keys) + 1)])))
-            break
-    return (_map_rank(ring, i + 1, n - 1) if n else 0), _map_rank(ring, i, n)
-
-
-def _map_rank(ring: ParamRing, i: int, n: int) -> int:
-    """The rank of `_wedge_mult_matrix(ring, i, n)`, kept on the ring:
-    K_{i,n} reads it as its outgoing map and K_{i-1,n+1} as its incoming
-    one.  z_c shifts weight by c, so the map is weight-graded."""
-    key = (i, n)
-    if key not in ring._ranks:
-        ring._ranks[key] = graded_rank(_wedge_mult_matrix(ring, i, n), ring.field,
-                                       _wedge_weights(ring, i - 1, n + 1),
-                                       _wedge_weights(ring, i, n))
-    return ring._ranks[key]
+    return (ring._ranks[i + 1, n - 1] if n else 0), ring._ranks[i, n]

@@ -38,7 +38,7 @@ space raises OverflowError when it is constructed.
 
 Every label has an integer weight (total exponent); all maps built
 here shift weight by a constant, which is what makes the graded rank
-splitting in exactla.graded_rank valid.
+splitting in exactla.closed_ranks valid.
 
 The Weyl flip x <-> 1 of U acts on every basis above as a signed
 permutation, `RepSpace.flip`, and sends weight w to top - w:
@@ -53,7 +53,7 @@ permutation, `RepSpace.flip`, and sends weight w to top - w:
 An equivariant map M commutes with the flip up to one global sign,
 F_tgt M = +-M F_src.  Then weight block w and block top - w of M are
 signed permutations of each other and have equal rank over every
-field.  `RepMap.rank` hands both flips to `exactla.graded_rank`, which
+field.  `RepMap.rank` hands both flips to `exactla.closed_ranks`, which
 checks this identity exactly one pair of blocks at a time and ranks
 one block of each pair that passes.
 
@@ -76,7 +76,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .exactla import _I64, ExactMatrix, FieldSpec, graded_rank
+from .exactla import _I64, ExactMatrix, FieldSpec, closed_ranks
 
 
 class RepSpace:
@@ -246,8 +246,8 @@ class RepMap:
         self.name = name
 
     def rank(self, f: FieldSpec) -> int:
-        return graded_rank(self.matrix, f, self.target.weights, self.source.weights,
-                           flips=(self.target.flip, self.source.flip))
+        return closed_ranks([self.matrix], f, [self.source.weights, self.target.weights],
+                            [self.source.flip, self.target.flip])[0]
 
     def __repr__(self):
         return f"RepMap({self.name}: {self.source!r} -> {self.target!r})"

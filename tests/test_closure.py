@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syzygy import exactla, reps, tangent
-from syzygy.exactla import GF, QQ, ExactMatrix, closed_ranks, graded_rank
+from syzygy.exactla import GF, QQ, ExactMatrix, closed_ranks
 from syzygy.oracle import oracle_kij
 from syzygy.reps import RepMap, sympow_mul
 from syzygy.tangent import betti_table
@@ -196,14 +196,14 @@ def test_planted_complexes_close_or_fall_back(case):
     with pytest.MonkeyPatch.context() as mp:
         calls = _engine_spy(mp)
         assert closed_ranks([d_in, d_out], QQ, (wa, wc, wb)) == ranks
-    assert ranks == (graded_rank(d_in, QQ, wc, wa), graded_rank(d_out, QQ, wb, wc))
+    assert ranks == closed_ranks([d_in], QQ, (wa, wc)) + closed_ranks([d_out], QQ, (wc, wb))
     if all(exact and not bad for *_, bad, exact in classes):
         # every class closes at the first prime: no kernel, no second prime
         assert set(calls) <= {("_ranks_gf", Q1)}
     if not any(isinstance(v, Fraction) for m in (d_in, d_out) for v in m.val.tolist()):
         for p in (2, 5):
             assert closed_ranks([d_in, d_out], GF(p), (wa, wc, wb)) == (
-                graded_rank(d_in, GF(p), wc, wa), graded_rank(d_out, GF(p), wb, wc))
+                exactla.rank(d_in, GF(p)), exactla.rank(d_out, GF(p)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -221,7 +221,7 @@ def test_a_bumped_d_out_raises(case, data):
     i, j = perms[2][r0 + data.draw(st.sampled_from(range(len(classes[k][1]))))], \
         perms[1][c0 + data.draw(st.sampled_from(rows))]
     bumped = d_out + ExactMatrix(d_out.rows, d_out.cols, {(i, j): 1})
-    assert graded_rank(bumped, QQ, weights[2], weights[1]) >= 0     # still graded
+    assert closed_ranks([bumped], QQ, weights[1:]) >= (0,)          # still graded
     with pytest.raises(ValueError, match="not zero"):
         closed_ranks([d_in, bumped], QQ, weights)
 
@@ -231,7 +231,7 @@ def test_a_bumped_d_out_raises(case, data):
 def test_planted_chains_close_from_both_sides(case):
     maps, weights, _, classes = case
     ranks = tuple(sum(rank_by_minors(cls[t]) for cls in classes) for t in range(3))
-    assert ranks == tuple(graded_rank(d, QQ, weights[t + 1], weights[t])
+    assert ranks == tuple(closed_ranks([d], QQ, weights[t:t + 2])[0]
                           for t, d in enumerate(maps))
     with pytest.MonkeyPatch.context() as mp:
         blocks, char0 = [], exactla._char0
@@ -260,7 +260,7 @@ def test_planted_chains_close_from_both_sides(case):
     if not any(isinstance(v, Fraction) for d in maps for v in d.val.tolist()):
         for p in (2, 5):
             assert closed_ranks(maps, GF(p), weights) == tuple(
-                graded_rank(d, GF(p), weights[t + 1], weights[t]) for t, d in enumerate(maps))
+                exactla.rank(d, GF(p)) for d in maps)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -280,7 +280,7 @@ def test_a_bumped_chain_raises(case, data):
     j = perms[t + 1][c0 + data.draw(st.sampled_from(rows))]
     d = maps[t + 1]
     maps[t + 1] = d + ExactMatrix(d.rows, d.cols, {(i, j): 1})
-    assert graded_rank(maps[t + 1], QQ, weights[t + 2], weights[t + 1]) >= 0
+    assert closed_ranks([maps[t + 1]], QQ, weights[t + 1:t + 3]) >= (0,)
     with pytest.raises(ValueError, match="not zero"):
         closed_ranks(maps, QQ, weights)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzygy.exactla import GF, QQ, ExactMatrix, FieldSpec, graded_rank, kernel_basis, rank
+from syzygy.exactla import GF, QQ, ExactMatrix, FieldSpec, closed_ranks, kernel_basis, rank
 from syzygy import exactla
 from syzygy.exactla import (_F64_SAFE, _GF_BLOCK, _f64_admits, _f64_fits, _gf_array,
                             _is_prime, _pivot_rows, _rank_gf_f64, _reduce_f64, _rref_gf)
@@ -910,13 +910,13 @@ def test_graded_rank_matches_plain_rank():
             ent[(r, c)] = rng.randint(-3, 3)
     m = ExactMatrix(20, 15, ent)
     for f in (QQ, GF(3)):
-        assert graded_rank(m, f, row_w, col_w) == rank(m, f)
+        assert closed_ranks([m], f, [col_w, row_w]) == (rank(m, f),)
 
 
 def test_graded_rank_rejects_ungraded():
     m = ExactMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(ValueError):
-        graded_rank(m, QQ, [0, 1], [0, 1])
+        closed_ranks([m], QQ, [[0, 1], [0, 1]])
 
 
 def test_matrix_algebra():

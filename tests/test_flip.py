@@ -1,6 +1,9 @@
 """The Weyl flip: `RepSpace.flip`, and the per-pair check in
-`graded_rank` that lets one weight block of each flipped pair be
-ranked for both.  The spy on `exactla.rank` counts the blocks ranked."""
+`closed_ranks` that lets one weight block of each flipped pair be
+ranked for both.  The spy on `exactla._ranks_gf` counts the blocks
+ranked, over GF(p) and at the first prime over Q."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzygy import exactla
-from syzygy.exactla import GF, QQ, ExactMatrix, graded_rank
+from syzygy.exactla import GF, QQ, ExactMatrix, closed_ranks
 from syzygy.hermite import psi_map
 from syzygy.reps import RepMap, RepSpace, generic_koszul_delta, lowering
 from syzygy.tangent import delta2_map
@@ -69,15 +72,10 @@ def _assert_halves_equal(ranks, top):
 
 
 def _ranks_seen(monkeypatch, call):
-    """call(), and the shapes of the blocks ranked: each that
-    `exactla.rank` saw (a graded map's blocks over Q) and each that
-    `exactla._ranks_gf` saw (its blocks over GF(p))."""
+    """call(), and the shapes of the blocks that `exactla._ranks_gf`
+    saw: a graded map's blocks over GF(p), or at the first prime over Q."""
     calls = []
-    flat, ranks_gf = exactla.rank, exactla._ranks_gf
-
-    def spy(m, field):
-        calls.append(m.shape)
-        return flat(m, field)
+    ranks_gf = exactla._ranks_gf
 
     def spy_gf(blocks, p):
         blocks = list(blocks)
@@ -85,7 +83,6 @@ def _ranks_seen(monkeypatch, call):
         return ranks_gf(blocks, p)
 
     with monkeypatch.context() as mp:
-        mp.setattr(exactla, "rank", spy)
         mp.setattr(exactla, "_ranks_gf", spy_gf)
         out = call()
     return out, calls
@@ -159,6 +156,30 @@ def test_a_broken_map_ranks_every_block(monkeypatch):
         assert len(calls) == (classes + 1) // 2
 
 
+def test_a_lone_map_over_q_shares_the_first_prime(monkeypatch):
+    """Over Q a lone graded map hands every block it ranks to `_ranks_gf`
+    at the first char-0 prime, in one call, and `_char0` sees exactly the
+    blocks whose rank there is below their shape."""
+    ranks_gf, char0 = exactla._ranks_gf, exactla._char0
+    for m, extra in ((delta2_map(8, 3), 0), (_broken_delta2(9, 4), 1)):
+        seen, lifted = [], []
+
+        def spy_gf(blocks, p):
+            blocks = list(blocks)
+            seen.append((p, blocks, ranks_gf(blocks, p)))
+            return seen[-1][2]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exactla, "_ranks_gf", spy_gf)
+            mp.setattr(exactla, "_char0", lambda b, *a: lifted.append(b) or char0(b, *a))
+            r = m.rank(QQ)
+        [(p, blocks, ranks)] = seen
+        assert p == next(exactla._char0_primes())
+        assert len(blocks) == (_classes(m) + 1) // 2 + extra
+        assert lifted == [b for b, k in zip(blocks, ranks) if k < min(b.shape)]
+        assert r == exactla.rank(m.matrix, QQ)
+
+
 def test_weights_must_reflect(monkeypatch):
     """A flip that keeps every weight pairs no class with its partner:
     the map below has rank 1, and counting its one nonzero block twice
@@ -166,12 +187,12 @@ def test_weights_must_reflect(monkeypatch):
     space = RepSpace.sym(3)
     m = RepMap(space, space, ExactMatrix(4, 4, {(0, 0): 1}), "e00")
     ident = np.arange(4, dtype=np.int64), np.ones(4, dtype=np.int64)
-    assert graded_rank(m.matrix, QQ, space.weights, space.weights, flips=(ident, ident)) == 1
+    w = [space.weights] * 2
+    assert closed_ranks([m.matrix], QQ, w, [ident, ident]) == (1,)
     # both classes of a pair hold entries: each is ranked
     both = ExactMatrix(4, 4, {(0, 0): 1, (3, 3): 1})
-    r, calls = _ranks_seen(monkeypatch, lambda: graded_rank(
-        both, QQ, space.weights, space.weights, flips=(ident, ident)))
-    assert (r, len(calls)) == (2, 2)
+    r, calls = _ranks_seen(monkeypatch, lambda: closed_ranks([both], QQ, w, [ident, ident]))
+    assert (r, len(calls)) == ((2,), 2)
     monkeypatch.setattr(RepSpace, "flip", property(lambda self: ident))
     assert m.rank(QQ) == 1
 
@@ -186,9 +207,9 @@ def test_mirrored_graded_rank_counts(monkeypatch):
                                ({(0, 0): 1, (2, 2): 1}, 2, 1),
                                ({(0, 0): 1, (2, 2): 3}, 2, 2)):
         m = ExactMatrix(3, 3, entries)
-        got, calls = _ranks_seen(monkeypatch, lambda: graded_rank(
-            m, QQ, [0, 1, 2], [0, 1, 2], flips=(rev, rev)))
-        assert (got, len(calls)) == (r, blocks), entries
+        got, calls = _ranks_seen(monkeypatch, lambda: closed_ranks(
+            [m], QQ, [[0, 1, 2]] * 2, [rev, rev]))
+        assert (got, len(calls)) == ((r,), blocks), entries
     # two labels per weight (top 1): the signs of the flip count entry by
     # entry, and the images must land in the partner's columns and rows
     w, rev = [0, 0, 1, 1], np.arange(3, -1, -1, dtype=np.int64)
@@ -198,9 +219,9 @@ def test_mirrored_graded_rank_counts(monkeypatch):
             ({(0, 1): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1}, [1, 1, 1, 1], 3, 2),
             ({(0, 0): 1, (0, 1): 1, (2, 2): 1, (3, 3): 1}, [1, 1, 1, 1], 3, 2)):
         m = ExactMatrix(4, 4, entries)
-        flips = (rev, np.ones(4, dtype=np.int64)), (rev, np.array(signs))
-        got, calls = _ranks_seen(monkeypatch, lambda: graded_rank(m, QQ, w, w, flips=flips))
-        assert (got, len(calls)) == (r, blocks), entries
+        flips = (rev, np.array(signs)), (rev, np.ones(4, dtype=np.int64))
+        got, calls = _ranks_seen(monkeypatch, lambda: closed_ranks([m], QQ, [w, w], flips))
+        assert (got, len(calls)) == ((r,), blocks), entries
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -264,6 +285,14 @@ def _flip_cases(draw):
     else:
         flips = [signed(k, draw(st.permutations(range(k)))) for k in (m, n)]
     f = draw(st.sampled_from((QQ, GF(2), GF(3), GF(101))))
+    if f == QQ:
+        # each row and column divided by its own denominator, the same
+        # for labels that the reversal swaps: rows differ in theirs, and
+        # within a row the columns' differ (an integral quotient stays an int)
+        den = [draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)) for k in (m, n)]
+        a = {(r, c): Fraction(v, den[0][min(r, m - 1 - r)] * den[1][min(c, n - 1 - c)])
+             for (r, c), v in a.items()}
+        a = {k: int(v) if v.denominator == 1 else v for k, v in a.items()}
     return ExactMatrix(m, n, a), rw, cw, flips, f
 
 
@@ -271,8 +300,8 @@ def _flip_cases(draw):
 @given(_flip_cases())
 def test_graded_rank_with_any_signed_flip_is_the_flat_rank(case):
     m, rw, cw, flips, f = case
-    assert graded_rank(m, f, rw, cw, flips=flips) == exactla.rank(m, f)
-    assert graded_rank(m, f, rw, cw) == exactla.rank(m, f)
+    assert closed_ranks([m], f, [cw, rw], flips[::-1]) == (exactla.rank(m, f),)
+    assert closed_ranks([m], f, [cw, rw]) == (exactla.rank(m, f),)
 
 
 def test_flip_signs_do_not_wrap_int64(monkeypatch):
@@ -284,11 +313,11 @@ def test_flip_signs_do_not_wrap_int64(monkeypatch):
                            (2, 2): 1, (3, 2): big, (2, 3): -1, (3, 3): big})
     assert m.val.dtype == np.int64
     rev = np.arange(3, -1, -1, dtype=np.int64)
-    flips = (rev, np.ones(4, dtype=np.int64)), (rev, np.array([-1, 1, 1, 1]))
+    flips = (rev, np.array([-1, 1, 1, 1])), (rev, np.ones(4, dtype=np.int64))
     for f in (QQ, GF(3), GF(101)):
-        r, calls = _ranks_seen(monkeypatch, lambda: graded_rank(
-            m, f, [0, 0, 1, 1], [0, 0, 1, 1], flips=flips))
-        assert (r, len(calls)) == (exactla.rank(m, f), 2), f
+        r, calls = _ranks_seen(monkeypatch, lambda: closed_ranks(
+            [m], f, [[0, 0, 1, 1]] * 2, flips))
+        assert (r, len(calls)) == ((exactla.rank(m, f),), 2), f
     assert exactla.rank(m, QQ) == 3
 
 
@@ -300,5 +329,5 @@ def test_flips_must_be_signed_permutations():
                 (np.array([1, 0]), np.ones(3))):
         for flips in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="signed permutations"):
-                graded_rank(m, QQ, [0, 1], [0, 1], flips=flips)
-    assert graded_rank(m, QQ, [0, 1], [0, 1], flips=(good, good)) == 2
+                closed_ranks([m], QQ, [[0, 1]] * 2, flips)
+    assert closed_ranks([m], QQ, [[0, 1]] * 2, (good, good)) == (2,)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from syzygy import exactla
 from syzygy.exactla import (GF, _MARKOWITZ_MAX, ExactMatrix, _f64_admits, _gf_array,
                             _markowitz, _rank_gf, _rank_gf_f64, _ranks_gf, _round_pivots,
-                            _rref_gf, graded_rank)
+                            _rref_gf, closed_ranks)
 from syzygy.tangent import delta2_map
 
 from _oracles import exact_of, rref_mod_p, to_dense
@@ -155,7 +155,7 @@ def test_every_delta2_weight_block_ranks_as_the_dense_engines(monkeypatch):
         for i in range(1, g - 1):
             mp = delta2_map(g, i)
             for p in primes:
-                graded_rank(mp.matrix, GF(p), mp.target.weights, mp.source.weights)
+                closed_ranks([mp.matrix], GF(p), [mp.source.weights, mp.target.weights])
     assert not pivoted and all(checked.count(p) > 100 for p in primes)
 
 
@@ -285,7 +285,7 @@ def test_a_graded_map_shares_its_rounds(monkeypatch):
     mp, p = delta2_map(11, 5), 101
     tw, sw = mp.target.weights, mp.source.weights
     assert mp.matrix.nnz <= exactla._GROUP_ENTRIES
-    _, rep, block = exactla._weight_classes(mp.matrix, tw, sw)
+    *_, rep, block = exactla._weight_classes(mp.matrix, tw, sw)
     calls = _round_count(monkeypatch)
     alone = []
     for k in range(len(rep)):
@@ -293,6 +293,6 @@ def test_a_graded_map_shares_its_rounds(monkeypatch):
         _markowitz([block(k)], p)
         alone.append(len(calls))
     calls.clear()
-    got = graded_rank(mp.matrix, GF(p), tw, sw)
+    [got] = closed_ranks([mp.matrix], GF(p), [sw, tw])
     assert 0 < len(calls) <= max(alone) + 1 < sum(alone)
     assert got == sum(_rank_gf(block(k), p) for k in range(len(rep)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syzygy import cli, exactla, oracle
-from syzygy.exactla import GF, QQ, closed_ranks, graded_rank
+from syzygy.exactla import GF, QQ, closed_ranks
 from syzygy.oracle import oracle_kij, ring_dim
 from syzygy.tangent import betti_table, k_i1, k_i2
 
@@ -66,8 +66,6 @@ def test_oracle_ranks_each_map_once(monkeypatch):
     # map(7, 0) = Wedge^7 W (x) R_0 -> Wedge^6 W (x) R_1, which bounds
     # map(6, 1) from its source side
     calls = []
-    monkeypatch.setattr(oracle, "graded_rank",
-                        lambda m, *a: calls.append(m.shape) or graded_rank(m, *a))
     monkeypatch.setattr(oracle, "closed_ranks", lambda maps, *r: calls.extend(
         m.shape for m in maps) or closed_ranks(maps, *r))
     oracle._ring.cache_clear()
@@ -137,14 +135,14 @@ def test_char0_oracle_lifts_kernels_only_for_map_i_2(monkeypatch, capsys):
         return m
 
     def tag_blocks(m, *a):
-        weights, rep, block = classes(m, *a)
+        weights, shapes, rep, block = classes(m, *a)
 
         def tagged(k):
             b = block(k)
             blocks[id(b)] = tags[id(m.row)][0], b
             return b
 
-        return weights, rep, tagged
+        return weights, shapes, rep, tagged
 
     def in_block(block, *a):
         current.append(blocks[id(block)][0])
